@@ -36,7 +36,7 @@ from .model import (MEASURES, PAYOFF_KINDS, IntensityCurve, MertonFactors,
                     survival_factor)
 from .pde import (AsymptoticBundle, GridSpec, HedgeReport, PriceSurface,
                   asymptotic_expansion, gamma_sweep, hedge_report,
-                  single_shock_zero_order, solve_buyer,
+                  single_shock_zero_order, solve_buyer, solve_indifference,
                   solve_single_shock_buyer, solve_writer)
 
 __version__ = "0.1.0"
@@ -75,6 +75,7 @@ __all__ = [
     "PriceSurface",
     "AsymptoticBundle",
     "HedgeReport",
+    "solve_indifference",
     "solve_buyer",
     "solve_writer",
     "solve_single_shock_buyer",

@@ -53,7 +53,7 @@ from .errors import NumericalError
 from .mc import mc_linear_price
 from .model import PAYOFF_KINDS, ModelParams, Payoff
 from .pde import (GridSpec, asymptotic_expansion, hedge_report, solve_buyer,
-                  solve_single_shock_buyer, solve_writer)
+                  solve_indifference, solve_single_shock_buyer, solve_writer)
 
 __all__ = ["RunConfig", "cmd_price", "cmd_ttm", "cmd_hedge", "cmd_converge",
            "main"]
@@ -73,6 +73,11 @@ _SWEEP_TIME_POINTS = 21
 # Quote changes below this are considered converged regardless of ordering
 # (the ladder otherwise compares rounding noise when nu01 = 0).
 _LADDER_FLOOR = 1e-10
+# Contracts marched together by one indifference pass of `price`.  Each holds
+# two full surfaces (about 17 MB on the default grid), so the cap bounds the
+# pass's memory and a longer contracts list costs time instead; six is the
+# default book.
+_STACK_CONTRACTS = 6
 
 
 def _fmt(x: float) -> str:
@@ -264,6 +269,19 @@ def _sweep_spots(cfg: RunConfig) -> tuple[float, ...]:
 Report = tuple[list[str], list[list[str]]]
 
 
+def _indifference_quotes(params: ModelParams, payoff: Payoff, grid: GridSpec,
+                         quantities: list[float], spots) -> list[list[float]]:
+    """Tradeable-regime indifference quotes at t = 0, one list per signed
+    quantity, marched in stacks of at most _STACK_CONTRACTS contracts; each
+    stack's surfaces are dropped as soon as they are quoted."""
+    quotes: list[list[float]] = []
+    for k in range(0, len(quantities), _STACK_CONTRACTS):
+        chunk = quantities[k:k + _STACK_CONTRACTS]
+        quotes.extend([p.quote(s) for s in spots]
+                      for p, _ in solve_indifference(params, payoff, grid, chunk))
+    return quotes
+
+
 def cmd_price(cfg: RunConfig) -> Report:
     """Price table: every method at every configured spot.
 
@@ -298,12 +316,10 @@ def cmd_price(cfg: RunConfig) -> Report:
 
     buyers = [n for n in cfg.contracts if n > 0.0]
     writers = [n for n in cfg.contracts if n < 0.0]
-    for n in buyers:
-        surf, _ = solve_buyer(params, cfg.make_payoff(n), grid)
-        contract_rows("IndiffBuyer", n, [surf.quote(s) for s in spots])
-    for n in writers:
-        surf, _ = solve_writer(params, cfg.make_payoff(n), grid)
-        contract_rows("IndiffWriter", n, [surf.quote(s) for s in spots])
+    quantities = buyers + writers
+    quotes = _indifference_quotes(params, unit, grid, quantities, spots)
+    for n, prices in zip(quantities, quotes):
+        contract_rows("IndiffBuyer" if n > 0.0 else "IndiffWriter", n, prices)
     for n in buyers:
         surf = solve_single_shock_buyer(params, cfg.make_payoff(n), grid)
         contract_rows("SingleShock", n, [surf.quote(s) for s in spots])

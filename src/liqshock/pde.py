@@ -22,6 +22,16 @@ between nodes so that digital terminal data carry no placement bias.
 Boundaries impose linearity in S (p_SS = 0) by folding the ghost node into
 the end rows, exact for the far fields of every supported payoff.
 
+Every step of every march is one call of LAPACK ``dgtsv`` on a stack of
+B right-hand sides (B = 1 except for the indifference march, which stacks
+one block per contract).  The stack is a single tridiagonal system of B*M
+unknowns whose couplings between neighbouring blocks are exactly zero.
+At a zero coupling ``dgtsv``'s partial pivoting never swaps rows across
+the block boundary, its elimination factor into the next block is 0, and
+its back-substitution subtracts 0 * x; so each block goes through the same
+floating-point operations as a solve of that block alone and its result
+is bit-identical to it.
+
 The same stepper drives the linear (small-gamma limit) prices, the
 first-order expansion in gamma, and the single-shock variant, whose source
 integral is precomputed on the whole grid by a cumulative Simpson rule.
@@ -34,11 +44,11 @@ strike and lifts the buyer price above its gamma -> 0 limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from . import bs as _bs
 from .errors import NumericalError
@@ -49,6 +59,7 @@ __all__ = [
     "PriceSurface",
     "AsymptoticBundle",
     "HedgeReport",
+    "solve_indifference",
     "solve_buyer",
     "solve_writer",
     "solve_single_shock_buyer",
@@ -226,7 +237,8 @@ class PriceSurface:
 class _Stepper:
     """One implicit step of v -> (1 - dt L + dt kappa) v = rhs with
     L = (sigma^2/2)(d_zz - d_z) and linear-in-S end conditions (p_SS = 0)
-    folded into the first and last rows.
+    folded into the first and last rows, for a stack of ``blocks``
+    independent right-hand sides solved by one LAPACK ``dgtsv`` call.
 
     Linearity is imposed in the price variable S = e^z, not in z: ghost
     values are p_ghost = (1 + e^{+-dz}) p_end - e^{+-dz} p_next, exact for
@@ -234,36 +246,51 @@ class _Stepper:
     supported payoff (vanilla ~ affine in S deep in the money, approaching
     0 or K elsewhere; digitals approach constants); linearity in z would
     instead flatten the vanilla call's e^z growth and leak an O(1) error
-    layer in from the upper boundary."""
+    layer in from the upper boundary.
 
-    def __init__(self, grid: GridSpec, sigma0: float):
+    The stack is one block-diagonal tridiagonal system whose couplings
+    between neighbouring blocks are exactly zero (see the module
+    docstring for why each block's solution is then bit-identical to a
+    solve of that block alone)."""
+
+    def __init__(self, grid: GridSpec, sigma0: float, blocks: int = 1):
         a_coef = 0.5 * sigma0 * sigma0 * grid.delta_t
         dz = grid.delta_z
-        self.sub = -a_coef * (1.0 / (dz * dz) + 1.0 / (2.0 * dz))
-        self.sup = -a_coef * (1.0 / (dz * dz) - 1.0 / (2.0 * dz))
-        self.diag0 = 1.0 + 2.0 * a_coef / (dz * dz)
+        sub = -a_coef * (1.0 / (dz * dz) + 1.0 / (2.0 * dz))
+        sup = -a_coef * (1.0 / (dz * dz) - 1.0 / (2.0 * dz))
+        self._diag0 = 1.0 + 2.0 * a_coef / (dz * dz)
         m = grid.n_space
-        ab = np.zeros((3, m))
-        ab[0, 1] = self.sup - self.sub * math.exp(-dz)   # folded first row
-        ab[0, 2:] = self.sup
-        ab[2, : m - 2] = self.sub
-        ab[2, m - 2] = self.sub - self.sup * math.exp(dz)  # folded last row
-        self._ab = ab
-        self._fold_lo = self.sub * (1.0 + math.exp(-dz))
-        self._fold_hi = self.sup * (1.0 + math.exp(dz))
+        # One block's off-diagonals padded to length m; the pad is the zero
+        # coupling to the next block and is cut off after the last block.
+        lower = np.full(m, sub)
+        lower[m - 2] = sub - sup * math.exp(dz)       # folded last row
+        lower[m - 1] = 0.0
+        upper = np.full(m, sup)
+        upper[0] = sup - sub * math.exp(-dz)          # folded first row
+        upper[m - 1] = 0.0
+        self._dl = np.tile(lower, blocks)[:-1]
+        self._du = np.tile(upper, blocks)[:-1]
+        self._d = np.empty((blocks, m))
+        self._fold_lo = sub * (1.0 + math.exp(-dz))
+        self._fold_hi = sup * (1.0 + math.exp(dz))
 
     def solve(self, dt_kappa, rhs: np.ndarray) -> np.ndarray:
-        """Solve one implicit step; ``dt_kappa`` is dt * kappa (scalar or
-        per-node vector, nonnegative for a well-posed step)."""
-        ab = self._ab
-        ab[1, :] = self.diag0 + dt_kappa
-        ab[1, 0] += self._fold_lo
-        ab[1, -1] += self._fold_hi
-        return solve_banded((1, 1), ab, rhs, check_finite=False)
-
-
-def _make_stepper(grid: GridSpec, params: ModelParams) -> _Stepper:
-    return _Stepper(grid, params.sigma0)
+        """Solve one implicit step in place of ``rhs`` (shape (M,) for one
+        block, (blocks, M) for a stack); ``dt_kappa`` is dt * kappa (scalar
+        or per-node, broadcast against the stack, nonnegative for a
+        well-posed step)."""
+        d = self._d
+        np.add(self._diag0, dt_kappa, out=d)
+        d[:, 0] += self._fold_lo
+        d[:, -1] += self._fold_hi
+        _, _, _, x, info = dgtsv(self._dl, d.reshape(-1), self._du,
+                                 rhs.reshape(-1), overwrite_d=1, overwrite_b=1)
+        if info != 0:
+            raise NumericalError(
+                f"tridiagonal step is singular (LAPACK dgtsv info = {info}); "
+                "the step coefficients are outside the range the scheme "
+                "supports")
+        return x.reshape(rhs.shape)
 
 
 def _terminal(payoff: Payoff, grid: GridSpec) -> np.ndarray:
@@ -271,10 +298,18 @@ def _terminal(payoff: Payoff, grid: GridSpec) -> np.ndarray:
 
 
 def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                     gamma_eff: float) -> tuple[np.ndarray, np.ndarray]:
-    """Backward march of the (p, q) system at signed utility scale gamma_eff."""
-    if gamma_eff == 0.0 or not math.isfinite(gamma_eff):
-        raise ValueError(f"gamma_eff must be finite and nonzero, got {gamma_eff}")
+                     gamma_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Backward march of the (p, q) system at each signed utility scale in
+    the 1-D array ``gamma_eff``, all contracts stacked in one pass.
+
+    Returns (p, q) stacks of shape (len(gamma_eff), N + 1, M); block b is
+    bit-identical to a march of gamma_eff[b] alone.
+    """
+    g = np.asarray(gamma_eff, dtype=float)
+    if g.ndim != 1 or g.size == 0:
+        raise ValueError(f"gamma_eff must be a nonempty 1-D array, got shape {g.shape}")
+    if not np.all(np.isfinite(g)) or np.any(g == 0.0):
+        raise ValueError(f"gamma_eff must be finite and nonzero, got {g.tolist()}")
     fac = merton_factors(params)
     times = grid.times()
     f0 = np.asarray(fac.F0(times), dtype=float)
@@ -283,15 +318,16 @@ def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
     nuhat10 = params.nu10 * f0 / f1       # shock-exit intensity under MEMM
     n = grid.n_time
     dt = grid.delta_t
-    g = gamma_eff
-    stepper = _make_stepper(grid, params)
+    blocks = g.size
+    g = g[:, None]
+    stepper = _Stepper(grid, params.sigma0, blocks)
     h = _terminal(payoff, grid)
-    p_surf = np.empty((n + 1, grid.n_space))
+    p_surf = np.empty((blocks, n + 1, grid.n_space))
     q_surf = np.empty_like(p_surf)
-    p_surf[n] = h
-    q_surf[n] = h
-    p = h.copy()
-    q = h.copy()
+    p_surf[:, n] = h
+    q_surf[:, n] = h
+    p = np.tile(h, (blocks, 1))
+    q = p.copy()
     for i in range(n - 1, -1, -1):
         x = g * (q - p)
         _check_exponent(x, "gamma_eff * (q - p)")
@@ -303,8 +339,8 @@ def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
         y = g * (q - p)
         _check_exponent(y, "gamma_eff * (q - p)")
         q = p - np.log1p(w * np.expm1(-y)) / g
-        p_surf[i] = p
-        q_surf[i] = q
+        p_surf[:, i] = p
+        q_surf[:, i] = q
     return p_surf, q_surf
 
 
@@ -338,7 +374,7 @@ def _march_linear(params: ModelParams, payoff: Payoff, grid: GridSpec,
     nu01_t, nu10_t = _measure_intensities(params, measure, times)
     n = grid.n_time
     dt = grid.delta_t
-    stepper = _make_stepper(grid, params)
+    stepper = _Stepper(grid, params.sigma0)
     h = _terminal(payoff, grid)
     p0_surf = np.empty((n + 1, grid.n_space))
     q0_surf = np.empty_like(p0_surf)
@@ -413,8 +449,22 @@ def _single_shock_tables(params: ModelParams, payoff: Payoff, grid: GridSpec,
         tv = pbs - h[None, :]
         _check_exponent(gamma_eff * tv, "gamma_eff * time value")
         integrand = wgt[:, None] * np.exp(-gamma_eff * tv)
-    cs = cumulative_simpson(integrand, x=m_grid, axis=0, initial=0.0)
-    cs0 = cumulative_simpson(wgt, x=m_grid, initial=0.0)
+    cs = cumulative_simpson(integrand, dx=grid.delta_t, axis=0, initial=0.0)
+    cs0 = cumulative_simpson(wgt, dx=grid.delta_t, initial=0.0)
+    if gamma_eff is not None:
+        # cs + 1 scales the shock intensity of the march.  Simpson's odd-row
+        # formula turns negative where e^{-gamma_eff (P_BS - h)} grows by
+        # more than about a factor 8 per time step (digitals next to the
+        # strike at large gamma_eff); the step would then lose its M-matrix
+        # property, so refuse rather than march.
+        low = float(np.min(cs)) + 1.0
+        if not low > 0.0:
+            raise NumericalError(
+                f"single-shock source table not positive (min of cs + 1 is "
+                f"{low:.3g}) at gamma_eff = {gamma_eff:.6g}, nsteps = "
+                f"{grid.n_time}: the time grid does not resolve "
+                "e^{-gamma_eff (P_BS - h)}; lower the quantity or risk "
+                "aversion, or raise nsteps")
     return fac, h, cs, cs0
 
 
@@ -443,7 +493,7 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
     n = grid.n_time
     dt = grid.delta_t
     g = gamma_eff
-    stepper = _make_stepper(grid, params)
+    stepper = _Stepper(grid, params.sigma0)
 
     def step(i: int, p_old: np.ndarray, p_lin: np.ndarray) -> np.ndarray:
         """Implicit step from row i + 1 to row i with the exponential
@@ -499,7 +549,7 @@ def _march_single_shock_linear(params: ModelParams, payoff: Payoff,
     f0 = np.asarray(fac.F0(times), dtype=float)
     n = grid.n_time
     dt = grid.delta_t
-    stepper = _make_stepper(grid, params)
+    stepper = _Stepper(grid, params.sigma0)
     p_surf = np.empty((n + 1, grid.n_space))
     p_surf[n] = h
     p = h.copy()
@@ -524,24 +574,43 @@ def _split_quantity(payoff: Payoff, buyer: bool) -> float:
     return abs(n)
 
 
+def solve_indifference(params: ModelParams, payoff: Payoff, grid: GridSpec,
+                       quantities) -> list[tuple[PriceSurface, PriceSurface]]:
+    """Per-contract indifference surfaces (p, q), one pair per signed
+    quantity (positive: buyer, negative: writer), marched in one pass.
+
+    Quantity scales risk aversion (gamma_eff = quantity * gamma), so
+    terminal data are exact; ``payoff`` supplies kind and strike, and each
+    surface carries the payoff at its own quantity.  Every pair is
+    bit-identical to a solve of that quantity alone; the march holds
+    2 * len(quantities) full surfaces at once.
+    """
+    ns = [float(n) for n in quantities]
+    p, q = _march_nonlinear(params, payoff, grid,
+                            np.array([n * params.gamma for n in ns]))
+    out = []
+    for b, n in enumerate(ns):
+        pay = replace(payoff, quantity=n)
+        side = "buyer" if n > 0.0 else "writer"
+        out.append((PriceSurface(p[b], grid, pay, regime=0, label=f"{side}_p"),
+                    PriceSurface(q[b], grid, pay, regime=1, label=f"{side}_q")))
+    return out
+
+
 def solve_buyer(params: ModelParams, payoff: Payoff,
                 grid: GridSpec) -> tuple[PriceSurface, PriceSurface]:
     """Per-contract buyer indifference surfaces (p, q) for payoff.quantity
     contracts; quantity scales risk aversion, so terminal data are exact."""
     n = _split_quantity(payoff, buyer=True)
-    p, q = _march_nonlinear(params, payoff, grid, n * params.gamma)
-    return (PriceSurface(p, grid, payoff, regime=0, label="buyer_p"),
-            PriceSurface(q, grid, payoff, regime=1, label="buyer_q"))
+    return solve_indifference(params, payoff, grid, [n])[0]
 
 
 def solve_writer(params: ModelParams, payoff: Payoff,
                  grid: GridSpec) -> tuple[PriceSurface, PriceSurface]:
-    """Per-contract writer indifference surfaces; the writer system is the
-    buyer system under gamma -> -gamma."""
+    """Per-contract writer indifference surfaces for |payoff.quantity|
+    contracts; the writer system is the buyer system under gamma -> -gamma."""
     n = _split_quantity(payoff, buyer=False)
-    p, q = _march_nonlinear(params, payoff, grid, -n * params.gamma)
-    return (PriceSurface(p, grid, payoff, regime=0, label="writer_p"),
-            PriceSurface(q, grid, payoff, regime=1, label="writer_q"))
+    return solve_indifference(params, payoff, grid, [-n])[0]
 
 
 def solve_single_shock_buyer(params: ModelParams, payoff: Payoff,
@@ -685,7 +754,8 @@ def gamma_sweep(params: ModelParams, payoff: Payoff, grid: GridSpec,
     s = payoff.strike if spot is None else float(spot)
     out = []
     for g in gl:
-        p, _ = _march_nonlinear(params, payoff, grid, payoff.quantity * g)
-        surf = PriceSurface(p, grid, payoff, regime=0, label="sweep")
+        p, _ = _march_nonlinear(params, payoff, grid,
+                                np.array([payoff.quantity * g]))
+        surf = PriceSurface(p[0], grid, payoff, regime=0, label="sweep")
         out.append((g, float(surf.quote(s, 0.0))))
     return out

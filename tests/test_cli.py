@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import csv
 import io
+from pathlib import Path
 
 import pytest
 
 import liqshock.cli as cli
 from liqshock.cli import build_parser, load_config, main, parse_config_text
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(tmp_path, *argv):
@@ -148,6 +152,20 @@ class TestPriceCommand:
         assert stdout_rows == file_rows
 
 
+    @pytest.mark.parametrize("golden, config", [
+        ("price_default.csv", ""),
+        ("price_digital_call.csv", "payoff = digital_call\n"),
+    ])
+    def test_default_grid_matches_golden(self, tmp_path, golden, config):
+        """The goldens were written by per-contract marches through
+        scipy's solve_banded; stacked dgtsv marches must print the same
+        bytes."""
+        path = write_config(tmp_path, config)
+        out = tmp_path / "report.csv"
+        assert main(["price", "--config", path, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
 class TestTtmCommand:
     def test_sweep_shapes_and_terminal_row(self, tmp_path):
         path = write_config(tmp_path, "nsteps = 200\n")
@@ -238,3 +256,16 @@ class TestExitCodes:
                             "nu10 = 800\nnsteps = 100\ncontracts = 1\n")
         assert main(["price", "--config", path, "--out", "-"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_unresolved_single_shock_table_exits_3(self, tmp_path, capsys):
+        # gamma_eff = 40 on 500 steps: the digital's Simpson source table
+        # reaches -545 next to the strike, which would make the shock
+        # intensity negative.
+        path = write_config(tmp_path,
+                            "payoff = digital_call\nnsteps = 500\ncontracts = 40\n")
+        assert main(["price", "--config", path, "--out", "-"]) == 3
+        captured = capsys.readouterr()
+        assert "SingleShock" not in captured.out
+        assert "source table not positive" in captured.err
+        assert "gamma_eff = 40" in captured.err
+        assert "nsteps = 500" in captured.err

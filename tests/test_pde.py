@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from liqshock import (
     GridSpec,
@@ -29,10 +30,12 @@ from liqshock import (
     linear_price,
     single_shock_memm_price,
     solve_buyer,
+    solve_indifference,
     solve_single_shock_buyer,
     solve_writer,
 )
 from conftest import SPOTS, STRIKE
+from liqshock.pde import _Stepper
 
 
 def make_params(**kw) -> ModelParams:
@@ -173,6 +176,71 @@ class TestExactInvariances:
         h = Payoff("digital_call", STRIKE).value(p.grid.spot_nodes())
         assert np.array_equal(p.values[-1], h)
         assert np.array_equal(q.values[-1], h)
+
+
+class TestStackedIndifference:
+    """One pass over several contracts solves a block-diagonal system with
+    zero couplings, so every block must reproduce its own solve exactly."""
+
+    QUANTITIES = (10.0, 5.0, 1.0, -1.0, -5.0, -10.0)
+
+    @pytest.mark.parametrize("kind", ["vanilla_call", "digital_put"])
+    def test_stack_equals_per_contract_solves(self, params, kind):
+        grid = GridSpec.build(params, STRIKE, n_time=300)
+        stacked = solve_indifference(params, Payoff(kind, STRIKE), grid,
+                                     self.QUANTITIES)
+        assert len(stacked) == len(self.QUANTITIES)
+        for n, (p, q) in zip(self.QUANTITIES, stacked):
+            solver = solve_buyer if n > 0 else solve_writer
+            p_one, q_one = solver(params, Payoff(kind, STRIKE, n), grid)
+            assert np.array_equal(p.values, p_one.values)
+            assert np.array_equal(q.values, q_one.values)
+            assert (p.label, q.label) == (p_one.label, q_one.label)
+            assert p.payoff == p_one.payoff
+
+    def test_step_matches_banded_reference(self, params):
+        """Each block of a stacked step equals a banded solve of that block
+        alone, bit for bit (reference: scipy's solve_banded, which calls
+        the same LAPACK routine through its checked wrapper)."""
+        grid = GridSpec.build(params, STRIKE, n_time=300)
+        m = grid.n_space
+        rng = np.random.default_rng(5)
+        dt_kappa = rng.uniform(0.0, 0.05, (3, m))
+        rhs = rng.uniform(-1.0, 2.0, (3, m))
+        got = _Stepper(grid, params.sigma0, blocks=3).solve(dt_kappa, rhs.copy())
+        a = 0.5 * params.sigma0 ** 2 * grid.delta_t
+        dz = grid.delta_z
+        sub = -a * (1.0 / (dz * dz) + 1.0 / (2.0 * dz))
+        sup = -a * (1.0 / (dz * dz) - 1.0 / (2.0 * dz))
+        for b in range(3):
+            ab = np.zeros((3, m))
+            ab[0, 1] = sup - sub * math.exp(-dz)
+            ab[0, 2:] = sup
+            ab[2, : m - 2] = sub
+            ab[2, m - 2] = sub - sup * math.exp(dz)
+            ab[1] = 1.0 + 2.0 * a / (dz * dz) + dt_kappa[b]
+            ab[1, 0] += sub * (1.0 + math.exp(-dz))
+            ab[1, -1] += sup * (1.0 + math.exp(dz))
+            ref = solve_banded((1, 1), ab, rhs[b], check_finite=False)
+            assert np.array_equal(got[b], ref)
+
+    def test_one_block_tripping_the_guard_fails_the_stack(self, params):
+        grid = GridSpec.build(params, STRIKE, n_time=100)
+        with pytest.raises(NumericalError, match="exponent guard"):
+            solve_indifference(params, Payoff("digital_call", STRIKE), grid,
+                               (1.0, 1e4))
+
+    def test_singular_step_is_a_numerical_error(self, params, monkeypatch):
+        """A nonnegative dt * kappa keeps every step strictly diagonally
+        dominant, so LAPACK's zero-pivot report is forced here."""
+        grid = GridSpec.build(params, STRIKE, n_time=100)
+
+        def zero_pivot(dl, d, du, b, **kw):
+            return dl, d, du, b, 7
+
+        monkeypatch.setattr("liqshock.pde.dgtsv", zero_pivot)
+        with pytest.raises(NumericalError, match="singular.*info = 7"):
+            _Stepper(grid, params.sigma0).solve(0.0, np.ones(grid.n_space))
 
 
 class TestAsymptoticExpansion:
