@@ -6,6 +6,12 @@ calendar horizon to the expected liquid (tradeable) time accumulated over
 it, and ``implied_ttm`` inverts the vanilla price in the maturity variable.
 Throughout, ``ttm`` arguments are time-to-maturity in years; calendar-time
 surfaces are converted by the caller.
+
+``implied_ttm`` inverts a whole sweep in one bisection loop: each pass makes
+one ``bs_price`` call on the elements still bracketing, and each element
+stops on its own tolerance test.  Element by element the iterates and the
+``bs_price`` arithmetic are those of a one-element call, so an array result
+is bit-identical to the scalar calls it replaces.
 """
 
 from __future__ import annotations
@@ -52,11 +58,18 @@ class BSQuote:
 
 @dataclass(frozen=True)
 class ImpliedTTM:
-    """Result of inverting a vanilla price in the maturity variable."""
+    """Result of inverting a vanilla price in the maturity variable.
 
-    ttm: float
-    price_error: float
-    low_confidence: bool
+    A scalar call holds floats and a bool.  An array call holds arrays of
+    the broadcast shape, and ``failure`` names, per element, why no
+    positive-maturity solution exists ("" where one does); such elements
+    carry ttm = price_error = nan and low_confidence = False.
+    """
+
+    ttm: np.ndarray | float
+    price_error: np.ndarray | float
+    low_confidence: np.ndarray | bool
+    failure: np.ndarray | None = None
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
@@ -170,50 +183,102 @@ def adjusted_ttm(params: ModelParams, horizon, regime: int):
     return out if np.ndim(out) else float(out)
 
 
-def implied_ttm(payoff: Payoff, spot: float, target_price: float, sigma: float,
-                horizon: float) -> ImpliedTTM:
+def _first_bad(values: np.ndarray, ok: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValueError(f"{what}, got {float(values[bad[0]])}")
+
+
+def implied_ttm(payoff: Payoff, spot, target_price, sigma: float,
+                horizon) -> ImpliedTTM:
     """Invert the vanilla Black-Scholes price in time-to-maturity.
 
     The vanilla price at zero rates is strictly increasing in maturity, so
     bisection on [0, 10 * horizon] converges; digitals are rejected (their
     price is not monotone in maturity).  A target at or below intrinsic
-    value has no positive-maturity solution: the bracket's lower end is
-    returned with ``low_confidence`` set.
+    value (within the price tolerance) has no time value: the bracket's
+    lower end is returned, with ``low_confidence`` set when the payoff is
+    in the money.
+
+    Vectorized over ``spot``, ``target_price`` and ``horizon`` (numpy
+    broadcasting).  One bisection loop serves every element: each pass
+    prices the elements that have not yet converged with one ``bs_price``
+    call, and an element leaves the loop as soon as its own reproduced
+    price is within tolerance.  Every element therefore follows the
+    iterates of its own one-element bisection (``mid = 0.5 * (lo + hi)``,
+    the same ``bs_price`` arithmetic element by element), so its result is
+    bit-identical to a scalar call.  A scalar call is the one-element case
+    and raises ValueError where no positive-maturity solution exists (a
+    target below intrinsic value or above the price at the bracket's upper
+    end); an array call reports that outcome per element in ``failure``.
+    An element still unresolved after the iteration cap raises
+    NumericalError for the whole call.
     """
     if payoff.is_digital:
         raise ValueError("implied ttm is defined for vanilla payoffs only")
     _validate_sigma(sigma)
-    if not (math.isfinite(spot) and spot > 0.0):
-        raise ValueError(f"spot must be positive and finite, got {spot}")
-    if not math.isfinite(target_price):
-        raise ValueError(f"target_price must be finite, got {target_price}")
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    intrinsic = float(payoff.value(spot))
-    if target_price < intrinsic - _IMPLIED_PRICE_TOL:
-        raise ValueError(
-            f"target price {target_price} is below intrinsic value {intrinsic}")
-    lo, hi = 0.0, 10.0 * horizon
-    f_lo = intrinsic - target_price
-    if abs(f_lo) <= _IMPLIED_PRICE_TOL or target_price <= intrinsic:
-        # Zero (or numerically zero) time value.  For an in-the-money payoff
-        # the price is flat near ttm = 0, so the pinned answer carries little
-        # information; flag it.
-        return ImpliedTTM(ttm=0.0, price_error=f_lo, low_confidence=intrinsic > 0.0)
-    f_hi = bs_price(payoff, hi, spot, sigma) - target_price
-    if f_hi < 0.0:
-        raise ValueError(
-            f"target price {target_price} exceeds the Black-Scholes price "
-            f"{target_price + f_hi:.6g} at the maximum bracket maturity {hi}")
+    scalar = np.ndim(spot) == np.ndim(target_price) == np.ndim(horizon) == 0
+    s, target, h = np.broadcast_arrays(np.asarray(spot, dtype=float),
+                                       np.asarray(target_price, dtype=float),
+                                       np.asarray(horizon, dtype=float))
+    shape = s.shape
+    s, target, h = s.ravel(), target.ravel(), h.ravel()
+    _first_bad(s, np.isfinite(s) & (s > 0.0), "spot must be positive and finite")
+    _first_bad(target, np.isfinite(target), "target_price must be finite")
+    _first_bad(h, np.isfinite(h) & (h > 0.0), "horizon must be positive and finite")
+
+    intrinsic = np.asarray(payoff.value(s), dtype=float)
+    ttm = np.full(s.shape, np.nan)
+    price_error = np.full(s.shape, np.nan)
+    low_confidence = np.zeros(s.shape, dtype=bool)
+    failure = np.full(s.shape, "", dtype=object)
+    below = target < intrinsic - _IMPLIED_PRICE_TOL
+    for i in np.flatnonzero(below):
+        failure[i] = (f"target price {float(target[i])} is below intrinsic "
+                      f"value {float(intrinsic[i])}")
+    f_lo = intrinsic - target
+    # Zero (or numerically zero) time value.  For an in-the-money payoff the
+    # price is flat near ttm = 0, so the pinned answer carries little
+    # information; flag it.
+    pinned = ~below & ((np.abs(f_lo) <= _IMPLIED_PRICE_TOL) | (target <= intrinsic))
+    ttm[pinned] = 0.0
+    price_error[pinned] = f_lo[pinned]
+    low_confidence[pinned] = intrinsic[pinned] > 0.0
+
+    active = np.flatnonzero(~below & ~pinned)
+    lo = np.zeros(active.size)
+    hi = 10.0 * h[active]
+    f_hi = bs_price(payoff, hi, s[active], sigma) - target[active]
+    over = f_hi < 0.0
+    for i, f, top in zip(active[over], f_hi[over], hi[over]):
+        failure[i] = (
+            f"target price {float(target[i])} exceeds the Black-Scholes price "
+            f"{float(target[i] + f):.6g} at the maximum bracket maturity {float(top)}")
+    active, lo, hi = active[~over], lo[~over], hi[~over]
     for _ in range(_IMPLIED_MAX_ITER):
+        if not active.size:
+            break
         mid = 0.5 * (lo + hi)
-        f_mid = bs_price(payoff, mid, spot, sigma) - target_price
-        if abs(f_mid) <= _IMPLIED_PRICE_TOL:
-            return ImpliedTTM(ttm=mid, price_error=f_mid, low_confidence=False)
-        if f_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericalError(
-        f"implied ttm bisection did not reach {_IMPLIED_PRICE_TOL} after "
-        f"{_IMPLIED_MAX_ITER} iterations (spot={spot}, target={target_price})")
+        f_mid = bs_price(payoff, mid, s[active], sigma) - target[active]
+        done = np.abs(f_mid) <= _IMPLIED_PRICE_TOL
+        ttm[active[done]] = mid[done]
+        price_error[active[done]] = f_mid[done]
+        too_short = f_mid < 0.0
+        lo = np.where(too_short, mid, lo)
+        hi = np.where(too_short, hi, mid)
+        active, lo, hi = active[~done], lo[~done], hi[~done]
+    if active.size:
+        i = active[0]
+        raise NumericalError(
+            f"implied ttm bisection did not reach {_IMPLIED_PRICE_TOL} after "
+            f"{_IMPLIED_MAX_ITER} iterations "
+            f"(spot={float(s[i])}, target={float(target[i])})")
+
+    if scalar:
+        if failure[0]:
+            raise ValueError(failure[0])
+        return ImpliedTTM(ttm=float(ttm[0]), price_error=float(price_error[0]),
+                          low_confidence=bool(low_confidence[0]))
+    return ImpliedTTM(ttm=ttm.reshape(shape), price_error=price_error.reshape(shape),
+                      low_confidence=low_confidence.reshape(shape),
+                      failure=failure.reshape(shape))

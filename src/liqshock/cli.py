@@ -353,27 +353,39 @@ def cmd_ttm(cfg: RunConfig) -> Report:
     n_t = grid.n_time
     indices = sorted({round(k * n_t / (_SWEEP_TIME_POINTS - 1))
                       for k in range(_SWEEP_TIME_POINTS)})
-    for i in indices:
-        t = i * grid.delta_t
+    times = [i * grid.delta_t for i in indices]
+    # Horizons fall as t rises, so the rows with time left are a prefix.
+    n_live = sum(params.T - t > 0.0 for t in times)
+    spots = np.asarray(_sweep_spots(cfg), dtype=float)
+    # One inversion over the live time rows (anchor spot) and the spot sweep.
+    imp = _bs.implied_ttm(
+        pay, np.concatenate([np.full(n_live, cfg.spot), spots]),
+        np.concatenate([[lin.quote(cfg.spot, t=t) for t in times[:n_live]],
+                        lin.quote(spots, t=0.0)]),
+        params.sigma0,
+        np.concatenate([params.T - np.array(times[:n_live]),
+                        np.full(spots.size, params.T)]))
+    failed = np.flatnonzero(imp.failure != "")
+    if failed.size:
+        raise ValueError(imp.failure[failed[0]])
+
+    for k, t in enumerate(times):
         horizon = params.T - t
         adj0 = float(_bs.adjusted_ttm(params, horizon, 0))
         adj1 = float(_bs.adjusted_ttm(params, horizon, 1))
-        if horizon <= 0.0:
-            implied, low_conf = 0.0, float(pay.value(cfg.spot)) > 0.0
+        if k < n_live:
+            implied, low_conf = imp.ttm[k], imp.low_confidence[k]
         else:
-            price = float(lin.quote(cfg.spot, t=t))
-            imp = _bs.implied_ttm(pay, cfg.spot, price, params.sigma0, horizon)
-            implied, low_conf = imp.ttm, imp.low_confidence
+            implied, low_conf = 0.0, float(pay.value(cfg.spot)) > 0.0
         rows.append(["t", _fmt(t), _fmt(horizon), _fmt(adj0), _fmt(adj1),
                      _fmt(implied), _flag(low_conf)])
 
     adj0 = float(_bs.adjusted_ttm(params, params.T, 0))
     adj1 = float(_bs.adjusted_ttm(params, params.T, 1))
-    for s in _sweep_spots(cfg):
-        price = float(lin.quote(s, t=0.0))
-        imp = _bs.implied_ttm(pay, s, price, params.sigma0, params.T)
+    for s, implied, low_conf in zip(spots, imp.ttm[n_live:],
+                                    imp.low_confidence[n_live:]):
         rows.append(["S", _fmt(s), _fmt(params.T), _fmt(adj0), _fmt(adj1),
-                     _fmt(imp.ttm), _flag(imp.low_confidence)])
+                     _fmt(implied), _flag(low_conf)])
     return header, rows
 
 
@@ -401,9 +413,10 @@ def cmd_hedge(cfg: RunConfig) -> Report:
               "low_confidence"]
     rows: list[list[str]] = []
     n_s = _fmt(quantity)
-    for s in _sweep_spots(cfg):
-        rep = hedge_report(params, pay_n, surf, 0.0, float(s))
-        delta_adj = float(_bs.bs_greeks(unit, t_adj, s, params.sigma0).delta)
+    spots = np.asarray(_sweep_spots(cfg), dtype=float)
+    reports = hedge_report(params, pay_n, surf, 0.0, spots)
+    deltas_adj = _bs.bs_greeks(unit, t_adj, spots, params.sigma0).delta
+    for s, rep, delta_adj in zip(spots, reports, deltas_adj):
         rows.append([
             _fmt(s), n_s, _fmt(rep.indiff_delta), _fmt(rep.base_delta),
             _fmt(delta_adj), _fmt(rep.base_delta),

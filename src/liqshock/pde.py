@@ -200,9 +200,10 @@ class PriceSurface:
         if np.any(s <= 0.0):
             raise ValueError("spot must be > 0")
         z = np.log(s)
-        if np.any(z < self.grid.z_min) or np.any(z > self.grid.z_max):
+        outside = (z < self.grid.z_min) | (z > self.grid.z_max)
+        if np.any(outside):
             raise ValueError(
-                f"spot {spot} outside the grid domain "
+                f"spot {float(s[outside][0])} outside the grid domain "
                 f"[{math.exp(self.grid.z_min):.6g}, {math.exp(self.grid.z_max):.6g}]")
         j = np.rint((z - self.grid.z_min) / self.grid.delta_z).astype(int)
         j = np.clip(j, 1, self.grid.n_space - 2)
@@ -696,46 +697,54 @@ class HedgeReport:
 
 
 def hedge_report(params: ModelParams, payoff: Payoff, surface: PriceSurface,
-                 t: float, spot: float) -> HedgeReport:
-    """Delta decomposition of an indifference surface at (t, spot), t < T."""
+                 t: float, spot) -> HedgeReport | list[HedgeReport]:
+    """Delta decomposition of an indifference surface at (t, spot), t < T.
+
+    ``spot`` is a scalar (one report) or a 1-D array (one report per spot).
+    The sweep is evaluated in one pass: one delta and one quote of the
+    surface, one Black-Scholes greeks call per clock and one implied-clock
+    inversion; every report equals the one its spot gets alone.
+    """
     if not (0.0 <= t < params.T):
         raise ValueError(f"need 0 <= t < T={params.T}, got t={t}")
+    s = np.asarray(spot, dtype=float)
+    if s.ndim > 1:
+        raise ValueError(f"spot must be a scalar or a 1-D array, got shape {s.shape}")
+    s = s.reshape(-1)
     ttm = params.T - t
-    indiff_delta = float(surface.delta(spot, t))
-    merton = params.mu0 / (params.sigma0 * params.sigma0 * params.gamma)
-    base = float(_bs.bs_greeks(payoff, ttm, spot, params.sigma0).delta)
-    if payoff.is_digital:
-        return HedgeReport(
-            indiff_delta=indiff_delta, merton_dollar_position=merton,
-            base_delta=base, adjusted_ttm_spread=None, implied_ttm_spread=None,
-            smile_correction=indiff_delta - base, implied_ttm_value=None,
-            low_confidence=False)
-    t_adj = float(_bs.adjusted_ttm(params, ttm, surface.regime))
-    delta_adj = float(_bs.bs_greeks(payoff, t_adj, spot, params.sigma0).delta) \
-        if t_adj > 0.0 else None
-    price = float(surface.quote(spot, t))
-    try:
-        imp = _bs.implied_ttm(payoff, spot, price, params.sigma0, params.T)
-    except ValueError:
-        # Deep in the money at high risk aversion the indifference quote can
-        # sit below intrinsic value, where no implied clock exists.
-        imp = None
-    if delta_adj is None or imp is None or imp.low_confidence or imp.ttm <= 0.0:
-        # No usable intermediate clocks; collapse to base + residual.
-        return HedgeReport(
-            indiff_delta=indiff_delta, merton_dollar_position=merton,
-            base_delta=base, adjusted_ttm_spread=None, implied_ttm_spread=None,
-            smile_correction=indiff_delta - base,
-            implied_ttm_value=None if imp is None else imp.ttm,
-            low_confidence=True)
-    delta_imp = float(_bs.bs_greeks(payoff, imp.ttm, spot, params.sigma0).delta)
-    return HedgeReport(
-        indiff_delta=indiff_delta, merton_dollar_position=merton,
-        base_delta=base,
-        adjusted_ttm_spread=delta_adj - base,
-        implied_ttm_spread=delta_imp - delta_adj,
-        smile_correction=indiff_delta - delta_imp,
-        implied_ttm_value=imp.ttm, low_confidence=False)
+    sigma = params.sigma0
+    indiff = surface.delta(s, t)
+    merton = params.mu0 / (sigma * sigma * params.gamma)
+    base = _bs.bs_greeks(payoff, ttm, s, sigma).delta
+    reports = [HedgeReport(
+        indiff_delta=float(d), merton_dollar_position=merton, base_delta=float(b),
+        adjusted_ttm_spread=None, implied_ttm_spread=None,
+        smile_correction=float(d - b), implied_ttm_value=None,
+        low_confidence=False) for d, b in zip(indiff, base)]
+    if not payoff.is_digital:
+        t_adj = float(_bs.adjusted_ttm(params, ttm, surface.regime))
+        imp = _bs.implied_ttm(payoff, s, surface.quote(s, t), sigma, params.T)
+        # A failed inversion is a quote below intrinsic value, which the
+        # indifference quote can reach deep in the money at high risk
+        # aversion: no implied clock exists there.
+        solved = imp.failure == ""
+        usable = solved & ~imp.low_confidence & (imp.ttm > 0.0) & (t_adj > 0.0)
+        for i in np.flatnonzero(~usable):
+            # No usable intermediate clocks; collapse to base + residual.
+            reports[i] = replace(
+                reports[i], low_confidence=True,
+                implied_ttm_value=float(imp.ttm[i]) if solved[i] else None)
+        if usable.any():
+            delta_adj = _bs.bs_greeks(payoff, t_adj, s[usable], sigma).delta
+            delta_imp = _bs.bs_greeks(payoff, imp.ttm[usable], s[usable], sigma).delta
+            for i, d_adj, d_imp in zip(np.flatnonzero(usable), delta_adj, delta_imp):
+                rep = reports[i]
+                reports[i] = replace(
+                    rep, adjusted_ttm_spread=float(d_adj - rep.base_delta),
+                    implied_ttm_spread=float(d_imp - d_adj),
+                    smile_correction=float(rep.indiff_delta - d_imp),
+                    implied_ttm_value=float(imp.ttm[i]))
+    return reports if np.ndim(spot) else reports[0]
 
 
 def gamma_sweep(params: ModelParams, payoff: Payoff, grid: GridSpec,

@@ -172,3 +172,52 @@ class TestImpliedTtm:
         out = implied_ttm(payoff, 12.0, 2.0, SIGMA, 1.0)
         assert out.ttm == pytest.approx(0.0, abs=1e-9)
         assert out.low_confidence
+
+    @pytest.mark.parametrize("kind", ["vanilla_call", "vanilla_put"])
+    def test_array_equals_scalar_calls(self, kind):
+        """One array call reproduces each element's scalar call exactly:
+        the same ttm, price error and flag under ==, and for an element
+        without a positive-maturity solution the scalar call's ValueError
+        text, with ttm = nan."""
+        payoff = Payoff(kind, 10.0)
+        spots, targets, horizons = [], [], []
+        for spot in (6.0, 9.5, 10.0, 10.5, 14.0):
+            for horizon in (0.25, 1.0):
+                intrinsic = float(payoff.value(spot))
+                top = float(bs_price(payoff, 10.0 * horizon, spot, SIGMA))
+                for target in (float(bs_price(payoff, 0.3 * horizon, spot, SIGMA)),
+                               float(bs_price(payoff, 7.0 * horizon, spot, SIGMA)),
+                               intrinsic, intrinsic + 5e-11,  # pinned at intrinsic
+                               intrinsic - 1e-3,              # below intrinsic
+                               top + 1e-3):                   # above the bracket
+                    spots.append(spot)
+                    targets.append(target)
+                    horizons.append(horizon)
+        out = implied_ttm(payoff, np.array(spots), np.array(targets), SIGMA,
+                          np.array(horizons))
+        assert out.ttm.shape == (len(spots),)
+        outcomes = set()
+        for k, (spot, target, horizon) in enumerate(zip(spots, targets, horizons)):
+            try:
+                ref = implied_ttm(payoff, spot, target, SIGMA, horizon)
+            except ValueError as exc:
+                outcomes.add("below" if "below intrinsic" in str(exc) else "exceeds")
+                assert out.failure[k] == str(exc)
+                assert math.isnan(out.ttm[k]) and not out.low_confidence[k]
+                continue
+            outcomes.add("pinned" if ref.ttm == 0.0 else "solved")
+            assert out.failure[k] == ""
+            assert out.ttm[k] == ref.ttm
+            assert out.price_error[k] == ref.price_error
+            assert out.low_confidence[k] == ref.low_confidence
+        assert outcomes == {"solved", "pinned", "below", "exceeds"}
+
+    def test_broadcasts_over_spot_and_horizon(self):
+        payoff = Payoff("vanilla_call", 10.0)
+        spots = np.array([[9.0], [11.0]])
+        horizons = np.array([0.5, 1.0, 2.0])
+        target = float(bs_price(payoff, 0.4, 11.0, SIGMA))
+        out = implied_ttm(payoff, spots, target, SIGMA, horizons)
+        assert out.ttm.shape == out.failure.shape == (2, 3)
+        assert out.ttm[1, 0] == implied_ttm(payoff, 11.0, target, SIGMA, 0.5).ttm
+        assert out.ttm[1, 2] == pytest.approx(0.4, abs=1e-9)

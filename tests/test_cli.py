@@ -189,6 +189,23 @@ class TestTtmCommand:
         assert rows == []
 
 
+class TestClockGoldens:
+    @pytest.mark.parametrize("golden, argv", [
+        ("ttm_default.csv", ["ttm"]),
+        ("hedge_default.csv", ["hedge"]),
+        ("hedge_n10_gamma3.csv", ["hedge", "--contracts", "10", "--gamma", "3",
+                                  "--spots", "2,5,8,10,12,20,40,58"]),
+    ])
+    def test_default_grid_matches_golden(self, tmp_path, golden, argv):
+        """The goldens were written by one scalar implied-clock bisection
+        and one hedge report per spot; the swept inversion must print the
+        same bytes.  The n = 10, gamma = 3 sweep has two low-confidence
+        rows (S = 40, 58) whose quotes sit below intrinsic value."""
+        out = tmp_path / "report.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
 class TestHedgeCommand:
     def test_vanilla_decomposition_columns(self, tmp_path):
         path = write_config(tmp_path, "nsteps = 200\ncontracts = 1\n")
@@ -256,6 +273,13 @@ class TestExitCodes:
                             "nu10 = 800\nnsteps = 100\ncontracts = 1\n")
         assert main(["price", "--config", path, "--out", "-"]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ttm", "hedge"])
+    def test_out_of_domain_spot_is_named(self, command, capsys):
+        assert main([command, "--spots", "1,10", "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "spot 1.0 outside the grid domain" in captured.err
 
     def test_unresolved_single_shock_table_exits_3(self, tmp_path, capsys):
         # gamma_eff = 40 on 500 steps: the digital's Simpson source table

@@ -394,6 +394,39 @@ class TestHedgeReport:
         assert abs(rep.implied_ttm_spread) < 1e-3
         assert abs(rep.smile_correction) < 1e-3
 
+    @pytest.mark.parametrize("case", ["buyer_n10", "payoff_call", "payoff_put",
+                                      "digital"])
+    def test_array_equals_per_spot_reports(self, params, indiff_solved, case):
+        """One sweep call returns, field by field, the reports of one call
+        per spot.  The n = 10 buyer dips below intrinsic deep in the money
+        (no implied clock: implied_ttm_value None); a surface equal to the
+        payoff quotes exactly intrinsic out of the money (clock pinned at
+        0, low confidence); the digital carries base + residual only."""
+        spots = np.array([2.0, 5.0, 8.0, 9.9, 10.0, 12.0, 20.0, 40.0, 58.0])
+        if case == "buyer_n10":
+            payoff = Payoff("vanilla_call", STRIKE, 10.0)
+            surface, _ = indiff_solved("vanilla_call", 10.0)
+        elif case == "digital":
+            payoff = Payoff("digital_call", STRIKE, 1.0)
+            surface, _ = indiff_solved("digital_call", 1.0)
+        else:
+            payoff = Payoff("vanilla_" + case[7:], STRIKE, 1.0)
+            grid = GridSpec.build(params, STRIKE, n_time=200)
+            values = np.tile(payoff.value(grid.spot_nodes()), (grid.n_time + 1, 1))
+            surface = PriceSurface(values, grid, payoff, regime=0)
+        reports = hedge_report(params, payoff, surface, 0.0, spots)
+        singles = [hedge_report(params, payoff, surface, 0.0, float(s))
+                   for s in spots]
+        assert reports == singles
+        branches = {(r.low_confidence, r.implied_ttm_value is None) for r in singles}
+        expected = {
+            "buyer_n10": {(False, False), (True, True)},
+            "payoff_call": {(False, False), (True, False), (True, True)},
+            "payoff_put": {(False, False), (True, False)},
+            "digital": {(False, True)},
+        }[case]
+        assert branches == expected
+
     def test_time_validated(self, params, indiff_solved):
         payoff = Payoff("vanilla_call", STRIKE, 1.0)
         p, _ = indiff_solved("vanilla_call", 1.0)

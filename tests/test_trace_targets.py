@@ -1,7 +1,8 @@
 """The benchmark's span tracer (``perfbench/spans.py``) wraps liqshock
 functions by swapping module attributes named in its ``TARGETS`` table.
 A target that no longer resolves makes every traced benchmark run crash,
-so each one is checked here; the tracer file is only read, never
+so each one is checked here, and the clock commands are checked to call
+the names the tracer patches; the tracer file is only read, never
 modified."""
 
 from __future__ import annotations
@@ -9,6 +10,10 @@ from __future__ import annotations
 import importlib
 import types
 from pathlib import Path
+
+import pytest
+
+from liqshock.cli import main
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -30,3 +35,30 @@ def test_every_trace_target_resolves():
                if not callable(getattr(importlib.import_module(module_name),
                                        attr, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("command, module_name, attr", [
+    ("ttm", "liqshock.bs", "implied_ttm"),
+    ("ttm", "liqshock.bs", "bs_price"),
+    ("hedge", "liqshock.cli", "hedge_report"),
+    ("hedge", "liqshock.bs", "implied_ttm"),
+])
+def test_clock_commands_call_traced_names(monkeypatch, capsys, command,
+                                          module_name, attr):
+    """The tracer times ``ttm`` and ``hedge`` through these module
+    attributes (the implied-clock and hedge spans, and the ``bs_price``
+    calls counted inside an inversion).  A command that bound the function
+    under another name would leave those spans silently at 0."""
+    assert (module_name, attr) in {(m, a) for m, a, _, _ in load_spans().TARGETS}
+    module = importlib.import_module(module_name)
+    original = getattr(module, attr)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(attr)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counted)
+    assert main([command, "--nsteps", "200", "--out", "-"]) == 0
+    capsys.readouterr()
+    assert calls
