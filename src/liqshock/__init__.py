@@ -28,12 +28,10 @@ from .bs import (BSQuote, ImpliedTTM, adjusted_ttm, bs_greeks, bs_price,
 from .emm import (LinearPriceResult, linear_price, memm_vs_mmm_spread,
                   single_shock_memm_price)
 from .errors import NumericalError
-from .mc import (MCEstimate, mc_linear_price, sample_realized_ttm,
-                 single_shock_sampler)
+from .mc import MCEstimate, mc_linear_price, sample_realized_ttm
 from .model import (MEASURES, PAYOFF_KINDS, IntensityCurve, MertonFactors,
                     ModelParams, Payoff, SingleShockFactors, intensity_curve,
-                    merton_factors, payoff_eval, single_shock_factors,
-                    survival_factor)
+                    merton_factors, single_shock_factors)
 from .pde import (AsymptoticBundle, GridSpec, HedgeReport, PriceSurface,
                   asymptotic_expansion, gamma_sweep, hedge_report,
                   single_shock_zero_order, solve_buyer, solve_indifference,
@@ -54,8 +52,6 @@ __all__ = [
     "merton_factors",
     "single_shock_factors",
     "intensity_curve",
-    "survival_factor",
-    "payoff_eval",
     "PAYOFF_KINDS",
     "MEASURES",
     # closed forms
@@ -86,6 +82,5 @@ __all__ = [
     # Monte Carlo oracle
     "MCEstimate",
     "sample_realized_ttm",
-    "single_shock_sampler",
     "mc_linear_price",
 ]

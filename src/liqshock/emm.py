@@ -65,7 +65,7 @@ def linear_price(params: ModelParams, payoff: Payoff, measure: str,
     """
     if measure not in ("MMM", "MEMM"):
         raise ValueError(f"measure must be 'MMM' or 'MEMM', got {measure!r}")
-    p, q = _march_linear(params, payoff, grid, measure, first_order=False)
+    p, q = _march_linear(params, payoff, grid, measure)
     return LinearPriceResult(
         surface_p=PriceSurface(p, grid, payoff, regime=0, label=f"{measure}_p"),
         surface_q=PriceSurface(q, grid, payoff, regime=1, label=f"{measure}_q"),

@@ -8,9 +8,11 @@ discretization is needed; only the chain is sampled, exactly.
 Sampling is counter-based: every round r draws full n_paths-length uniform
 vectors keyed by (seed, r, purpose), so path i's r-th draw is a pure
 function of (seed, r, i) and results do not depend on how many paths are
-still alive.  Time-dependent intensities are sampled by thinning against a
-precomputed curve bound; constant intensities accept every candidate, which
-reduces thinning to plain exponential sojourns.
+still alive.  One thinning kernel, ``sample_realized_ttm``, serves all three
+measures: time-dependent intensities are sampled by thinning against a
+precomputed curve bound, constant intensities accept every candidate (which
+reduces thinning to plain exponential sojourns), and the single-shock
+curve makes the first recovery absorbing.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "MCEstimate",
     "sample_realized_ttm",
     "mc_linear_price",
-    "single_shock_sampler",
 ]
 
 logger = logging.getLogger(__name__)
@@ -92,12 +93,17 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
 
     Returns an array of shape (n_paths,), each entry in [0, horizon].
     ``horizon`` must not exceed the curve's parameter horizon T (the tilted
-    intensities are defined on [0, T]).
+    intensities are defined on [0, T]).  Under the 'MEMM_single_shock'
+    curve at most one shock occurs: the chain starts liquid (regime 0) and
+    its first recovery is absorbing (liquid for good).
     """
     seed = _validate_seed(seed)
     _check_paths(n_paths, antithetic)
     if start_regime not in (0, 1):
         raise ValueError(f"start_regime must be 0 or 1, got {start_regime}")
+    absorbing = curve.measure == "MEMM_single_shock"
+    if absorbing and start_regime != 0:
+        raise ValueError("the single-shock measure starts in regime 0")
     T = curve.params.T
     if not (0.0 <= horizon <= T + 1e-12):
         raise ValueError(f"horizon must be in [0, T={T}], got {horizon}")
@@ -146,82 +152,22 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
                     "intensity exceeded its thinning bound; the curve bound "
                     "is not a true upper bound")
             acc = u_a[cand] * bnd < nu_c
-            flip = cand[acc]
-            state[flip] = 1 - state[flip]
-            t_cur[cand] = tc
             n_cand += cand.size
             n_acc += int(acc.sum())
+            t_cur[cand] = tc
+            if absorbing:
+                # An absorbing recovery: the rest of the horizon accrues
+                # and the path retires.
+                recover = cand[acc & m1]
+                liquid[recover] += horizon - t_cur[recover]
+                active[recover] = False
+                acc &= m0
+            flip = cand[acc]
+            state[flip] = 1 - state[flip]
         r += 1
     if n_cand:
         logger.debug("thinning acceptance ratio %.4f over %d candidates "
                      "(measure=%s)", n_acc / n_cand, n_cand, curve.measure)
-    return np.minimum(liquid, horizon)
-
-
-def single_shock_sampler(params: ModelParams, horizon: float, seed: int,
-                         n_paths: int = 1, antithetic: bool = False) -> np.ndarray:
-    """Realized liquid time when at most one shock can occur.
-
-    The chain starts liquid; the first recovery is absorbing (liquid for
-    good).  Intensities are the single-shock tilted curves, sampled by
-    thinning.  Returns shape (n_paths,) values in [0, horizon].
-    """
-    seed = _validate_seed(seed)
-    _check_paths(n_paths, antithetic)
-    curve = intensity_curve(params, "MEMM_single_shock")
-    T = params.T
-    if not (0.0 <= horizon <= T + 1e-12):
-        raise ValueError(f"horizon must be in [0, T={T}], got {horizon}")
-    if horizon == 0.0:
-        return np.zeros(n_paths)
-    bounds = (curve.bound01, curve.bound10)
-    t_cur = np.zeros(n_paths)
-    state = np.zeros(n_paths, dtype=np.int8)   # 0 pre-shock, 1 in shock
-    liquid = np.zeros(n_paths)
-    active = np.ones(n_paths, dtype=bool)
-    cap = _round_cap(horizon, max(bounds))
-    r = 0
-    while active.any():
-        if r >= cap:
-            raise NumericalError(
-                f"thinning did not terminate within {cap} rounds "
-                f"(bounds={bounds}, horizon={horizon})")
-        u_s = _round_uniforms(seed, r, 0, n_paths, antithetic)
-        u_a = _round_uniforms(seed, r, 1, n_paths, False)
-        rate = np.where(state == 0, bounds[0], bounds[1])
-        with np.errstate(divide="ignore"):
-            w = np.where(rate > 0.0, -np.log1p(-u_s) / rate, np.inf)
-        in0 = active & (state == 0)
-        liquid[in0] += np.minimum(w[in0], horizon - t_cur[in0])
-        t_new = t_cur + w
-        crossed = active & (t_new >= horizon)
-        active &= ~crossed
-        cand = np.flatnonzero(active)
-        if cand.size:
-            tc = t_new[cand]
-            st = state[cand]
-            nu_c = np.empty(cand.size)
-            m0 = st == 0
-            if m0.any():
-                nu_c[m0] = np.asarray(curve.nu01(tc[m0]), dtype=float)
-            m1 = ~m0
-            if m1.any():
-                nu_c[m1] = np.asarray(curve.nu10(tc[m1]), dtype=float)
-            bnd = np.where(m0, bounds[0], bounds[1])
-            if np.any(nu_c > bnd * (1.0 + _BOUND_SLACK)):
-                raise NumericalError(
-                    "intensity exceeded its thinning bound; the curve bound "
-                    "is not a true upper bound")
-            acc = u_a[cand] * bnd < nu_c
-            t_cur[cand] = tc
-            # 0 -> 1: enter the shock.  1 -> recovery: absorbed liquid, so
-            # the rest of the horizon accrues and the path retires.
-            enter = cand[acc & m0]
-            state[enter] = 1
-            recover = cand[acc & m1]
-            liquid[recover] += horizon - t_cur[recover]
-            active[recover] = False
-        r += 1
     return np.minimum(liquid, horizon)
 
 
@@ -241,14 +187,9 @@ def mc_linear_price(params: ModelParams, payoff: Payoff, measure: str,
         raise ValueError(f"measure must be one of {_MC_MEASURES}, got {measure!r}")
     if not (math.isfinite(spot) and spot > 0.0):
         raise ValueError(f"spot must be positive and finite, got {spot}")
-    if measure == "MEMM_single_shock":
-        if start_regime != 0:
-            raise ValueError("the single-shock measure starts in regime 0")
-        ttm = single_shock_sampler(params, params.T, seed, n_paths, antithetic)
-    else:
-        curve = intensity_curve(params, measure)
-        ttm = sample_realized_ttm(curve, params.T, start_regime, seed,
-                                  n_paths, antithetic)
+    curve = intensity_curve(params, measure)
+    ttm = sample_realized_ttm(curve, params.T, start_regime, seed, n_paths,
+                              antithetic)
     vals = np.asarray(_bs.bs_price(payoff, ttm, spot, params.sigma0), dtype=float)
     if antithetic:
         # Paths i and i + n/2 share mirrored uniforms; the independent

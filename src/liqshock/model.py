@@ -37,8 +37,6 @@ __all__ = [
     "merton_factors",
     "single_shock_factors",
     "intensity_curve",
-    "survival_factor",
-    "payoff_eval",
 ]
 
 PAYOFF_KINDS = ("vanilla_call", "vanilla_put", "digital_call", "digital_put")
@@ -89,14 +87,6 @@ class ModelParams:
         """Half squared Sharpe ratio of the liquid regime, mu0^2/(2 sigma0^2)."""
         return self.mu0 * self.mu0 / (2.0 * self.sigma0 * self.sigma0)
 
-    def sharpe(self, regime: int) -> float:
-        """Instantaneous Sharpe ratio in the given regime (0 in a shock)."""
-        if regime == 0:
-            return self.mu0 / self.sigma0
-        if regime == 1:
-            return 0.0
-        raise ValueError(f"regime must be 0 or 1, got {regime}")
-
 
 @dataclass(frozen=True)
 class Payoff:
@@ -141,12 +131,6 @@ class Payoff:
         return out
 
 
-def payoff_eval(payoff: Payoff, spot: np.ndarray | float) -> np.ndarray | float:
-    """Vectorized per-contract payoff evaluation (digitals pay on strict
-    inequality, so the at-strike value is 0)."""
-    return payoff.value(spot)
-
-
 def _stable_roots(s: float, p: float) -> tuple[float, float]:
     """Roots of x^2 - s x + p = 0 with s, p >= 0 and s^2 >= 4p, computed
     without subtractive cancellation in the small root."""
@@ -170,9 +154,8 @@ class MertonFactors:
     The nu01 = 0 case degenerates (F0 = F2; possibly a repeated root) and is
     evaluated by a dedicated branch.
 
-    Reported fields: lambda1, lambda2 and the expansion coefficients c1, c2
-    of F0(t) = c1 e^{l1 t} + c2 e^{l2 t}.  Evaluation uses the overflow-free
-    a_k = c_k e^{l_k T} form throughout.
+    Reported fields: the roots lambda1, lambda2.  Evaluation uses the
+    overflow-free form above, in time to maturity T - t, throughout.
     """
 
     d0: float
@@ -181,10 +164,8 @@ class MertonFactors:
     T: float
     lambda1: float
     lambda2: float
-    c1: float
-    c2: float
 
-    # a_k = c_k e^{l_k T}; only meaningful on the nu01 > 0 code paths.
+    # The weights a_k of F0; only meaningful on the nu01 > 0 code paths.
     @property
     def _a1(self) -> float:
         return (self.lambda2 - self.d0) / (self.lambda2 - self.lambda1)
@@ -220,29 +201,6 @@ class MertonFactors:
         out = np.exp(-self.d0 * self._tau(t))
         return out if np.ndim(out) else float(out)
 
-    def dF0(self, t: np.ndarray | float) -> np.ndarray | float:
-        """Time derivative of F0 (term-by-term analytic form)."""
-        tau = self._tau(t)
-        if self.nu01 == 0.0:
-            out = self.d0 * np.exp(-self.d0 * tau)
-        else:
-            out = (self._a1 * self.lambda1 * np.exp(-self.lambda1 * tau)
-                   + self._a2 * self.lambda2 * np.exp(-self.lambda2 * tau))
-        return out if np.ndim(out) else float(out)
-
-    def dF1(self, t: np.ndarray | float) -> np.ndarray | float:
-        """Time derivative of F1 (term-by-term analytic form)."""
-        tau = self._tau(t)
-        if self.nu01 == 0.0:
-            out = self.d0 * self.nu10 * np.exp(-self.d0 * tau) * _one_minus_exp_over(self.nu10 - self.d0, tau)
-        else:
-            k = self.d0 + self.nu01
-            w1 = self._a1 * (k - self.lambda1) / self.nu01
-            w2 = self._a2 * (k - self.lambda2) / self.nu01
-            out = (w1 * self.lambda1 * np.exp(-self.lambda1 * tau)
-                   + w2 * self.lambda2 * np.exp(-self.lambda2 * tau))
-        return out if np.ndim(out) else float(out)
-
 
 def _one_minus_exp_over(delta: float, tau: np.ndarray) -> np.ndarray:
     """(1 - e^{-delta tau}) / delta, continuous through delta = 0 (-> tau)."""
@@ -257,17 +215,20 @@ def merton_factors(params: ModelParams) -> MertonFactors:
     if nu01 == 0.0:
         # Roots collapse to {d0, nu10}; F0 = F2 and F1 has its own closed form.
         l1, l2 = max(d0, nu10), min(d0, nu10)
-        c1, c2 = 0.0, math.exp(-d0 * T)
-        return MertonFactors(d0=d0, nu01=nu01, nu10=nu10, T=T,
-                             lambda1=l1, lambda2=l2, c1=c1, c2=c2)
-    s = d0 + nu01 + nu10
-    l1, l2 = _stable_roots(s, d0 * nu10)
-    a1 = (l2 - d0) / (l2 - l1)
-    a2 = (l1 - d0) / (l1 - l2)
-    c1 = a1 * math.exp(-l1 * T)
-    c2 = a2 * math.exp(-l2 * T)
+    else:
+        l1, l2 = _stable_roots(d0 + nu01 + nu10, d0 * nu10)
     return MertonFactors(d0=d0, nu01=nu01, nu10=nu10, T=T,
-                         lambda1=l1, lambda2=l2, c1=c1, c2=c2)
+                         lambda1=l1, lambda2=l2)
+
+
+def _memm_intensities(fac: MertonFactors,
+                      t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """MEMM switch intensities (nu01(t), nu10(t)) at times t: each market
+    intensity times the discount factor of the regime it enters over that
+    of the regime it leaves, nu01 F1/F0 and nu10 F0/F1."""
+    f0 = np.asarray(fac.F0(t), dtype=float)
+    f1 = np.asarray(fac.F1(t), dtype=float)
+    return fac.nu01 * f1 / f0, fac.nu10 * f0 / f1
 
 
 @dataclass(frozen=True)
@@ -306,23 +267,6 @@ class SingleShockFactors:
         d0, nu01, nu10 = self.d0, self.nu01, self.nu10
         extra = d0 / (d0 + nu01 - nu10) * (np.exp(-(d0 + nu01) * tau) - np.exp(-nu10 * tau))
         out = np.asarray(self.F1(t)) + extra
-        return out if np.ndim(out) else float(out)
-
-    def dF2(self, t: np.ndarray | float) -> np.ndarray | float:
-        out = self.d0 * np.exp(-self.d0 * self._tau(t))
-        return out if np.ndim(out) else float(out)
-
-    def dF1(self, t: np.ndarray | float) -> np.ndarray | float:
-        tau = self._tau(t)
-        d0, nu10 = self.d0, self.nu10
-        out = d0 * nu10 * (np.exp(-d0 * tau) - np.exp(-nu10 * tau)) / (nu10 - d0)
-        return out if np.ndim(out) else float(out)
-
-    def dF0(self, t: np.ndarray | float) -> np.ndarray | float:
-        tau = self._tau(t)
-        d0, nu01, nu10 = self.d0, self.nu01, self.nu10
-        extra = d0 / (d0 + nu01 - nu10) * ((d0 + nu01) * np.exp(-(d0 + nu01) * tau) - nu10 * np.exp(-nu10 * tau))
-        out = np.asarray(self.dF1(t)) + extra
         return out if np.ndim(out) else float(out)
 
 
@@ -373,14 +317,6 @@ class IntensityCurve:
         out = self._fn10(np.asarray(t, dtype=float))
         return out if np.ndim(out) else float(out)
 
-    def intensity(self, state: int, t: np.ndarray | float) -> np.ndarray | float:
-        """Exit intensity of the given regime at time t."""
-        if state == 0:
-            return self.nu01(t)
-        if state == 1:
-            return self.nu10(t)
-        raise ValueError(f"state must be 0 or 1, got {state}")
-
 
 def intensity_curve(params: ModelParams, measure: str) -> IntensityCurve:
     """Build the intensity curve of one of the supported measures."""
@@ -399,11 +335,11 @@ def intensity_curve(params: ModelParams, measure: str) -> IntensityCurve:
     if measure == "MEMM":
         fac = merton_factors(params)
 
-        def fn01(t, _f=fac, _v=params.nu01):
-            return _v * np.asarray(_f.F1(t)) / np.asarray(_f.F0(t))
+        def fn01(t, _f=fac):
+            return _memm_intensities(_f, t)[0]
 
-        def fn10(t, _f=fac, _v=params.nu10):
-            return _v * np.asarray(_f.F0(t)) / np.asarray(_f.F1(t))
+        def fn10(t, _f=fac):
+            return _memm_intensities(_f, t)[1]
 
         return IntensityCurve(measure, params, fn01, fn10, constant=params.d0 == 0.0)
     # MEMM_single_shock
@@ -416,24 +352,3 @@ def intensity_curve(params: ModelParams, measure: str) -> IntensityCurve:
         return _v * np.asarray(_f.F2(t)) / np.asarray(_f.F1(t))
 
     return IntensityCurve(measure, params, fn01, fn10, constant=params.d0 == 0.0)
-
-
-def survival_factor(curve: IntensityCurve, state: int, s: float, t: float) -> float:
-    """No-switch probability exp(-int_s^t nu_{state,.}(u) du).
-
-    Composite Simpson quadrature with 200 panels per unit time (at least 2),
-    exact for constant curves.  Requires 0 <= s <= t <= T.
-    """
-    T = curve.params.T
-    if not (0.0 <= s <= t <= T + 1e-12):
-        raise ValueError(f"need 0 <= s <= t <= T, got s={s}, t={t}, T={T}")
-    if t == s:
-        return 1.0
-    n = 2 * max(1, math.ceil(100.0 * (t - s)))
-    u = np.linspace(s, t, n + 1)
-    vals = np.asarray(curve.intensity(state, u), dtype=float)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    integral = (t - s) / (3.0 * n) * float(np.dot(w, vals))
-    return math.exp(-integral)

@@ -32,13 +32,18 @@ its back-substitution subtracts 0 * x; so each block goes through the same
 floating-point operations as a solve of that block alone and its result
 is bit-identical to it.
 
-The same stepper drives the linear (small-gamma limit) prices, the
-first-order expansion in gamma, and the single-shock variant, whose source
-integral is precomputed on the whole grid by a cumulative Simpson rule.
-The single-shock march solves its first step, the one that leaves the
-kinked terminal payoff, to convergence by repeating the linearization
-(Newton): a single linearized step there overstates the source next to the
-strike and lifts the buyer price above its gamma -> 0 limit.
+One backward march, ``_march``, owns the time loop and the
+surfaces for every march: the indifference system, the linear
+(small-gamma limit) prices, the first-order expansion in gamma, and the
+single-shock variant, whose source integral is precomputed on the whole
+grid by a cumulative Simpson rule.  Each march hands it only its per-step
+update; the expansion step reuses the linear one for its zeroth order,
+and the indifference and MEMM linear marches take their intensities from
+the one MEMM tilt in ``model``.  The single-shock march solves its first
+step, the one that leaves the kinked terminal payoff, to convergence by
+repeating the linearization (Newton): a single linearized step there
+overstates the source next to the strike and lifts the buyer price above
+its gamma -> 0 limit.
 """
 
 from __future__ import annotations
@@ -52,7 +57,8 @@ from scipy.linalg.lapack import dgtsv
 
 from . import bs as _bs
 from .errors import NumericalError
-from .model import (ModelParams, Payoff, merton_factors, single_shock_factors)
+from .model import (ModelParams, Payoff, _memm_intensities, merton_factors,
+                    single_shock_factors)
 
 __all__ = [
     "GridSpec",
@@ -298,6 +304,31 @@ def _terminal(payoff: Payoff, grid: GridSpec) -> np.ndarray:
     return np.asarray(payoff.value(grid.spot_nodes()), dtype=float)
 
 
+def _march(grid: GridSpec, terminal: tuple[np.ndarray, ...],
+           step) -> tuple[np.ndarray, ...]:
+    """Backward march from the terminal rows; ``step(i, rows)`` returns the
+    rows at time i from those at time i + 1.
+
+    Each surface is allocated once in its final layout: a row of shape
+    (..., M) gives a surface of shape (..., N + 1, M), so a (B, M) stack of
+    contracts gives a (B, N + 1, M) stack, and every row is stored where it
+    belongs as soon as it is computed.
+    """
+    n = grid.n_time
+    surfaces = tuple(np.empty(row.shape[:-1] + (n + 1, row.shape[-1]))
+                     for row in terminal)
+    # Time-major views of the same memory: storing row i is one plain index.
+    by_time = [np.moveaxis(surf, -2, 0) for surf in surfaces]
+    for surf, row in zip(by_time, terminal):
+        surf[n] = row
+    rows = terminal
+    for i in range(n - 1, -1, -1):
+        rows = step(i, rows)
+        for surf, row in zip(by_time, rows):
+            surf[i] = row
+    return surfaces
+
+
 def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
                      gamma_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Backward march of the (p, q) system at each signed utility scale in
@@ -311,108 +342,100 @@ def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
         raise ValueError(f"gamma_eff must be a nonempty 1-D array, got shape {g.shape}")
     if not np.all(np.isfinite(g)) or np.any(g == 0.0):
         raise ValueError(f"gamma_eff must be finite and nonzero, got {g.tolist()}")
-    fac = merton_factors(params)
-    times = grid.times()
-    f0 = np.asarray(fac.F0(times), dtype=float)
-    f1 = np.asarray(fac.F1(times), dtype=float)
-    ratio10 = f1 / f0                     # nuhat01(t) / nu01
-    nuhat10 = params.nu10 * f0 / f1       # shock-exit intensity under MEMM
-    n = grid.n_time
+    nu01_t, nu10_t = _memm_intensities(merton_factors(params), grid.times())
     dt = grid.delta_t
-    blocks = g.size
+    stepper = _Stepper(grid, params.sigma0, g.size)
     g = g[:, None]
-    stepper = _Stepper(grid, params.sigma0, blocks)
-    h = _terminal(payoff, grid)
-    p_surf = np.empty((blocks, n + 1, grid.n_space))
-    q_surf = np.empty_like(p_surf)
-    p_surf[:, n] = h
-    q_surf[:, n] = h
-    p = np.tile(h, (blocks, 1))
-    q = p.copy()
-    for i in range(n - 1, -1, -1):
+
+    def step(i: int, rows):
+        p, q = rows
         x = g * (q - p)
         _check_exponent(x, "gamma_eff * (q - p)")
-        kap01 = params.nu01 * ratio10[i]
-        kappa = kap01 * np.exp(-x)
-        rhs = p + dt * ((kap01 / g) - kappa / g + kappa * p)
+        kappa = nu01_t[i] * np.exp(-x)
+        rhs = p + dt * ((nu01_t[i] / g) - kappa / g + kappa * p)
         p = stepper.solve(dt * kappa, rhs)
-        w = math.exp(-nuhat10[i] * dt)
+        w = math.exp(-nu10_t[i] * dt)
         y = g * (q - p)
         _check_exponent(y, "gamma_eff * (q - p)")
-        q = p - np.log1p(w * np.expm1(-y)) / g
-        p_surf[:, i] = p
-        q_surf[:, i] = q
-    return p_surf, q_surf
+        return p, p - np.log1p(w * np.expm1(-y)) / g
+
+    h = np.tile(_terminal(payoff, grid), (g.shape[0], 1))
+    return _march(grid, (h, h), step)
 
 
-def _measure_intensities(params: ModelParams, measure: str,
-                         times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(nu01(t_i), nu10(t_i)) vectors under MMM or MEMM."""
-    if measure == "MMM":
-        n = times.shape[0]
-        return (np.full(n, params.nu01), np.full(n, params.nu10))
+def _linear_step(params: ModelParams, grid: GridSpec, measure: str,
+                 stepper: _Stepper):
+    """Step of the linear (p, q) system under 'MMM' or 'MEMM' intensities.
+
+    Returns ``(step, coefficients)``: ``step(i, rows)`` maps the rows (p, q)
+    at time i + 1 to those at time i, and ``coefficients(i)`` gives that
+    step's dt * nu01(t_i) and shock-exit weight w = e^{-nu10(t_i) dt}, which
+    the expansion step reuses.
+    """
+    times = grid.times()
     if measure == "MEMM":
-        fac = merton_factors(params)
-        f0 = np.asarray(fac.F0(times), dtype=float)
-        f1 = np.asarray(fac.F1(times), dtype=float)
-        return params.nu01 * f1 / f0, params.nu10 * f0 / f1
-    raise ValueError(f"measure must be 'MMM' or 'MEMM', got {measure!r}")
+        nu01_t, nu10_t = _memm_intensities(merton_factors(params), times)
+    else:
+        nu01_t = np.full(times.shape, params.nu01)
+        nu10_t = np.full(times.shape, params.nu10)
+    dt = grid.delta_t
+
+    def coefficients(i: int) -> tuple[float, float]:
+        return dt * float(nu01_t[i]), math.exp(-float(nu10_t[i]) * dt)
+
+    def step(i: int, rows):
+        p, q = rows
+        dt_k01, w = coefficients(i)
+        p_new = stepper.solve(dt_k01, p + dt_k01 * q)
+        return p_new, p_new + (q - p_new) * w
+
+    return step, coefficients
 
 
 def _march_linear(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                  measure: str, first_order: bool = False):
-    """Linear pricing march (small-gamma limit) under MMM or MEMM intensities.
-
-    With ``first_order`` the first-order coefficients (p1, q1) of the
-    gamma-expansion are marched alongside.  Their update rules are the exact
-    gamma-derivatives (at gamma = 0) of the nonlinear scheme's discrete
-    update map, so p0 + gamma*p1 matches the marched nonlinear price to
-    O(gamma^2) on the same grid -- the leftover is pure curvature with no
-    discretisation cross-term.  Both coefficients stay <= 0 node by node
-    (they measure the concave utility drag, which only subtracts value).
-    """
-    times = grid.times()
-    nu01_t, nu10_t = _measure_intensities(params, measure, times)
-    n = grid.n_time
-    dt = grid.delta_t
-    stepper = _Stepper(grid, params.sigma0)
+                  measure: str) -> tuple[np.ndarray, np.ndarray]:
+    """Linear pricing march (small-gamma limit) under MMM or MEMM
+    intensities; returns the (p, q) surfaces."""
+    step, _ = _linear_step(params, grid, measure,
+                           _Stepper(grid, params.sigma0))
     h = _terminal(payoff, grid)
-    p0_surf = np.empty((n + 1, grid.n_space))
-    q0_surf = np.empty_like(p0_surf)
-    p0_surf[n] = h
-    q0_surf[n] = h
-    p0 = h.copy()
-    q0 = h.copy()
-    if first_order:
-        p1_surf = np.zeros_like(p0_surf)
-        q1_surf = np.zeros_like(p0_surf)
-        p1 = np.zeros(grid.n_space)
-        q1 = np.zeros(grid.n_space)
-    for i in range(n - 1, -1, -1):
-        k01 = float(nu01_t[i])
-        w = math.exp(-float(nu10_t[i]) * dt)
-        rhs = p0 + dt * k01 * q0
-        p0_new = stepper.solve(dt * k01, rhs)
+    return _march(grid, (h, h), step)
+
+
+def _march_expansion(params: ModelParams, payoff: Payoff,
+                     grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """March the small-gamma expansion under MEMM intensities: the linear
+    prices (p0, q0) and the first-order coefficients (p1, q1).
+
+    The first-order update rules are the exact gamma-derivatives (at
+    gamma = 0) of the nonlinear scheme's discrete update map, so
+    p0 + gamma*p1 matches the marched nonlinear price to O(gamma^2) on the
+    same grid -- the leftover is pure curvature with no discretisation
+    cross-term.  Both coefficients stay <= 0 node by node (they measure the
+    concave utility drag, which only subtracts value).
+    """
+    stepper = _Stepper(grid, params.sigma0)
+    linear, coefficients = _linear_step(params, grid, "MEMM", stepper)
+
+    def step(i: int, rows):
+        p0, q0, p1, q1 = rows
+        p0_new, q0_new = linear(i, (p0, q0))
+        dt_k01, w = coefficients(i)
+        # Differentiate the nonlinear updates in gamma at gamma = 0.
+        # p-step: source picks up -(1/2) v^2 plus the linearisation
+        # cross-term v * (p0_new - p0), both at the known time level.
+        v = q0 - p0
+        p1 = stepper.solve(dt_k01, p1 + dt_k01 * (q1 - 0.5 * v**2
+                                                 + v * (p0_new - p0)))
+        # q-step: relaxation of q1 toward p1 plus the second-order
+        # term of the exact shock update, (1/2) w (w - 1) vin^2 <= 0.
         vin = q0 - p0_new
-        q0_new = p0_new + vin * w
-        if first_order:
-            # Differentiate the nonlinear updates in gamma at gamma = 0.
-            # p-step: source picks up -(1/2) v^2 plus the linearisation
-            # cross-term v * (p0_new - p0), both at the known time level.
-            v = q0 - p0
-            rhs1 = p1 + dt * k01 * (q1 - 0.5 * v**2 + v * (p0_new - p0))
-            p1 = stepper.solve(dt * k01, rhs1)
-            # q-step: relaxation of q1 toward p1 plus the second-order
-            # term of the exact shock update, (1/2) w (w - 1) vin^2 <= 0.
-            q1 = p1 + (q1 - p1) * w + 0.5 * w * (w - 1.0) * vin**2
-            p1_surf[i] = p1
-            q1_surf[i] = q1
-        p0, q0 = p0_new, q0_new
-        p0_surf[i] = p0
-        q0_surf[i] = q0
-    if first_order:
-        return p0_surf, q0_surf, p1_surf, q1_surf
-    return p0_surf, q0_surf
+        q1 = p1 + (q1 - p1) * w + 0.5 * w * (w - 1.0) * vin**2
+        return p0_new, q0_new, p1, q1
+
+    h = _terminal(payoff, grid)
+    zero = np.zeros(grid.n_space)
+    return _march(grid, (h, h, zero, zero), step)
 
 
 def _single_shock_tables(params: ModelParams, payoff: Payoff, grid: GridSpec,
@@ -496,7 +519,7 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
     g = gamma_eff
     stepper = _Stepper(grid, params.sigma0)
 
-    def step(i: int, p_old: np.ndarray, p_lin: np.ndarray) -> np.ndarray:
+    def linearized(i: int, p_old: np.ndarray, p_lin: np.ndarray) -> np.ndarray:
         """Implicit step from row i + 1 to row i with the exponential
         linearized at p_lin."""
         decay = math.exp(-params.nu10 * (params.T - times[i]))
@@ -512,25 +535,23 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
         rhs = p_old + dt * (c_lin - kappa / g + kappa * p_lin)
         return stepper.solve(dt * kappa, rhs)
 
-    p_surf = np.empty((n + 1, grid.n_space))
-    p_surf[n] = h
-    p = h
-    for it in range(_FIRST_STEP_MAX_ITER):
-        p_lin, p = p, step(n - 1, h, p)
-        update = float(np.max(np.abs(p - p_lin)))
-        if update <= _ROUNDING * max(1.0, float(np.max(np.abs(p)))):
-            break
-    else:
+    def step(i: int, rows):
+        (p,) = rows
+        if i < n - 1:
+            return (linearized(i, p, p),)
+        # The first step leaves the kinked payoff: Newton to rounding.
+        for it in range(_FIRST_STEP_MAX_ITER):
+            p_lin, p = p, linearized(i, h, p)
+            update = float(np.max(np.abs(p - p_lin)))
+            if update <= _ROUNDING * max(1.0, float(np.max(np.abs(p)))):
+                return (p,)
         raise NumericalError(
             f"first single-shock step did not converge in {it + 1} Newton "
             f"iterations (last update {update:.3g}); the requested risk "
             "aversion / quantity is outside the range the source table "
             "resolves on this grid")
-    p_surf[n - 1] = p
-    for i in range(n - 2, -1, -1):
-        p = step(i, p, p)
-        p_surf[i] = p
-    return p_surf
+
+    return _march(grid, (h,), step)[0]
 
 
 def _march_single_shock_linear(params: ModelParams, payoff: Payoff,
@@ -551,19 +572,18 @@ def _march_single_shock_linear(params: ModelParams, payoff: Payoff,
     n = grid.n_time
     dt = grid.delta_t
     stepper = _Stepper(grid, params.sigma0)
-    p_surf = np.empty((n + 1, grid.n_space))
-    p_surf[n] = h
-    p = h.copy()
-    for i in range(n - 1, -1, -1):
+
+    def step(i: int, rows):
+        (p,) = rows
         decay = math.exp(-params.nu10 * (params.T - times[i]))
         # diag uses kappa(gamma -> 0) = nu01 decay (cs0 + 1) / F0 and the
         # coupling uses the same decay/F0 scaling, mirroring the
         # nonlinear assembly term by term.
         k_hat = params.nu01 * decay * (cs0[n - i] + 1.0) / f0[i]
         rhs = p + dt * params.nu01 * decay * (cs1[n - i] + h) / f0[i]
-        p = stepper.solve(dt * k_hat, rhs)
-        p_surf[i] = p
-    return p_surf
+        return (stepper.solve(dt * k_hat, rhs),)
+
+    return _march(grid, (h,), step)[0]
 
 
 def _split_quantity(payoff: Payoff, buyer: bool) -> float:
@@ -663,7 +683,7 @@ def asymptotic_expansion(params: ModelParams, payoff: Payoff,
     """March the small-gamma expansion system (MEMM intensities): p0/q0 are
     the linear MEMM prices, p1/q1 carry source -(1/2) nu01(t) (q0 - p0)^2
     and are nonpositive node by node."""
-    p0, q0, p1, q1 = _march_linear(params, payoff, grid, "MEMM", first_order=True)
+    p0, q0, p1, q1 = _march_expansion(params, payoff, grid)
     return AsymptoticBundle(
         PriceSurface(p0, grid, payoff, regime=0, label="p0"),
         PriceSurface(q0, grid, payoff, regime=1, label="q0"),

@@ -248,6 +248,15 @@ class TestConvergeCommand:
         checks = {r[0] for r in rows[1:]}
         assert checks == {"ladder", "ladder_monotone", "pde_vs_mc"}
 
+    def test_matches_golden(self, tmp_path):
+        """The golden was written by ``liqshock converge --nsteps 200
+        --paths 2000 --seed 7`` before the samplers shared one thinning
+        kernel; the MC cells must print the same bytes."""
+        out = tmp_path / "report.csv"
+        assert main(["converge", "--nsteps", "200", "--paths", "2000",
+                     "--seed", "7", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "converge_seed7.csv").read_bytes()
+
     def test_failed_checks_exit_4(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "cmd_converge",
                             lambda cfg: (["check"], [["boom"]], False))

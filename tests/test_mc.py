@@ -1,6 +1,6 @@
 """Monte Carlo sampling of realized liquid time.
 
-The chain samplers are checked against the closed-form occupation-time
+The thinning sampler is checked against the closed-form occupation-time
 mean, the Bessel-density oracle, and the independent single-shock
 quadrature; determinism and the thinning-bound guard are exercised
 directly.
@@ -20,7 +20,6 @@ from liqshock import (
     mc_linear_price,
     sample_realized_ttm,
     single_shock_memm_price,
-    single_shock_sampler,
 )
 from conftest import STRIKE
 from oracle_occupation import constant_intensity_price, occupation_mean
@@ -95,15 +94,17 @@ class TestSampleRealizedTtm:
 
 class TestSingleShockSampler:
     def test_reproducible_and_in_range(self, params):
-        a = single_shock_sampler(params, 1.0, seed=13, n_paths=1000)
-        b = single_shock_sampler(params, 1.0, seed=13, n_paths=1000)
+        curve = intensity_curve(params, "MEMM_single_shock")
+        a = sample_realized_ttm(curve, 1.0, 0, seed=13, n_paths=1000)
+        b = sample_realized_ttm(curve, 1.0, 0, seed=13, n_paths=1000)
         assert np.array_equal(a, b)
         assert np.all((a >= 0.0) & (a <= 1.0))
 
     def test_mean_exceeds_two_sided_chain(self, params):
         """With recovery absorbing, at most one freeze occurs, so realized
         liquid time stochastically dominates the repeating-shock chain."""
-        one = single_shock_sampler(params, 1.0, seed=17, n_paths=50_000)
+        one = sample_realized_ttm(intensity_curve(params, "MEMM_single_shock"),
+                                  1.0, 0, seed=17, n_paths=50_000)
         curve = intensity_curve(params, "MEMM")
         many = sample_realized_ttm(curve, 1.0, 0, seed=17, n_paths=50_000)
         assert one.mean() > many.mean()

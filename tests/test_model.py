@@ -1,9 +1,8 @@
 """Model layer: parameters, discount factors, intensity curves.
 
 The closed-form discount factors are checked against an independent
-matrix-exponential oracle for the underlying linear ODE systems, the
-characteristic roots against their defining quadratic, and the survival
-factor against adaptive quadrature.
+matrix-exponential oracle for the underlying linear ODE systems, and the
+characteristic roots against their defining quadratic.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 from scipy.linalg import expm
 
 from liqshock import (
@@ -25,7 +23,6 @@ from liqshock import (
     intensity_curve,
     merton_factors,
     single_shock_factors,
-    survival_factor,
 )
 
 TABLE_PARAMS = dict(mu0=0.06, sigma0=0.3, nu01=1.0, nu10=12.0, gamma=1.0, T=1.0)
@@ -52,13 +49,6 @@ class TestModelParams:
     def test_d0_value(self):
         # d0 = mu0^2 / (2 sigma0^2) = 0.0036 / 0.18
         assert make_params().d0 == pytest.approx(0.02, abs=1e-15)
-
-    def test_sharpe_by_regime(self):
-        p = make_params()
-        assert p.sharpe(0) == pytest.approx(0.2)
-        assert p.sharpe(1) == 0.0
-        with pytest.raises(ValueError):
-            p.sharpe(2)
 
     @pytest.mark.parametrize("field,value", [
         ("sigma0", 0.0), ("sigma0", -0.1), ("nu01", -1.0), ("nu10", 0.0),
@@ -137,16 +127,6 @@ class TestMertonFactors:
         assert fac.F1(0.0) / fac.F0(0.0) == pytest.approx(
             1.0015406456411529, rel=1e-12)
 
-    def test_derivatives_match_finite_differences(self):
-        p = make_params()
-        fac = merton_factors(p)
-        eps = 1e-6
-        for t in (0.1, 0.6):
-            fd0 = (fac.F0(t + eps) - fac.F0(t - eps)) / (2 * eps)
-            fd1 = (fac.F1(t + eps) - fac.F1(t - eps)) / (2 * eps)
-            assert fac.dF0(t) == pytest.approx(fd0, rel=1e-7)
-            assert fac.dF1(t) == pytest.approx(fd1, rel=1e-7)
-
     def test_no_shock_branch(self):
         """nu01 = 0 degenerates to pure discounting of the liquid regime."""
         p = make_params(nu01=0.0)
@@ -192,16 +172,6 @@ class TestSingleShockFactors:
             assert fac.F1(t) == pytest.approx(ref[1], rel=1e-12)
             assert fac.F2(t) == pytest.approx(ref[2], rel=1e-12)
 
-    def test_derivatives_match_finite_differences(self):
-        p = make_params()
-        fac = single_shock_factors(p)
-        eps = 1e-6
-        for t in (0.2, 0.8):
-            for f, df in ((fac.F0, fac.dF0), (fac.F1, fac.dF1),
-                          (fac.F2, fac.dF2)):
-                fd = (f(t + eps) - f(t - eps)) / (2 * eps)
-                assert df(t) == pytest.approx(fd, rel=1e-7)
-
     def test_resonant_parameters_rejected(self):
         # nu10 == d0
         with pytest.raises(ValueError, match="resonant"):
@@ -246,41 +216,7 @@ class TestIntensityCurves:
             assert np.max(np.asarray(c.nu01(ts))) <= c.bound01 + 1e-15
             assert np.max(np.asarray(c.nu10(ts))) <= c.bound10 + 1e-15
 
-    def test_intensity_state_dispatch(self):
-        c = intensity_curve(make_params(), "MMM")
-        assert c.intensity(0, 0.5) == pytest.approx(1.0)
-        assert c.intensity(1, 0.5) == pytest.approx(12.0)
-        with pytest.raises(ValueError, match="state"):
-            c.intensity(2, 0.5)
-
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValueError, match="measure"):
             intensity_curve(make_params(), "Q-forward")
 
-
-class TestSurvivalFactor:
-    def test_constant_curve_is_exact(self):
-        p = make_params()
-        c = intensity_curve(p, "MMM")
-        assert survival_factor(c, 0, 0.1, 0.9) == pytest.approx(
-            math.exp(-p.nu01 * 0.8), rel=1e-14)
-        assert survival_factor(c, 1, 0.0, 1.0) == pytest.approx(
-            math.exp(-p.nu10), rel=1e-14)
-
-    def test_matches_adaptive_quadrature(self):
-        """MEMM curve: composite Simpson against scipy.integrate.quad."""
-        p = make_params()
-        c = intensity_curve(p, "MEMM")
-        for state in (0, 1):
-            ref, _ = quad(lambda u: float(c.intensity(state, u)), 0.05, 0.85,
-                          epsabs=1e-13, epsrel=1e-13)
-            assert survival_factor(c, state, 0.05, 0.85) == pytest.approx(
-                math.exp(-ref), rel=1e-10)
-
-    def test_degenerate_and_invalid_windows(self):
-        c = intensity_curve(make_params(), "MMM")
-        assert survival_factor(c, 0, 0.3, 0.3) == 1.0
-        with pytest.raises(ValueError):
-            survival_factor(c, 0, 0.5, 0.2)
-        with pytest.raises(ValueError):
-            survival_factor(c, 0, -0.1, 0.5)
