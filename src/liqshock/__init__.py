@@ -26,7 +26,7 @@ The package provides
 from .bs import (BSQuote, ImpliedTTM, adjusted_ttm, bs_greeks, bs_price,
                  implied_ttm)
 from .emm import (LinearPriceResult, linear_price, memm_vs_mmm_spread,
-                  single_shock_memm_price)
+                  mmm_and_expansion, single_shock_memm_price)
 from .errors import NumericalError
 from .mc import MCEstimate, mc_linear_price, sample_realized_ttm
 from .model import (MEASURES, PAYOFF_KINDS, IntensityCurve, MertonFactors,
@@ -35,7 +35,7 @@ from .model import (MEASURES, PAYOFF_KINDS, IntensityCurve, MertonFactors,
 from .pde import (AsymptoticBundle, GridSpec, HedgeReport, PriceSurface,
                   asymptotic_expansion, gamma_sweep, hedge_report,
                   single_shock_zero_order, solve_buyer, solve_indifference,
-                  solve_single_shock_buyer, solve_writer)
+                  solve_single_shock, solve_single_shock_buyer, solve_writer)
 
 __version__ = "0.1.0"
 
@@ -64,6 +64,7 @@ __all__ = [
     # linear pricing
     "LinearPriceResult",
     "linear_price",
+    "mmm_and_expansion",
     "single_shock_memm_price",
     "memm_vs_mmm_spread",
     # indifference PDE
@@ -74,6 +75,7 @@ __all__ = [
     "solve_indifference",
     "solve_buyer",
     "solve_writer",
+    "solve_single_shock",
     "solve_single_shock_buyer",
     "single_shock_zero_order",
     "asymptotic_expansion",

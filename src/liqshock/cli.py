@@ -48,12 +48,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bs as _bs
-from .emm import linear_price
+from .emm import linear_price, mmm_and_expansion
 from .errors import NumericalError
 from .mc import mc_linear_price
 from .model import PAYOFF_KINDS, ModelParams, Payoff
-from .pde import (GridSpec, asymptotic_expansion, hedge_report, solve_buyer,
-                  solve_indifference, solve_single_shock_buyer, solve_writer)
+from .pde import (GridSpec, hedge_report, solve_buyer, solve_indifference,
+                  solve_single_shock, solve_writer)
+# `price` marches through the stacked entry points above; these one-surface
+# solvers stay bound here because perfbench/spans.py patches them by name.
+from .pde import asymptotic_expansion, solve_single_shock_buyer  # noqa: F401
 
 __all__ = ["RunConfig", "cmd_price", "cmd_ttm", "cmd_hedge", "cmd_converge",
            "main"]
@@ -73,11 +76,8 @@ _SWEEP_TIME_POINTS = 21
 # Quote changes below this are considered converged regardless of ordering
 # (the ladder otherwise compares rounding noise when nu01 = 0).
 _LADDER_FLOOR = 1e-10
-# Contracts marched together by one indifference pass of `price`.  Each holds
-# two full surfaces (about 17 MB on the default grid), so the cap bounds the
-# pass's memory and a longer contracts list costs time instead; six is the
-# default book.
-_STACK_CONTRACTS = 6
+# Time rows stored by marches that are quoted at t = 0 only.
+_FIRST_ROW = (0,)
 
 
 def _fmt(x: float) -> str:
@@ -269,19 +269,6 @@ def _sweep_spots(cfg: RunConfig) -> tuple[float, ...]:
 Report = tuple[list[str], list[list[str]]]
 
 
-def _indifference_quotes(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                         quantities: list[float], spots) -> list[list[float]]:
-    """Tradeable-regime indifference quotes at t = 0, one list per signed
-    quantity, marched in stacks of at most _STACK_CONTRACTS contracts; each
-    stack's surfaces are dropped as soon as they are quoted."""
-    quotes: list[list[float]] = []
-    for k in range(0, len(quantities), _STACK_CONTRACTS):
-        chunk = quantities[k:k + _STACK_CONTRACTS]
-        quotes.extend([p.quote(s) for s in spots]
-                      for p, _ in solve_indifference(params, payoff, grid, chunk))
-    return quotes
-
-
 def cmd_price(cfg: RunConfig) -> Report:
     """Price table: every method at every configured spot.
 
@@ -290,6 +277,10 @@ def cmd_price(cfg: RunConfig) -> Report:
     signed quantity in ``contracts`` (buyers positive, writers negative).
     The SingleShock block covers the positive quantities only, and Asympt1
     is the first-order expansion p0 + n*gamma*p1 for every quantity.
+
+    Three marches, each storing row 0 only: the linear pass (MMM next to
+    the expansion, whose p0 is the MEMM price), one indifference stack of
+    every contract, and one single-shock stack of the buyers.
     """
     params = cfg.params()
     unit = cfg.make_payoff(1.0)
@@ -310,20 +301,21 @@ def cmd_price(cfg: RunConfig) -> Report:
     linear_rows("BS", [_bs.bs_price(unit, params.T, s, params.sigma0) for s in spots])
     t_adj = float(_bs.adjusted_ttm(params, params.T, 0))
     linear_rows("AdjBS", [_bs.bs_price(unit, t_adj, s, params.sigma0) for s in spots])
-    for measure in ("MMM", "MEMM"):
-        result = linear_price(params, unit, measure, grid)
-        linear_rows(measure, [result.quote(s) for s in spots])
+    mmm, bundle = mmm_and_expansion(params, unit, grid, _FIRST_ROW)
+    linear_rows("MMM", [mmm.quote(s) for s in spots])
+    linear_rows("MEMM", [bundle.p0.quote(s) for s in spots])
 
     buyers = [n for n in cfg.contracts if n > 0.0]
     writers = [n for n in cfg.contracts if n < 0.0]
     quantities = buyers + writers
-    quotes = _indifference_quotes(params, unit, grid, quantities, spots)
-    for n, prices in zip(quantities, quotes):
-        contract_rows("IndiffBuyer" if n > 0.0 else "IndiffWriter", n, prices)
-    for n in buyers:
-        surf = solve_single_shock_buyer(params, cfg.make_payoff(n), grid)
-        contract_rows("SingleShock", n, [surf.quote(s) for s in spots])
-    bundle = asymptotic_expansion(params, unit, grid)
+    pairs = solve_indifference(params, unit, grid, quantities, _FIRST_ROW)
+    for n, (p, _) in zip(quantities, pairs):
+        contract_rows("IndiffBuyer" if n > 0.0 else "IndiffWriter", n,
+                      [p.quote(s) for s in spots])
+    if buyers:
+        surfaces = solve_single_shock(params, unit, grid, buyers, _FIRST_ROW)
+        for n, surf in zip(buyers, surfaces):
+            contract_rows("SingleShock", n, [surf.quote(s) for s in spots])
     for n in cfg.contracts:
         g_eff = n * params.gamma
         contract_rows("Asympt1", n,
@@ -345,15 +337,15 @@ def cmd_ttm(cfg: RunConfig) -> Report:
             "the ttm command needs a vanilla payoff: digital prices are not "
             "monotone in maturity, so no implied time-to-maturity exists")
     grid = cfg.grid()
-    lin = linear_price(params, pay, "MEMM", grid)
-    header = ["sweep", "x", "horizon", "adjusted_ttm_liquid",
-              "adjusted_ttm_shock", "implied_ttm", "low_confidence"]
-    rows: list[list[str]] = []
-
     n_t = grid.n_time
     indices = sorted({round(k * n_t / (_SWEEP_TIME_POINTS - 1))
                       for k in range(_SWEEP_TIME_POINTS)})
     times = [i * grid.delta_t for i in indices]
+    lin = linear_price(params, pay, "MEMM", grid, indices)
+    header = ["sweep", "x", "horizon", "adjusted_ttm_liquid",
+              "adjusted_ttm_shock", "implied_ttm", "low_confidence"]
+    rows: list[list[str]] = []
+
     # Horizons fall as t rises, so the rows with time left are a prefix.
     n_live = sum(params.T - t > 0.0 for t in times)
     spots = np.asarray(_sweep_spots(cfg), dtype=float)
@@ -402,9 +394,9 @@ def cmd_hedge(cfg: RunConfig) -> Report:
     pay_n = cfg.make_payoff(quantity)
     grid = cfg.grid()
     if quantity > 0.0:
-        surf, _ = solve_buyer(params, pay_n, grid)
+        surf, _ = solve_buyer(params, pay_n, grid, _FIRST_ROW)
     else:
-        surf, _ = solve_writer(params, pay_n, grid)
+        surf, _ = solve_writer(params, pay_n, grid, _FIRST_ROW)
     unit = cfg.make_payoff(1.0)
     t_adj = float(_bs.adjusted_ttm(params, params.T, 0))
     header = ["spot", "n", "delta_indiff", "delta_bs", "delta_bs_adjusted",
@@ -444,7 +436,8 @@ def cmd_converge(cfg: RunConfig) -> tuple[list[str], list[list[str]], bool]:
     ladder = [base, 2 * base, 4 * base, 8 * base]
     quotes = []
     for n_time in ladder:
-        result = linear_price(params, unit, "MEMM", cfg.grid(n_time=n_time))
+        result = linear_price(params, unit, "MEMM", cfg.grid(n_time=n_time),
+                              _FIRST_ROW)
         quotes.append(float(result.quote(cfg.spot)))
     diffs = [abs(b - a) for a, b in zip(quotes, quotes[1:])]
     for (n_a, n_b), d in zip(zip(ladder, ladder[1:]), diffs):
@@ -461,7 +454,7 @@ def cmd_converge(cfg: RunConfig) -> tuple[list[str], list[list[str]], bool]:
     grid = cfg.grid()
     cell = 0
     for measure in ("MMM", "MEMM"):
-        result = linear_price(params, unit, measure, grid)
+        result = linear_price(params, unit, measure, grid, _FIRST_ROW)
         for s in cfg.spots:
             est = mc_linear_price(params, unit, measure, float(s), cfg.paths,
                                   (cfg.seed + cell) % 2 ** 63)

@@ -5,7 +5,9 @@ under the minimal entropy martingale measure (MEMM), whose regime-switch
 intensities are the market ones tilted by the valuation-factor ratio; the
 minimal martingale measure (MMM) leaves the intensities unchanged.  Both
 prices solve the same linear PDE system as the indifference price's
-zeroth-order term and are marched by the shared stepper in ``pde``.
+zeroth-order term and are marched by the shared stepper in ``pde``;
+``mmm_and_expansion`` marches the MMM price beside the MEMM expansion, whose
+zeroth order is the MEMM price, in one pass.
 
 ``single_shock_memm_price`` evaluates the single-shock MEMM price by an
 independent route: the explicit occupation-time representation (condition
@@ -24,11 +26,13 @@ import numpy as np
 from . import bs as _bs
 from .errors import NumericalError
 from .model import ModelParams, Payoff, single_shock_factors
-from .pde import GridSpec, PriceSurface, _march_linear
+from .pde import (AsymptoticBundle, GridSpec, PriceSurface, _expansion_bundle,
+                  _march_expansion, _march_linear)
 
 __all__ = [
     "LinearPriceResult",
     "linear_price",
+    "mmm_and_expansion",
     "single_shock_memm_price",
     "memm_vs_mmm_spread",
 ]
@@ -55,21 +59,44 @@ class LinearPriceResult:
         return surf.quote(spot, t)
 
 
+def _linear_result(measure: str, p: np.ndarray, q: np.ndarray, grid: GridSpec,
+                   payoff: Payoff, keep) -> LinearPriceResult:
+    return LinearPriceResult(
+        surface_p=PriceSurface(p, grid, payoff, 0, f"{measure}_p", keep),
+        surface_q=PriceSurface(q, grid, payoff, 1, f"{measure}_q", keep),
+        measure=measure, grid=grid)
+
+
 def linear_price(params: ModelParams, payoff: Payoff, measure: str,
-                 grid: GridSpec) -> LinearPriceResult:
+                 grid: GridSpec, keep=None) -> LinearPriceResult:
     """Linear price surfaces under 'MMM' or 'MEMM'.
 
     Linear pricing is per contract and independent of payoff.quantity.
     Terminal rows carry the payoff exactly; the tradeable-regime surface at
     intermediate times solves the implicit march of the coupled system.
+    ``keep`` lists the time-row indices to store (default: all).
     """
     if measure not in ("MMM", "MEMM"):
         raise ValueError(f"measure must be 'MMM' or 'MEMM', got {measure!r}")
-    p, q = _march_linear(params, payoff, grid, measure)
-    return LinearPriceResult(
-        surface_p=PriceSurface(p, grid, payoff, regime=0, label=f"{measure}_p"),
-        surface_q=PriceSurface(q, grid, payoff, regime=1, label=f"{measure}_q"),
-        measure=measure, grid=grid)
+    p, q = _march_linear(params, payoff, grid, measure, keep)
+    return _linear_result(measure, p, q, grid, payoff, keep)
+
+
+def mmm_and_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
+                      keep=None) -> tuple[LinearPriceResult, AsymptoticBundle]:
+    """The MMM linear price and the MEMM small-gamma expansion from one
+    march.
+
+    The MMM price and the expansion's p0 share each step's tridiagonal
+    solve (a two-block stack), so the MMM result is bit-identical to
+    ``linear_price(..., "MMM", ...)`` and the bundle to
+    ``asymptotic_expansion``; the bundle's p0/q0 are the linear MEMM
+    prices, bit-identical to ``linear_price(..., "MEMM", ...)``.
+    """
+    p_mmm, q_mmm, *expansion = _march_expansion(params, payoff, grid, keep,
+                                                with_mmm=True)
+    return (_linear_result("MMM", p_mmm, q_mmm, grid, payoff, keep),
+            _expansion_bundle(params, payoff, grid, keep, expansion))
 
 
 def _simpson_weights(n: int) -> np.ndarray:

@@ -23,14 +23,16 @@ Boundaries impose linearity in S (p_SS = 0) by folding the ghost node into
 the end rows, exact for the far fields of every supported payoff.
 
 Every step of every march is one call of LAPACK ``dgtsv`` on a stack of
-B right-hand sides (B = 1 except for the indifference march, which stacks
-one block per contract).  The stack is a single tridiagonal system of B*M
-unknowns whose couplings between neighbouring blocks are exactly zero.
-At a zero coupling ``dgtsv``'s partial pivoting never swaps rows across
-the block boundary, its elimination factor into the next block is 0, and
-its back-substitution subtracts 0 * x; so each block goes through the same
-floating-point operations as a solve of that block alone and its result
-is bit-identical to it.
+B right-hand sides: one block per contract for the indifference and
+single-shock marches, two for the linear pass that marches the MMM price
+next to the expansion's MEMM zeroth order, and one otherwise.  The
+stack is a single tridiagonal system of B*M unknowns whose couplings
+between neighbouring blocks are exactly zero.  At a zero coupling
+``dgtsv``'s partial pivoting never swaps rows across the block boundary,
+its elimination factor into the next block is 0, and its back-substitution
+subtracts 0 * x; so each block goes through the same floating-point
+operations as a solve of that block alone and its result is bit-identical
+to it.
 
 One backward march, ``_march``, owns the time loop and the
 surfaces for every march: the indifference system, the linear
@@ -39,7 +41,9 @@ single-shock variant, whose source integral is precomputed on the whole
 grid by a cumulative Simpson rule.  Each march hands it only its per-step
 update; the expansion step reuses the linear one for its zeroth order,
 and the indifference and MEMM linear marches take their intensities from
-the one MEMM tilt in ``model``.  The single-shock march solves its first
+the one MEMM tilt in ``model``.  A march stores only the time rows it is
+asked to ``keep`` (all of them by default), so a quote at t = 0 holds one
+row per surface instead of N + 1.  The single-shock march solves its first
 step, the one that leaves the kinked terminal payoff, to convergence by
 repeating the linearization (Newton): a single linearized step there
 overstates the source next to the strike and lifts the buyer price above
@@ -49,10 +53,11 @@ its gamma -> 0 limit.
 from __future__ import annotations
 
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 from scipy.linalg.lapack import dgtsv
 
 from . import bs as _bs
@@ -68,6 +73,7 @@ __all__ = [
     "solve_indifference",
     "solve_buyer",
     "solve_writer",
+    "solve_single_shock",
     "solve_single_shock_buyer",
     "single_shock_zero_order",
     "asymptotic_expansion",
@@ -90,13 +96,56 @@ _DEFAULT_N_TIME = 2000
 _DEFAULT_WIDTH = 6.0
 
 
-def _check_exponent(x: np.ndarray | float, what: str) -> None:
-    m = float(np.max(np.abs(x)))
-    if not math.isfinite(m) or m > _EXP_CAP:
-        raise NumericalError(
-            f"exponent guard tripped: |{what}| reached {m:.6g} > {_EXP_CAP:.0f}; "
-            "the requested risk aversion / quantity / payoff scale is outside "
-            "the representable range of the scheme")
+def _check_exponent(x: np.ndarray | float, what: str,
+                    gamma_eff: np.ndarray | None = None) -> None:
+    """Refuse an exponent beyond _EXP_CAP.  With ``gamma_eff`` (one entry
+    per block of a (B, ...) stack) the message names the first offending
+    block's gamma_eff."""
+    if gamma_eff is None:
+        m = float(np.max(np.abs(x)))
+        if math.isfinite(m) and m <= _EXP_CAP:
+            return
+        where = ""
+    else:
+        ms = np.max(np.abs(x).reshape(len(gamma_eff), -1), axis=1)
+        bad = np.flatnonzero(~(ms <= _EXP_CAP))
+        if bad.size == 0:
+            return
+        m = float(ms[bad[0]])
+        where = f" at gamma_eff = {float(gamma_eff[bad[0]]):.6g}"
+    raise NumericalError(
+        f"exponent guard tripped: |{what}| reached {m:.6g} > {_EXP_CAP:.0f}"
+        f"{where}; the requested risk aversion / quantity / payoff scale is "
+        "outside the representable range of the scheme")
+
+
+def _cumulative_simpson(y: np.ndarray, dx: float,
+                        out: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative Simpson integral of ``y`` along axis 0 on a uniform step
+    ``dx``, starting from 0 (at least two rows).
+
+    The same arithmetic as scipy's ``cumulative_simpson(y, dx=dx, axis=0,
+    initial=0.0)`` (scipy 1.17, equal intervals): interval [j, j + 1]
+    takes the h1 formula d/3 (5 f_j/4 + 2 f_{j+1} - f_{j+2}/4) at even j
+    and the h2 formula d/3 (5 f_{j+1}/4 + 2 f_j - f_{j-1}/4) at odd j and
+    on the last interval (both formulas read the same three rows), and the
+    sub-integrals are summed in order.  Only the sub-integrals that are used
+    are computed, straight into ``out`` (a new array by default).
+    """
+    out = np.empty(y.shape) if out is None else out
+    out[0] = 0.0
+    if y.shape[0] < 3:
+        # scipy falls back to the trapezoid rule on two rows.
+        out[1] = dx * (y[1] + y[0]) / 2.0
+        return out
+    d = dx / 3
+    f1, f2, f3 = y[0:-2:2], y[1:-1:2], y[2::2]
+    sub = out[1:]
+    sub[0:-1:2] = d * (5 * f1 / 4 + 2 * f2 - f3 / 4)
+    sub[1::2] = d * (5 * f3 / 4 + 2 * f2 - f1 / 4)
+    sub[-1] = d * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
+    np.cumsum(sub, axis=0, out=sub)
+    return out
 
 
 @dataclass(frozen=True)
@@ -167,13 +216,30 @@ class GridSpec:
         return np.exp(self.z_nodes())
 
 
+def _kept_rows(grid: GridSpec, keep) -> tuple[int, ...]:
+    """Sorted distinct time-row indices from a sequence of them; ``None``
+    means every row."""
+    if keep is None:
+        return tuple(range(grid.n_time + 1))
+    rows = sorted({operator.index(i) for i in keep})
+    if not rows:
+        raise ValueError("keep must name at least one time row")
+    if rows[0] < 0 or rows[-1] > grid.n_time:
+        bad = rows[0] if rows[0] < 0 else rows[-1]
+        raise ValueError(
+            f"keep row {bad} is not a time row of the grid (0 .. {grid.n_time})")
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class PriceSurface:
     """Per-contract price surface on a GridSpec.
 
-    ``values[i, j]`` is the price at calendar time i * delta_t and log-price
-    z_min + j * delta_z.  ``regime`` tags which regime the surface quotes
-    (0: tradeable regime, 1: shock regime).
+    ``values[k, j]`` is the price at the k-th stored time row and log-price
+    z_min + j * delta_z.  ``keep`` lists the grid time indices of the
+    stored rows (ascending); ``None`` means every row, so ``values[i]`` is
+    the row at calendar time i * delta_t.  ``regime`` tags which regime the
+    surface quotes (0: tradeable regime, 1: shock regime).
     """
 
     values: np.ndarray
@@ -181,9 +247,13 @@ class PriceSurface:
     payoff: Payoff
     regime: int
     label: str = ""
+    keep: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        expected = (self.grid.n_time + 1, self.grid.n_space)
+        if self.keep is not None:
+            object.__setattr__(self, "keep", _kept_rows(self.grid, self.keep))
+        n_rows = self.grid.n_time + 1 if self.keep is None else len(self.keep)
+        expected = (n_rows, self.grid.n_space)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
         if self.regime not in (0, 1):
@@ -195,7 +265,14 @@ class PriceSurface:
         if i < 0 or i > self.grid.n_time or abs(x - i) > 1e-6:
             raise ValueError(
                 f"t={t} is not a grid time (delta_t={self.grid.delta_t})")
-        return i
+        if self.keep is None:
+            return i
+        k = bisect_left(self.keep, i)
+        if k == len(self.keep) or self.keep[k] != i:
+            raise ValueError(
+                f"t={t} is not a stored row of this surface (it keeps "
+                f"{len(self.keep)} of {self.grid.n_time + 1} time rows)")
+        return k
 
     def row(self, t: float) -> np.ndarray:
         """Price profile over z at grid time t."""
@@ -304,38 +381,47 @@ def _terminal(payoff: Payoff, grid: GridSpec) -> np.ndarray:
     return np.asarray(payoff.value(grid.spot_nodes()), dtype=float)
 
 
-def _march(grid: GridSpec, terminal: tuple[np.ndarray, ...],
-           step) -> tuple[np.ndarray, ...]:
+def _march(grid: GridSpec, terminal: tuple[np.ndarray, ...], step,
+           keep=None) -> tuple[np.ndarray, ...]:
     """Backward march from the terminal rows; ``step(i, rows)`` returns the
     rows at time i from those at time i + 1.
 
-    Each surface is allocated once in its final layout: a row of shape
-    (..., M) gives a surface of shape (..., N + 1, M), so a (B, M) stack of
-    contracts gives a (B, N + 1, M) stack, and every row is stored where it
-    belongs as soon as it is computed.
+    Only the time rows listed in ``keep`` are stored (default: all; see
+    ``_kept_rows``).  Each surface is allocated once in its final layout: a row
+    of shape (..., M) gives a surface of shape (..., len(keep), M), so a
+    (B, M) stack of contracts gives a (B, len(keep), M) stack, and every
+    kept row is stored where it belongs as soon as it is computed.
     """
     n = grid.n_time
-    surfaces = tuple(np.empty(row.shape[:-1] + (n + 1, row.shape[-1]))
+    keep = _kept_rows(grid, keep)
+    slot = [-1] * (n + 1)
+    for k, i in enumerate(keep):
+        slot[i] = k
+    surfaces = tuple(np.empty(row.shape[:-1] + (len(keep), row.shape[-1]))
                      for row in terminal)
-    # Time-major views of the same memory: storing row i is one plain index.
+    # Time-major views of the same memory: storing a row is one plain index.
     by_time = [np.moveaxis(surf, -2, 0) for surf in surfaces]
-    for surf, row in zip(by_time, terminal):
-        surf[n] = row
+    if slot[n] >= 0:
+        for surf, row in zip(by_time, terminal):
+            surf[slot[n]] = row
     rows = terminal
     for i in range(n - 1, -1, -1):
         rows = step(i, rows)
-        for surf, row in zip(by_time, rows):
-            surf[i] = row
+        k = slot[i]
+        if k >= 0:
+            for surf, row in zip(by_time, rows):
+                surf[k] = row
     return surfaces
 
 
 def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                     gamma_eff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                     gamma_eff: np.ndarray,
+                     keep=None) -> tuple[np.ndarray, np.ndarray]:
     """Backward march of the (p, q) system at each signed utility scale in
     the 1-D array ``gamma_eff``, all contracts stacked in one pass.
 
-    Returns (p, q) stacks of shape (len(gamma_eff), N + 1, M); block b is
-    bit-identical to a march of gamma_eff[b] alone.
+    Returns (p, q) stacks of shape (len(gamma_eff), len(keep), M); block b
+    is bit-identical to a march of gamma_eff[b] alone.
     """
     g = np.asarray(gamma_eff, dtype=float)
     if g.ndim != 1 or g.size == 0:
@@ -360,67 +446,82 @@ def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
         return p, p - np.log1p(w * np.expm1(-y)) / g
 
     h = np.tile(_terminal(payoff, grid), (g.shape[0], 1))
-    return _march(grid, (h, h), step)
+    return _march(grid, (h, h), step, keep)
 
 
-def _linear_step(params: ModelParams, grid: GridSpec, measure: str,
-                 stepper: _Stepper):
-    """Step of the linear (p, q) system under 'MMM' or 'MEMM' intensities.
+def _linear_step(params: ModelParams, grid: GridSpec,
+                 measures: tuple[str, ...], stepper: _Stepper):
+    """Step of the linear (p, q) system, one block per measure ('MMM' or
+    'MEMM' intensities) of a (B, M) stack.
 
-    Returns ``(step, coefficients)``: ``step(i, rows)`` maps the rows (p, q)
-    at time i + 1 to those at time i, and ``coefficients(i)`` gives that
-    step's dt * nu01(t_i) and shock-exit weight w = e^{-nu10(t_i) dt}, which
-    the expansion step reuses.
+    Returns ``(step, dt_k01, w)``: ``step(i, rows)`` maps the rows (p, q)
+    at time i + 1 to those at time i, and ``dt_k01[i]`` and ``w[i]`` (shape
+    (B, 1)) hold each block's dt * nu01(t_i) and shock-exit weight
+    w = e^{-nu10(t_i) dt}, which the expansion step reuses.
     """
     times = grid.times()
-    if measure == "MEMM":
-        nu01_t, nu10_t = _memm_intensities(merton_factors(params), times)
-    else:
-        nu01_t = np.full(times.shape, params.nu01)
-        nu10_t = np.full(times.shape, params.nu10)
     dt = grid.delta_t
-
-    def coefficients(i: int) -> tuple[float, float]:
-        return dt * float(nu01_t[i]), math.exp(-float(nu10_t[i]) * dt)
+    dt_k01 = np.empty((times.size, len(measures), 1))
+    w = np.empty_like(dt_k01)
+    for b, measure in enumerate(measures):
+        if measure == "MEMM":
+            nu01_t, nu10_t = _memm_intensities(merton_factors(params), times)
+        else:
+            nu01_t = np.full(times.shape, params.nu01)
+            nu10_t = np.full(times.shape, params.nu10)
+        dt_k01[:, b, 0] = dt * nu01_t
+        # math.exp, not np.exp: the weights must round as a scalar step's do.
+        w[:, b, 0] = [math.exp(-float(v) * dt) for v in nu10_t]
 
     def step(i: int, rows):
         p, q = rows
-        dt_k01, w = coefficients(i)
-        p_new = stepper.solve(dt_k01, p + dt_k01 * q)
-        return p_new, p_new + (q - p_new) * w
+        k = dt_k01[i]
+        p_new = stepper.solve(k, p + k * q)
+        return p_new, p_new + (q - p_new) * w[i]
 
-    return step, coefficients
+    return step, dt_k01, w
 
 
 def _march_linear(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                  measure: str) -> tuple[np.ndarray, np.ndarray]:
+                  measure: str, keep=None) -> tuple[np.ndarray, np.ndarray]:
     """Linear pricing march (small-gamma limit) under MMM or MEMM
     intensities; returns the (p, q) surfaces."""
-    step, _ = _linear_step(params, grid, measure,
-                           _Stepper(grid, params.sigma0))
-    h = _terminal(payoff, grid)
-    return _march(grid, (h, h), step)
+    step, _, _ = _linear_step(params, grid, (measure,),
+                              _Stepper(grid, params.sigma0))
+    h = _terminal(payoff, grid)[None, :]
+    p, q = _march(grid, (h, h), step, keep)
+    return p[0], q[0]
 
 
-def _march_expansion(params: ModelParams, payoff: Payoff,
-                     grid: GridSpec) -> tuple[np.ndarray, ...]:
+def _march_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
+                     keep=None, with_mmm: bool = False) -> tuple[np.ndarray, ...]:
     """March the small-gamma expansion under MEMM intensities: the linear
-    prices (p0, q0) and the first-order coefficients (p1, q1).
+    prices (p0, q0) and the first-order coefficients (p1, q1), and with
+    ``with_mmm`` the linear MMM prices too, as (p0, q0, p1, q1) or
+    (p_mmm, q_mmm, p0, q0, p1, q1).
 
-    The first-order update rules are the exact gamma-derivatives (at
-    gamma = 0) of the nonlinear scheme's discrete update map, so
-    p0 + gamma*p1 matches the marched nonlinear price to O(gamma^2) on the
-    same grid -- the leftover is pure curvature with no discretisation
-    cross-term.  Both coefficients stay <= 0 node by node (they measure the
-    concave utility drag, which only subtracts value).
+    The MMM block rides in the same tridiagonal solve as p0 (a two-block
+    stack), so both are bit-identical to their own linear marches.  The
+    first-order update rules are the exact gamma-derivatives (at gamma = 0)
+    of the nonlinear scheme's discrete update map, so p0 + gamma*p1 matches
+    the marched nonlinear price to O(gamma^2) on the same grid -- the
+    leftover is pure curvature with no discretisation cross-term.  Both
+    coefficients stay <= 0 node by node (they measure the concave utility
+    drag, which only subtracts value).
     """
+    measures = ("MMM", "MEMM") if with_mmm else ("MEMM",)
+    linear, dt_k01, w = _linear_step(
+        params, grid, measures, _Stepper(grid, params.sigma0, len(measures)))
+    k_memm = dt_k01[:, -1, 0].tolist()
+    w_memm = w[:, -1, 0].tolist()
     stepper = _Stepper(grid, params.sigma0)
-    linear, coefficients = _linear_step(params, grid, "MEMM", stepper)
 
     def step(i: int, rows):
-        p0, q0, p1, q1 = rows
-        p0_new, q0_new = linear(i, (p0, q0))
-        dt_k01, w = coefficients(i)
+        p_lin, q_lin, p1, q1 = rows
+        p_lin_new, q_lin_new = linear(i, (p_lin, q_lin))
+        # The MEMM block (the last) is the zeroth order p0, q0.
+        p0, q0, p0_new = p_lin[-1], q_lin[-1], p_lin_new[-1]
+        dt_k01, w = k_memm[i], w_memm[i]
         # Differentiate the nonlinear updates in gamma at gamma = 0.
         # p-step: source picks up -(1/2) v^2 plus the linearisation
         # cross-term v * (p0_new - p0), both at the known time level.
@@ -431,28 +532,29 @@ def _march_expansion(params: ModelParams, payoff: Payoff,
         # term of the exact shock update, (1/2) w (w - 1) vin^2 <= 0.
         vin = q0 - p0_new
         q1 = p1 + (q1 - p1) * w + 0.5 * w * (w - 1.0) * vin**2
-        return p0_new, q0_new, p1, q1
+        return p_lin_new, q_lin_new, p1, q1
 
-    h = _terminal(payoff, grid)
+    h = np.tile(_terminal(payoff, grid), (len(measures), 1))
     zero = np.zeros(grid.n_space)
-    return _march(grid, (h, h, zero, zero), step)
+    p_lin, q_lin, p1, q1 = _march(grid, (h, h, zero, zero), step, keep)
+    if with_mmm:
+        return p_lin[0], q_lin[0], p_lin[1], q_lin[1], p1, q1
+    return p_lin[0], q_lin[0], p1, q1
 
 
-def _single_shock_tables(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                         gamma_eff: float | None):
-    """Grid tables for the single-shock source integral.
+def _single_shock_base(params: ModelParams, payoff: Payoff, grid: GridSpec):
+    """Grid tables shared by every single-shock march of one payoff.
 
-    Returns (fac, h, CS, CS0) where for gamma_eff not None CS[k, j] =
-    int_0^{m_k} nu10 e^{(nu10 - d0) m} e^{-gamma_eff (P_BS(m, S_j) - h_j)}
-    dm, for gamma_eff None the payoff factor is P_BS itself (linear-limit
-    table), and CS0[k] = int_0^{m_k} nu10 e^{(nu10 - d0) m} dm is the
-    payoff-free weight integral.  CS0 matters because e^{-nu10 (T-t)}
-    (CS0 + 1) is exactly the shock-regime discount factor F1 of this
-    single-shock problem; assembling the 1/gamma constant from CS0 rather
-    than the closed form makes the quadrature error cancel between the
-    1/gamma terms instead of leaving an O(eps/gamma) residue.  m shares
-    the time-grid spacing, so row N - i corresponds to time-to-maturity
-    T - t_i.
+    Returns (fac, pbs, wgt, cs0): the single-shock factors, the
+    Black-Scholes table pbs[k, j] = P_BS(m_k, S_j) (row 0 is the payoff h),
+    the weight wgt[k] = nu10 e^{(nu10 - d0) m_k}, and CS0[k] =
+    int_0^{m_k} wgt dm, the payoff-free weight integral.  CS0 matters
+    because e^{-nu10 (T-t)} (CS0 + 1) is exactly the shock-regime discount
+    factor F1 of this single-shock problem; assembling the 1/gamma
+    constant from CS0 rather than the closed form makes the quadrature
+    error cancel between the 1/gamma terms instead of leaving an
+    O(eps/gamma) residue.  m shares the time-grid spacing, so row N - i
+    corresponds to time-to-maturity T - t_i.
     """
     fac = single_shock_factors(params)
     d0, nu10 = params.d0, params.nu10
@@ -465,36 +567,51 @@ def _single_shock_tables(params: ModelParams, payoff: Payoff, grid: GridSpec,
     spots = grid.spot_nodes()
     pbs = np.asarray(_bs.bs_price(payoff, m_grid[:, None], spots[None, :],
                                   params.sigma0), dtype=float)
-    h = pbs[0].copy()
     wgt = nu10 * np.exp((nu10 - d0) * m_grid)
-    if gamma_eff is None:
-        integrand = wgt[:, None] * pbs
-    else:
-        tv = pbs - h[None, :]
-        _check_exponent(gamma_eff * tv, "gamma_eff * time value")
-        integrand = wgt[:, None] * np.exp(-gamma_eff * tv)
-    cs = cumulative_simpson(integrand, dx=grid.delta_t, axis=0, initial=0.0)
-    cs0 = cumulative_simpson(wgt, dx=grid.delta_t, initial=0.0)
-    if gamma_eff is not None:
+    return fac, pbs, wgt, _cumulative_simpson(wgt, grid.delta_t)
+
+
+def _single_shock_tables(pbs: np.ndarray, wgt: np.ndarray, grid: GridSpec,
+                         gamma_eff: np.ndarray) -> np.ndarray:
+    """Source tables CS[b, k, j] = int_0^{m_k} wgt(m)
+    e^{-gamma_eff[b] (P_BS(m, S_j) - h_j)} dm, one block per entry of
+    ``gamma_eff``, each with its own guards; block b is bit-identical to a
+    table built for gamma_eff[b] alone.  ``pbs`` is overwritten by the time
+    value P_BS - h."""
+    tv = pbs
+    tv -= pbs[0].copy()
+    tv_max = float(np.max(np.abs(tv)))
+    cs = np.empty((gamma_eff.size,) + tv.shape)
+    integrand = np.empty(tv.shape)
+    for b, g in enumerate(gamma_eff.tolist()):
+        # max |g * tv| is g * max |tv| exactly: rounding is monotone.
+        _check_exponent(g * tv_max, "gamma_eff * time value", gamma_eff[b:b + 1])
+        np.multiply(-g, tv, out=integrand)
+        np.exp(integrand, out=integrand)
+        integrand *= wgt[:, None]
+        _cumulative_simpson(integrand, grid.delta_t, out=cs[b])
         # cs + 1 scales the shock intensity of the march.  Simpson's odd-row
         # formula turns negative where e^{-gamma_eff (P_BS - h)} grows by
         # more than about a factor 8 per time step (digitals next to the
         # strike at large gamma_eff); the step would then lose its M-matrix
         # property, so refuse rather than march.
-        low = float(np.min(cs)) + 1.0
+        low = float(np.min(cs[b])) + 1.0
         if not low > 0.0:
             raise NumericalError(
                 f"single-shock source table not positive (min of cs + 1 is "
-                f"{low:.3g}) at gamma_eff = {gamma_eff:.6g}, nsteps = "
+                f"{low:.3g}) at gamma_eff = {g:.6g}, nsteps = "
                 f"{grid.n_time}: the time grid does not resolve "
                 "e^{-gamma_eff (P_BS - h)}; lower the quantity or risk "
                 "aversion, or raise nsteps")
-    return fac, h, cs, cs0
+    return cs
 
 
 def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                        gamma_eff: float) -> np.ndarray:
-    """Backward march of the single-shock buyer price (scalar PDE).
+                        gamma_eff: np.ndarray, keep=None) -> np.ndarray:
+    """Backward march of the single-shock buyer price (scalar PDE) at each
+    utility scale in the 1-D array ``gamma_eff``, stacked in one pass on
+    one Black-Scholes table; returns a (len(gamma_eff), len(keep), M)
+    stack whose block b is bit-identical to a march of gamma_eff[b] alone.
 
     The shock-regime value is an explicit functional of Black-Scholes
     prices (one recovery at most), entering the tradeable-regime equation
@@ -507,29 +624,35 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
     below the convex exponential, so one linearized step overstates the
     source and lifts the price above its gamma -> 0 limit.  The fully
     implicit step keeps it at or below that limit (M-matrix comparison).
+    Each block stops iterating once its own update reaches rounding, so
+    the other blocks' further iterations leave it as its solo march does.
     """
-    if gamma_eff <= 0.0 or not math.isfinite(gamma_eff):
-        raise ValueError(
-            f"single-shock solver is buyer-only (gamma_eff > 0), got {gamma_eff}")
-    fac, h, cs, cs0 = _single_shock_tables(params, payoff, grid, gamma_eff)
+    gs = np.asarray(gamma_eff, dtype=float)
+    for g in gs.tolist():
+        if g <= 0.0 or not math.isfinite(g):
+            raise ValueError(
+                f"single-shock solver is buyer-only (gamma_eff > 0), got {g}")
+    fac, pbs, wgt, cs0 = _single_shock_base(params, payoff, grid)
+    h = pbs[0].copy()
+    cs = _single_shock_tables(pbs, wgt, grid, gs)
     times = grid.times()
     f0 = np.asarray(fac.F0(times), dtype=float)
     n = grid.n_time
     dt = grid.delta_t
-    g = gamma_eff
-    stepper = _Stepper(grid, params.sigma0)
+    g = gs[:, None]
+    stepper = _Stepper(grid, params.sigma0, gs.size)
 
     def linearized(i: int, p_old: np.ndarray, p_lin: np.ndarray) -> np.ndarray:
         """Implicit step from row i + 1 to row i with the exponential
         linearized at p_lin."""
         decay = math.exp(-params.nu10 * (params.T - times[i]))
         x = g * (p_lin - h)
-        _check_exponent(x, "gamma_eff * (p - h)")
+        _check_exponent(x, "gamma_eff * (p - h)", gs)
         # g_source * e^{g p} assembled in shifted form: all exponents are
         # time-value sized.  The 1/g constant uses the same quadrature
         # table (decay * (cs0 + 1) == F1 of this problem), so the two
         # 1/g terms cancel exactly rather than to quadrature error.
-        src = decay * np.exp(x) * (cs[n - i] + 1.0)
+        src = decay * np.exp(x) * (cs[:, n - i] + 1.0)
         kappa = params.nu01 * src / f0[i]
         c_lin = params.nu01 * decay * (cs0[n - i] + 1.0) / (f0[i] * g)
         rhs = p_old + dt * (c_lin - kappa / g + kappa * p_lin)
@@ -539,23 +662,29 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
         (p,) = rows
         if i < n - 1:
             return (linearized(i, p, p),)
-        # The first step leaves the kinked payoff: Newton to rounding.
+        # The first step leaves the kinked payoff: Newton to rounding, each
+        # block frozen at the iterate where its own update converged.
+        active = np.ones(gs.size, dtype=bool)
         for it in range(_FIRST_STEP_MAX_ITER):
-            p_lin, p = p, linearized(i, h, p)
-            update = float(np.max(np.abs(p - p_lin)))
-            if update <= _ROUNDING * max(1.0, float(np.max(np.abs(p)))):
+            p_new = linearized(i, h, p)
+            update = np.max(np.abs(p_new - p), axis=1)
+            scale = np.maximum(1.0, np.max(np.abs(p_new), axis=1))
+            p = np.where(active[:, None], p_new, p)
+            active &= ~(update <= _ROUNDING * scale)
+            if not active.any():
                 return (p,)
+        b = int(np.flatnonzero(active)[0])
         raise NumericalError(
             f"first single-shock step did not converge in {it + 1} Newton "
-            f"iterations (last update {update:.3g}); the requested risk "
-            "aversion / quantity is outside the range the source table "
-            "resolves on this grid")
+            f"iterations at gamma_eff = {gs[b]:.6g} (last update "
+            f"{update[b]:.3g}); the requested risk aversion / quantity is "
+            "outside the range the source table resolves on this grid")
 
-    return _march(grid, (h,), step)[0]
+    return _march(grid, (np.tile(h, (gs.size, 1)),), step, keep)[0]
 
 
 def _march_single_shock_linear(params: ModelParams, payoff: Payoff,
-                               grid: GridSpec) -> np.ndarray:
+                               grid: GridSpec, keep=None) -> np.ndarray:
     """Small-gamma limit of the single-shock price (linear PDE route).
 
     The shock-regime value q0(t, S) is explicit:
@@ -566,7 +695,9 @@ def _march_single_shock_linear(params: ModelParams, payoff: Payoff,
     of that scheme: the difference p_check(gamma) - p_check0 is then a
     pure gamma-order quantity with no discretisation floor.
     """
-    fac, h, cs1, cs0 = _single_shock_tables(params, payoff, grid, None)
+    fac, pbs, wgt, cs0 = _single_shock_base(params, payoff, grid)
+    h = pbs[0].copy()
+    cs1 = _cumulative_simpson(wgt[:, None] * pbs, grid.delta_t)
     times = grid.times()
     f0 = np.asarray(fac.F0(times), dtype=float)
     n = grid.n_time
@@ -583,7 +714,7 @@ def _march_single_shock_linear(params: ModelParams, payoff: Payoff,
         rhs = p + dt * params.nu01 * decay * (cs1[n - i] + h) / f0[i]
         return (stepper.solve(dt * k_hat, rhs),)
 
-    return _march(grid, (h,), step)[0]
+    return _march(grid, (h,), step, keep)[0]
 
 
 def _split_quantity(payoff: Payoff, buyer: bool) -> float:
@@ -596,61 +727,81 @@ def _split_quantity(payoff: Payoff, buyer: bool) -> float:
 
 
 def solve_indifference(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                       quantities) -> list[tuple[PriceSurface, PriceSurface]]:
+                       quantities, keep=None) -> list[tuple[PriceSurface, PriceSurface]]:
     """Per-contract indifference surfaces (p, q), one pair per signed
     quantity (positive: buyer, negative: writer), marched in one pass.
 
     Quantity scales risk aversion (gamma_eff = quantity * gamma), so
     terminal data are exact; ``payoff`` supplies kind and strike, and each
     surface carries the payoff at its own quantity.  Every pair is
-    bit-identical to a solve of that quantity alone; the march holds
-    2 * len(quantities) full surfaces at once.
+    bit-identical to a solve of that quantity alone.  ``keep`` lists the
+    time-row indices to store (default: all); the march holds
+    2 * len(quantities) surfaces of that many rows.
     """
     ns = [float(n) for n in quantities]
     p, q = _march_nonlinear(params, payoff, grid,
-                            np.array([n * params.gamma for n in ns]))
+                            np.array([n * params.gamma for n in ns]), keep)
     out = []
     for b, n in enumerate(ns):
         pay = replace(payoff, quantity=n)
         side = "buyer" if n > 0.0 else "writer"
-        out.append((PriceSurface(p[b], grid, pay, regime=0, label=f"{side}_p"),
-                    PriceSurface(q[b], grid, pay, regime=1, label=f"{side}_q")))
+        out.append((PriceSurface(p[b], grid, pay, 0, f"{side}_p", keep),
+                    PriceSurface(q[b], grid, pay, 1, f"{side}_q", keep)))
     return out
 
 
-def solve_buyer(params: ModelParams, payoff: Payoff,
-                grid: GridSpec) -> tuple[PriceSurface, PriceSurface]:
+def solve_buyer(params: ModelParams, payoff: Payoff, grid: GridSpec,
+                keep=None) -> tuple[PriceSurface, PriceSurface]:
     """Per-contract buyer indifference surfaces (p, q) for payoff.quantity
     contracts; quantity scales risk aversion, so terminal data are exact."""
     n = _split_quantity(payoff, buyer=True)
-    return solve_indifference(params, payoff, grid, [n])[0]
+    return solve_indifference(params, payoff, grid, [n], keep)[0]
 
 
-def solve_writer(params: ModelParams, payoff: Payoff,
-                 grid: GridSpec) -> tuple[PriceSurface, PriceSurface]:
+def solve_writer(params: ModelParams, payoff: Payoff, grid: GridSpec,
+                 keep=None) -> tuple[PriceSurface, PriceSurface]:
     """Per-contract writer indifference surfaces for |payoff.quantity|
     contracts; the writer system is the buyer system under gamma -> -gamma."""
     n = _split_quantity(payoff, buyer=False)
-    return solve_indifference(params, payoff, grid, [-n])[0]
+    return solve_indifference(params, payoff, grid, [-n], keep)[0]
+
+
+def solve_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
+                       quantities, keep=None) -> list[PriceSurface]:
+    """Per-contract single-shock buyer surfaces, one per positive quantity,
+    marched in one pass on one Black-Scholes table.
+
+    Each quantity gets its own block, utility scale quantity * gamma,
+    source table and guards (a guard names the block's gamma_eff), and its
+    surface is bit-identical to ``solve_single_shock_buyer`` at that
+    quantity.  ``keep`` lists the time-row indices to store (default: all).
+    """
+    ns = [float(n) for n in quantities]
+    for n in ns:
+        if n <= 0.0:
+            raise ValueError(f"buyer solve requires quantity > 0, got {n}")
+    p = _march_single_shock(params, payoff, grid,
+                            np.array([n * params.gamma for n in ns]), keep)
+    return [PriceSurface(p[b], grid, replace(payoff, quantity=n), 0,
+                         "single_shock_p", keep) for b, n in enumerate(ns)]
 
 
 def solve_single_shock_buyer(params: ModelParams, payoff: Payoff,
-                             grid: GridSpec) -> PriceSurface:
+                             grid: GridSpec, keep=None) -> PriceSurface:
     """Per-contract buyer price when only the first shock is priced
     (recovery is absorbing).  Buyer-only: the writer direction would need
     e^{+gamma h} inside the source integral, which overflows for unbounded
     payoffs."""
     n = _split_quantity(payoff, buyer=True)
-    p = _march_single_shock(params, payoff, grid, n * params.gamma)
-    return PriceSurface(p, grid, payoff, regime=0, label="single_shock_p")
+    return solve_single_shock(params, payoff, grid, [n], keep)[0]
 
 
 def single_shock_zero_order(params: ModelParams, payoff: Payoff,
-                            grid: GridSpec) -> PriceSurface:
+                            grid: GridSpec, keep=None) -> PriceSurface:
     """Small-gamma limit of the single-shock price (per contract), by the
     PDE route; companion surface for spread attribution."""
-    p = _march_single_shock_linear(params, payoff, grid)
-    return PriceSurface(p, grid, payoff, regime=0, label="single_shock_p0")
+    p = _march_single_shock_linear(params, payoff, grid, keep)
+    return PriceSurface(p, grid, payoff, 0, "single_shock_p0", keep)
 
 
 @dataclass(frozen=True)
@@ -678,18 +829,22 @@ class AsymptoticBundle:
         return self.p0.quote(spot, t) + g * self.p1.quote(spot, t)
 
 
-def asymptotic_expansion(params: ModelParams, payoff: Payoff,
-                         grid: GridSpec) -> AsymptoticBundle:
+def _expansion_bundle(params: ModelParams, payoff: Payoff, grid: GridSpec,
+                      keep, surfaces) -> AsymptoticBundle:
+    p0, q0, p1, q1 = (PriceSurface(v, grid, payoff, regime, label, keep)
+                      for v, regime, label in zip(surfaces, (0, 1, 0, 1),
+                                                  ("p0", "q0", "p1", "q1")))
+    return AsymptoticBundle(p0, q0, p1, q1, params, payoff)
+
+
+def asymptotic_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
+                         keep=None) -> AsymptoticBundle:
     """March the small-gamma expansion system (MEMM intensities): p0/q0 are
     the linear MEMM prices, p1/q1 carry source -(1/2) nu01(t) (q0 - p0)^2
-    and are nonpositive node by node."""
-    p0, q0, p1, q1 = _march_expansion(params, payoff, grid)
-    return AsymptoticBundle(
-        PriceSurface(p0, grid, payoff, regime=0, label="p0"),
-        PriceSurface(q0, grid, payoff, regime=1, label="q0"),
-        PriceSurface(p1, grid, payoff, regime=0, label="p1"),
-        PriceSurface(q1, grid, payoff, regime=1, label="q1"),
-        params, payoff)
+    and are nonpositive node by node.  ``keep`` lists the time-row indices
+    to store (default: all)."""
+    return _expansion_bundle(params, payoff, grid, keep,
+                             _march_expansion(params, payoff, grid, keep))
 
 
 @dataclass(frozen=True)
@@ -769,7 +924,8 @@ def hedge_report(params: ModelParams, payoff: Payoff, surface: PriceSurface,
 
 def gamma_sweep(params: ModelParams, payoff: Payoff, grid: GridSpec,
                 gammas, spot: float | None = None) -> list[tuple[float, float]]:
-    """Per-contract indifference quotes at t = 0 across risk aversions.
+    """Per-contract indifference quotes at t = 0 across risk aversions, all
+    marched in one stack that stores row 0 only.
 
     ``gammas`` must be positive and ascending; the payoff quantity's sign
     picks the side (positive: buyer, negative: writer).  Returns
@@ -781,10 +937,7 @@ def gamma_sweep(params: ModelParams, payoff: Payoff, grid: GridSpec,
     if any(g <= 0.0 for g in gl) or any(b <= a for a, b in zip(gl, gl[1:])):
         raise ValueError("gammas must be positive and strictly ascending")
     s = payoff.strike if spot is None else float(spot)
-    out = []
-    for g in gl:
-        p, _ = _march_nonlinear(params, payoff, grid,
-                                np.array([payoff.quantity * g]))
-        surf = PriceSurface(p[0], grid, payoff, regime=0, label="sweep")
-        out.append((g, float(surf.quote(s, 0.0))))
-    return out
+    p, _ = _march_nonlinear(params, payoff, grid,
+                            np.array([payoff.quantity * g for g in gl]), (0,))
+    return [(g, float(PriceSurface(p[b], grid, payoff, 0, "sweep", (0,))
+                      .quote(s, 0.0))) for b, g in enumerate(gl)]
