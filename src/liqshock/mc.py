@@ -60,17 +60,18 @@ def _validate_seed(seed: int) -> int:
     return s
 
 
-def _round_uniforms(seed: int, round_idx: int, purpose: int, n: int,
-                    antithetic: bool) -> np.ndarray:
-    """Uniforms in [0, 1) for one round; key = (seed, round, purpose).
+def _round_uniforms(seed: int, round_idx: int, purpose: int,
+                    antithetic: bool, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with uniforms in [0, 1) for one round; key = (seed,
+    round, purpose).
 
     With ``antithetic`` the second half mirrors the first (u -> 1 - u)."""
     key = (seed << 64) | (round_idx * 8 + purpose)
-    u = np.random.Generator(np.random.Philox(key=key)).random(n)
+    np.random.Generator(np.random.Philox(key=key)).random(out=out)
     if antithetic:
-        half = n // 2
-        u[half:] = 1.0 - u[:half]
-    return u
+        half = out.size // 2
+        out[half:] = 1.0 - out[:half]
+    return out
 
 
 def _check_paths(n_paths: int, antithetic: bool) -> None:
@@ -113,32 +114,39 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
     t_cur = np.zeros(n_paths)
     state = np.full(n_paths, start_regime, dtype=np.int8)
     liquid = np.zeros(n_paths)
-    active = np.ones(n_paths, dtype=bool)
+    # A round computes on the live paths only (ascending indices), and the
+    # two uniform buffers are allocated once, so a round's temporaries
+    # shrink with the live set.
+    u_s = np.empty(n_paths)
+    u_a = np.empty(n_paths)
+    live = np.arange(n_paths)
     cap = _round_cap(horizon, max(bounds))
     n_cand = 0
     n_acc = 0
     r = 0
-    while active.any():
+    while live.size:
         if r >= cap:
             raise NumericalError(
                 f"thinning did not terminate within {cap} rounds "
                 f"(bounds={bounds}, horizon={horizon})")
-        u_s = _round_uniforms(seed, r, 0, n_paths, antithetic)
-        u_a = _round_uniforms(seed, r, 1, n_paths, False)
-        rate = np.where(state == 0, bounds[0], bounds[1])
+        _round_uniforms(seed, r, 0, antithetic, u_s)
+        _round_uniforms(seed, r, 1, False, u_a)
+        st = state[live]
+        m0 = st == 0
+        rate = np.where(m0, bounds[0], bounds[1])
         with np.errstate(divide="ignore"):
-            w = np.where(rate > 0.0, -np.log1p(-u_s) / rate, np.inf)
+            w = np.where(rate > 0.0, -np.log1p(-u_s[live]) / rate, np.inf)
         # Liquid time accrues along regime-0 stretches up to the horizon,
         # whether or not the candidate switch is accepted.
-        in0 = active & (state == 0)
-        liquid[in0] += np.minimum(w[in0], horizon - t_cur[in0])
-        t_new = t_cur + w
-        crossed = active & (t_new >= horizon)
-        active &= ~crossed
-        cand = np.flatnonzero(active)
+        t_old = t_cur[live]
+        liquid[live[m0]] += np.minimum(w[m0], horizon - t_old[m0])
+        t_new = t_old + w
+        going = ~(t_new >= horizon)
+        cand = live[going]
+        live = cand
         if cand.size:
-            tc = t_new[cand]
-            st = state[cand]
+            tc = t_new[going]
+            st = st[going]
             nu_c = np.empty(cand.size)
             m0 = st == 0
             if m0.any():
@@ -158,9 +166,10 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
             if absorbing:
                 # An absorbing recovery: the rest of the horizon accrues
                 # and the path retires.
-                recover = cand[acc & m1]
+                retire = acc & m1
+                recover = cand[retire]
                 liquid[recover] += horizon - t_cur[recover]
-                active[recover] = False
+                live = cand[~retire]
                 acc &= m0
             flip = cand[acc]
             state[flip] = 1 - state[flip]
