@@ -37,8 +37,9 @@ to it.
 One backward march, ``_march``, owns the time loop and the
 surfaces for every march: the indifference system, the linear
 (small-gamma limit) prices, the first-order expansion in gamma, and the
-single-shock variant, whose source integral is precomputed on the whole
-grid by a cumulative Simpson rule.  Each march hands it only its per-step
+single-shock variant, whose source integral is a cumulative Simpson rule
+over a Black-Scholes table, integrated row by row as the march reaches
+each row.  Each march hands it only its per-step
 update; the expansion step reuses the linear one for its zeroth order,
 and the indifference and MEMM linear marches take their intensities from
 the one MEMM tilt in ``model``.  A march stores only the time rows it is
@@ -56,6 +57,7 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -119,8 +121,7 @@ def _check_exponent(x: np.ndarray | float, what: str,
         "outside the representable range of the scheme")
 
 
-def _cumulative_simpson(y: np.ndarray, dx: float,
-                        out: np.ndarray | None = None) -> np.ndarray:
+def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative Simpson integral of ``y`` along axis 0 on a uniform step
     ``dx``, starting from 0 (at least two rows).
 
@@ -130,9 +131,9 @@ def _cumulative_simpson(y: np.ndarray, dx: float,
     and the h2 formula d/3 (5 f_{j+1}/4 + 2 f_j - f_{j-1}/4) at odd j and
     on the last interval (both formulas read the same three rows), and the
     sub-integrals are summed in order.  Only the sub-integrals that are used
-    are computed, straight into ``out`` (a new array by default).
+    are computed, straight into the result.
     """
-    out = np.empty(y.shape) if out is None else out
+    out = np.empty(y.shape)
     out[0] = 0.0
     if y.shape[0] < 3:
         # scipy falls back to the trapezoid rule on two rows.
@@ -146,6 +147,29 @@ def _cumulative_simpson(y: np.ndarray, dx: float,
     sub[-1] = d * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
     np.cumsum(sub, axis=0, out=sub)
     return out
+
+
+def _cumulative_simpson_rows(f, n: int, dx: float):
+    """Rows 1 .. n of ``_cumulative_simpson`` of the table whose row k is
+    ``f(k)`` (k = 0 .. n), yielded in ascending order.
+
+    Each sub-integral and each running sum goes through the arithmetic of
+    the whole-table rule, so every row is bit-identical to the same row of
+    ``_cumulative_simpson``; only the last four rows of ``f`` are held.
+    """
+    f = lru_cache(maxsize=4)(f)
+    if n == 1:
+        yield dx * (f(1) + f(0)) / 2.0
+        return
+    d = dx / 3
+    acc = None
+    for j in range(n):
+        if j % 2 == 0 and j < n - 1:
+            sub = d * (5 * f(j) / 4 + 2 * f(j + 1) - f(j + 2) / 4)
+        else:
+            sub = d * (5 * f(j + 1) / 4 + 2 * f(j) - f(j - 1) / 4)
+        acc = sub if acc is None else acc + sub
+        yield acc
 
 
 @dataclass(frozen=True)
@@ -431,18 +455,18 @@ def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
     nu01_t, nu10_t = _memm_intensities(merton_factors(params), grid.times())
     dt = grid.delta_t
     stepper = _Stepper(grid, params.sigma0, g.size)
-    g = g[:, None]
+    gs, g = g, g[:, None]
 
     def step(i: int, rows):
         p, q = rows
         x = g * (q - p)
-        _check_exponent(x, "gamma_eff * (q - p)")
+        _check_exponent(x, "gamma_eff * (q - p)", gs)
         kappa = nu01_t[i] * np.exp(-x)
         rhs = p + dt * ((nu01_t[i] / g) - kappa / g + kappa * p)
         p = stepper.solve(dt * kappa, rhs)
         w = math.exp(-nu10_t[i] * dt)
         y = g * (q - p)
-        _check_exponent(y, "gamma_eff * (q - p)")
+        _check_exponent(y, "gamma_eff * (q - p)", gs)
         return p, p - np.log1p(w * np.expm1(-y)) / g
 
     h = np.tile(_terminal(payoff, grid), (g.shape[0], 1))
@@ -571,39 +595,49 @@ def _single_shock_base(params: ModelParams, payoff: Payoff, grid: GridSpec):
     return fac, pbs, wgt, _cumulative_simpson(wgt, grid.delta_t)
 
 
-def _single_shock_tables(pbs: np.ndarray, wgt: np.ndarray, grid: GridSpec,
-                         gamma_eff: np.ndarray) -> np.ndarray:
-    """Source tables CS[b, k, j] = int_0^{m_k} wgt(m)
-    e^{-gamma_eff[b] (P_BS(m, S_j) - h_j)} dm, one block per entry of
-    ``gamma_eff``, each with its own guards; block b is bit-identical to a
-    table built for gamma_eff[b] alone.  ``pbs`` is overwritten by the time
-    value P_BS - h."""
+def _single_shock_source(pbs: np.ndarray, wgt: np.ndarray, grid: GridSpec,
+                         gamma_eff: np.ndarray):
+    """Rows k = 1 .. N, in ascending order, of the source tables CS[b, k, j]
+    = int_0^{m_k} wgt(m) e^{-gamma_eff[b] (P_BS(m, S_j) - h_j)} dm, one
+    block per entry of ``gamma_eff``, each with its own guards; block b is
+    bit-identical to a table built for gamma_eff[b] alone.  ``pbs`` is
+    overwritten by the time value P_BS - h.
+
+    The exponent guard covers every block's whole table before the first
+    row; a row is checked for positivity when it is yielded.  The rows are
+    integrated as the march reaches them, so the stack holds O(B * M) of
+    them rather than B whole (N + 1) x M tables.
+    """
     tv = pbs
     tv -= pbs[0].copy()
     tv_max = float(np.max(np.abs(tv)))
-    cs = np.empty((gamma_eff.size,) + tv.shape)
-    integrand = np.empty(tv.shape)
     for b, g in enumerate(gamma_eff.tolist()):
         # max |g * tv| is g * max |tv| exactly: rounding is monotone.
         _check_exponent(g * tv_max, "gamma_eff * time value", gamma_eff[b:b + 1])
-        np.multiply(-g, tv, out=integrand)
-        np.exp(integrand, out=integrand)
-        integrand *= wgt[:, None]
-        _cumulative_simpson(integrand, grid.delta_t, out=cs[b])
+    neg_g = -gamma_eff[:, None]
+
+    def integrand(k: int) -> np.ndarray:
+        row = np.exp(neg_g * tv[k])
+        row *= wgt[k]
+        return row
+
+    for cs in _cumulative_simpson_rows(integrand, grid.n_time, grid.delta_t):
         # cs + 1 scales the shock intensity of the march.  Simpson's odd-row
         # formula turns negative where e^{-gamma_eff (P_BS - h)} grows by
         # more than about a factor 8 per time step (digitals next to the
         # strike at large gamma_eff); the step would then lose its M-matrix
         # property, so refuse rather than march.
-        low = float(np.min(cs[b])) + 1.0
-        if not low > 0.0:
+        low = np.min(cs, axis=1) + 1.0
+        bad = np.flatnonzero(~(low > 0.0))
+        if bad.size:
+            b = int(bad[0])
             raise NumericalError(
                 f"single-shock source table not positive (min of cs + 1 is "
-                f"{low:.3g}) at gamma_eff = {g:.6g}, nsteps = "
+                f"{low[b]:.3g}) at gamma_eff = {gamma_eff[b]:.6g}, nsteps = "
                 f"{grid.n_time}: the time grid does not resolve "
                 "e^{-gamma_eff (P_BS - h)}; lower the quantity or risk "
                 "aversion, or raise nsteps")
-    return cs
+        yield cs
 
 
 def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
@@ -634,7 +668,7 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
                 f"single-shock solver is buyer-only (gamma_eff > 0), got {g}")
     fac, pbs, wgt, cs0 = _single_shock_base(params, payoff, grid)
     h = pbs[0].copy()
-    cs = _single_shock_tables(pbs, wgt, grid, gs)
+    source = _single_shock_source(pbs, wgt, grid, gs)
     times = grid.times()
     f0 = np.asarray(fac.F0(times), dtype=float)
     n = grid.n_time
@@ -642,9 +676,10 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
     g = gs[:, None]
     stepper = _Stepper(grid, params.sigma0, gs.size)
 
-    def linearized(i: int, p_old: np.ndarray, p_lin: np.ndarray) -> np.ndarray:
+    def linearized(i: int, cs1: np.ndarray, p_old: np.ndarray,
+                   p_lin: np.ndarray) -> np.ndarray:
         """Implicit step from row i + 1 to row i with the exponential
-        linearized at p_lin."""
+        linearized at p_lin; ``cs1`` is the source row CS[:, n - i] + 1."""
         decay = math.exp(-params.nu10 * (params.T - times[i]))
         x = g * (p_lin - h)
         _check_exponent(x, "gamma_eff * (p - h)", gs)
@@ -652,7 +687,7 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
         # time-value sized.  The 1/g constant uses the same quadrature
         # table (decay * (cs0 + 1) == F1 of this problem), so the two
         # 1/g terms cancel exactly rather than to quadrature error.
-        src = decay * np.exp(x) * (cs[:, n - i] + 1.0)
+        src = decay * np.exp(x) * cs1
         kappa = params.nu01 * src / f0[i]
         c_lin = params.nu01 * decay * (cs0[n - i] + 1.0) / (f0[i] * g)
         rhs = p_old + dt * (c_lin - kappa / g + kappa * p_lin)
@@ -660,13 +695,16 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
 
     def step(i: int, rows):
         (p,) = rows
+        # _march steps i = n - 1 .. 0, which reads the source rows
+        # k = n - i = 1 .. n in the order ``source`` yields them.
+        cs1 = next(source) + 1.0
         if i < n - 1:
-            return (linearized(i, p, p),)
+            return (linearized(i, cs1, p, p),)
         # The first step leaves the kinked payoff: Newton to rounding, each
         # block frozen at the iterate where its own update converged.
         active = np.ones(gs.size, dtype=bool)
         for it in range(_FIRST_STEP_MAX_ITER):
-            p_new = linearized(i, h, p)
+            p_new = linearized(i, cs1, h, p)
             update = np.max(np.abs(p_new - p), axis=1)
             scale = np.maximum(1.0, np.max(np.abs(p_new), axis=1))
             p = np.where(active[:, None], p_new, p)
@@ -684,7 +722,7 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
 
 
 def _march_single_shock_linear(params: ModelParams, payoff: Payoff,
-                               grid: GridSpec, keep=None) -> np.ndarray:
+                               grid: GridSpec) -> np.ndarray:
     """Small-gamma limit of the single-shock price (linear PDE route).
 
     The shock-regime value q0(t, S) is explicit:
@@ -714,7 +752,7 @@ def _march_single_shock_linear(params: ModelParams, payoff: Payoff,
         rhs = p + dt * params.nu01 * decay * (cs1[n - i] + h) / f0[i]
         return (stepper.solve(dt * k_hat, rhs),)
 
-    return _march(grid, (h,), step, keep)[0]
+    return _march(grid, (h,), step)[0]
 
 
 def _split_quantity(payoff: Payoff, buyer: bool) -> float:
@@ -787,21 +825,21 @@ def solve_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
 
 
 def solve_single_shock_buyer(params: ModelParams, payoff: Payoff,
-                             grid: GridSpec, keep=None) -> PriceSurface:
+                             grid: GridSpec) -> PriceSurface:
     """Per-contract buyer price when only the first shock is priced
     (recovery is absorbing).  Buyer-only: the writer direction would need
     e^{+gamma h} inside the source integral, which overflows for unbounded
     payoffs."""
     n = _split_quantity(payoff, buyer=True)
-    return solve_single_shock(params, payoff, grid, [n], keep)[0]
+    return solve_single_shock(params, payoff, grid, [n])[0]
 
 
 def single_shock_zero_order(params: ModelParams, payoff: Payoff,
-                            grid: GridSpec, keep=None) -> PriceSurface:
+                            grid: GridSpec) -> PriceSurface:
     """Small-gamma limit of the single-shock price (per contract), by the
     PDE route; companion surface for spread attribution."""
-    p = _march_single_shock_linear(params, payoff, grid, keep)
-    return PriceSurface(p, grid, payoff, 0, "single_shock_p0", keep)
+    p = _march_single_shock_linear(params, payoff, grid)
+    return PriceSurface(p, grid, payoff, 0, "single_shock_p0")
 
 
 @dataclass(frozen=True)
@@ -837,14 +875,13 @@ def _expansion_bundle(params: ModelParams, payoff: Payoff, grid: GridSpec,
     return AsymptoticBundle(p0, q0, p1, q1, params, payoff)
 
 
-def asymptotic_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                         keep=None) -> AsymptoticBundle:
+def asymptotic_expansion(params: ModelParams, payoff: Payoff,
+                         grid: GridSpec) -> AsymptoticBundle:
     """March the small-gamma expansion system (MEMM intensities): p0/q0 are
     the linear MEMM prices, p1/q1 carry source -(1/2) nu01(t) (q0 - p0)^2
-    and are nonpositive node by node.  ``keep`` lists the time-row indices
-    to store (default: all)."""
-    return _expansion_bundle(params, payoff, grid, keep,
-                             _march_expansion(params, payoff, grid, keep))
+    and are nonpositive node by node."""
+    return _expansion_bundle(params, payoff, grid, None,
+                             _march_expansion(params, payoff, grid))
 
 
 @dataclass(frozen=True)

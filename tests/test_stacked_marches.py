@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,7 +31,6 @@ from liqshock import (
     gamma_sweep,
     linear_price,
     mmm_and_expansion,
-    single_shock_zero_order,
     solve_indifference,
     solve_single_shock,
     solve_single_shock_buyer,
@@ -67,10 +67,8 @@ class TestKeptRowsEqualFullMarch:
         unit = Payoff("digital_call", STRIKE)
         full = asymptotic_expansion(params, unit, grid)
         full_mmm = linear_price(params, unit, "MMM", grid)
-        kept = asymptotic_expansion(params, unit, grid, keep)
         mmm, bundle = mmm_and_expansion(params, unit, grid, keep)
         for name in ("p0", "q0", "p1", "q1"):
-            assert same_rows(getattr(kept, name), getattr(full, name))
             assert same_rows(getattr(bundle, name), getattr(full, name))
         assert same_rows(mmm.surface_p, full_mmm.surface_p)
         assert same_rows(mmm.surface_q, full_mmm.surface_q)
@@ -92,10 +90,6 @@ class TestKeptRowsEqualFullMarch:
                                   quantities, keep)
         for surf, surf_full in zip(kept, full):
             assert same_rows(surf, surf_full)
-        zero = single_shock_zero_order(params, Payoff("digital_put", STRIKE),
-                                       grid, keep)
-        assert same_rows(zero, single_shock_zero_order(
-            params, Payoff("digital_put", STRIKE), grid))
 
 
 class TestKeptRowSurface:
@@ -142,7 +136,7 @@ def first_step_iterations(params, payoff, grid, monkeypatch) -> int:
 
     with monkeypatch.context() as m:
         m.setattr(pde._Stepper, "solve", counted)
-        solve_single_shock_buyer(params, payoff, grid, (0,))
+        solve_single_shock_buyer(params, payoff, grid)
     return len(calls) - (grid.n_time - 1)
 
 
@@ -184,6 +178,22 @@ class TestSingleShockStack:
             solve_single_shock(params, Payoff("vanilla_call", STRIKE), grid,
                                (1.0, 1000.0))
 
+    def test_memory_does_not_grow_by_whole_tables(self, params, grid):
+        """Each block's source table is integrated row by row as the march
+        reaches it, so eight buyers cost less than one more whole
+        (N + 1) x M table over a single buyer."""
+        def peak(quantities) -> int:
+            tracemalloc.start()
+            try:
+                solve_single_shock(params, Payoff("vanilla_call", STRIKE), grid,
+                                   quantities, (0,))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        table = (grid.n_time + 1) * grid.n_space * 8
+        extra = peak([float(n) for n in range(1, 9)]) - peak([1.0])
+        assert extra < table
 
     def test_stacked_exponent_guard_names_the_first_offending_block(self):
         x = np.zeros((3, 4))
@@ -193,6 +203,14 @@ class TestSingleShockStack:
                            match=r"reached 701 > 700 at gamma_eff = 2;"):
             pde._check_exponent(x, "gamma_eff * (p - h)", np.array([1., 2., 3.]))
         pde._check_exponent(x[:1], "gamma_eff * (p - h)", np.array([1.]))
+
+
+def test_indifference_stack_guard_names_the_block(params):
+    grid = GridSpec.build(params, STRIKE, n_time=100)
+    with pytest.raises(NumericalError,
+                       match=r"\(q - p\)\| reached .* at gamma_eff = 10000;"):
+        solve_indifference(params, Payoff("digital_call", STRIKE), grid,
+                           (1.0, 2.0, 1e4))
 
 
 class TestLinearPass:
@@ -233,6 +251,17 @@ def test_cumulative_simpson_rounds_as_scipy(n_rows):
         y = np.exp(3.0 * rng.standard_normal(shape))
         ref = cumulative_simpson(y, dx=dx, axis=0, initial=0.0)
         assert np.array_equal(pde._cumulative_simpson(y, dx), ref)
+
+
+@pytest.mark.parametrize("n_rows", [2, 3, 4, 5, 301])
+def test_cumulative_simpson_rows_equal_the_whole_table(n_rows):
+    rng = np.random.default_rng(n_rows)
+    y = np.exp(3.0 * rng.standard_normal((n_rows, 3, 7)))
+    dx = 1.0 / (n_rows - 1)
+    whole = pde._cumulative_simpson(y, dx)
+    rows = list(pde._cumulative_simpson_rows(lambda k: y[k], n_rows - 1, dx))
+    assert len(rows) == n_rows - 1
+    assert np.array_equal(np.stack(rows), whole[1:])
 
 
 def test_cli_import_leaves_out_scipy_integrate():
