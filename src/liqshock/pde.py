@@ -38,9 +38,8 @@ One backward march, ``_march``, owns the time loop and the
 surfaces for every march: the indifference system, the linear
 (small-gamma limit) prices, the first-order expansion in gamma, and the
 single-shock variant, whose source integral is a cumulative Simpson rule
-over a Black-Scholes table, integrated row by row as the march reaches
-each row.  Each march hands it only its per-step
-update; the expansion step reuses the linear one for its zeroth order,
+over a Black-Scholes table, integrated a block of rows at a time as the
+march reaches them.  Each march hands it only its per-step update; the expansion step reuses the linear one for its zeroth order,
 and the indifference and MEMM linear marches take their intensities from
 the one MEMM tilt in ``model``.  A march stores only the time rows it is
 asked to ``keep`` (all of them by default), so a quote at t = 0 holds one
@@ -57,7 +56,6 @@ import math
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -94,6 +92,11 @@ _EXP_CAP = 700.0
 _FIRST_STEP_MAX_ITER = 1000
 _ROUNDING = 4.0 * np.finfo(float).eps
 
+# Time rows of the single-shock source tables integrated at a time (even):
+# large enough that the per-block numpy calls cost little against the
+# march, small enough that the tables stay O(B * M).
+_SOURCE_CHUNK = 32
+
 _DEFAULT_N_TIME = 2000
 _DEFAULT_WIDTH = 6.0
 
@@ -121,55 +124,60 @@ def _check_exponent(x: np.ndarray | float, what: str,
         "outside the representable range of the scheme")
 
 
-def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative Simpson integral of ``y`` along axis 0 on a uniform step
-    ``dx``, starting from 0 (at least two rows).
+def _cumulative_simpson_chunks(f, n: int, dx: float, chunk: int):
+    """Cumulative Simpson integral, on a uniform step ``dx`` and starting
+    from 0, of the table of n + 1 rows (n >= 1) whose rows lo .. hi - 1 are
+    ``f(lo, hi)``: yields rows 1 .. n in ascending blocks of at most
+    ``chunk`` rows (``chunk`` even).
 
     The same arithmetic as scipy's ``cumulative_simpson(y, dx=dx, axis=0,
     initial=0.0)`` (scipy 1.17, equal intervals): interval [j, j + 1]
     takes the h1 formula d/3 (5 f_j/4 + 2 f_{j+1} - f_{j+2}/4) at even j
     and the h2 formula d/3 (5 f_{j+1}/4 + 2 f_j - f_{j-1}/4) at odd j and
     on the last interval (both formulas read the same three rows), and the
-    sub-integrals are summed in order.  Only the sub-integrals that are used
-    are computed, straight into the result.
+    sub-integrals are summed in order, each block continuing from the last
+    row of the one before; two rows take the trapezoid rule, as in scipy.
+    So every block is bit-identical to the same rows of the whole table,
+    whatever ``chunk`` is, and only about ``chunk`` rows are held at once.
     """
-    out = np.empty(y.shape)
-    out[0] = 0.0
-    if y.shape[0] < 3:
-        # scipy falls back to the trapezoid rule on two rows.
-        out[1] = dx * (y[1] + y[0]) / 2.0
-        return out
-    d = dx / 3
-    f1, f2, f3 = y[0:-2:2], y[1:-1:2], y[2::2]
-    sub = out[1:]
-    sub[0:-1:2] = d * (5 * f1 / 4 + 2 * f2 - f3 / 4)
-    sub[1::2] = d * (5 * f3 / 4 + 2 * f2 - f1 / 4)
-    sub[-1] = d * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
-    np.cumsum(sub, axis=0, out=sub)
-    return out
-
-
-def _cumulative_simpson_rows(f, n: int, dx: float):
-    """Rows 1 .. n of ``_cumulative_simpson`` of the table whose row k is
-    ``f(k)`` (k = 0 .. n), yielded in ascending order.
-
-    Each sub-integral and each running sum goes through the arithmetic of
-    the whole-table rule, so every row is bit-identical to the same row of
-    ``_cumulative_simpson``; only the last four rows of ``f`` are held.
-    """
-    f = lru_cache(maxsize=4)(f)
     if n == 1:
-        yield dx * (f(1) + f(0)) / 2.0
+        y = f(0, 2)
+        yield (dx * (y[1] + y[0]) / 2.0)[None]
         return
     d = dx / 3
     acc = None
-    for j in range(n):
-        if j % 2 == 0 and j < n - 1:
-            sub = d * (5 * f(j) / 4 + 2 * f(j + 1) - f(j + 2) / 4)
-        else:
-            sub = d * (5 * f(j + 1) / 4 + 2 * f(j) - f(j - 1) / 4)
-        acc = sub if acc is None else acc + sub
-        yield acc
+    for a in range(0, n, chunk):            # chunk is even, so a is even
+        b = min(a + chunk, n)               # this block's intervals a .. b - 1
+        lo = max(a - 1, 0)                  # a lone last interval reads row a - 1
+        y = f(lo, min(b + 2, n + 1))
+        o, m = a - lo, b - a
+        # h1 on the even intervals but the table's last one, h2 on the rest.
+        ne = (m + 1) // 2 - int(b == n and m % 2 == 1)
+        sub = np.empty((m,) + y.shape[1:])
+        sub[0:2 * ne:2] = d * (5 * y[o:o + 2 * ne:2] / 4
+                               + 2 * y[o + 1:o + 2 * ne + 1:2]
+                               - y[o + 2:o + 2 * ne + 2:2] / 4)
+        sub[1::2] = d * (5 * y[o + 2:o + m + 1:2] / 4 + 2 * y[o + 1:o + m:2]
+                         - y[o:o + m - 1:2] / 4)
+        if b == n:
+            sub[-1] = d * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
+        if acc is not None:
+            sub[0] += acc
+        np.cumsum(sub, axis=0, out=sub)
+        acc = sub[-1]
+        yield sub
+
+
+def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Cumulative Simpson integral of ``y`` along axis 0 on a uniform step
+    ``dx``, starting from 0 (at least two rows), as one block of
+    ``_cumulative_simpson_chunks``."""
+    n = y.shape[0] - 1
+    out = np.empty(y.shape)
+    out[0] = 0.0
+    out[1:] = next(_cumulative_simpson_chunks(lambda lo, hi: y[lo:hi], n, dx,
+                                              n + n % 2))
+    return out
 
 
 @dataclass(frozen=True)
@@ -604,9 +612,10 @@ def _single_shock_source(pbs: np.ndarray, wgt: np.ndarray, grid: GridSpec,
     overwritten by the time value P_BS - h.
 
     The exponent guard covers every block's whole table before the first
-    row; a row is checked for positivity when it is yielded.  The rows are
-    integrated as the march reaches them, so the stack holds O(B * M) of
-    them rather than B whole (N + 1) x M tables.
+    row.  The rows are integrated _SOURCE_CHUNK at a time as the march
+    reaches them, each block of rows checked for positivity before its
+    first row is yielded, so the stack holds O(B * M) of them rather than
+    B whole (N + 1) x M tables.
     """
     tv = pbs
     tv -= pbs[0].copy()
@@ -614,30 +623,31 @@ def _single_shock_source(pbs: np.ndarray, wgt: np.ndarray, grid: GridSpec,
     for b, g in enumerate(gamma_eff.tolist()):
         # max |g * tv| is g * max |tv| exactly: rounding is monotone.
         _check_exponent(g * tv_max, "gamma_eff * time value", gamma_eff[b:b + 1])
-    neg_g = -gamma_eff[:, None]
+    neg_g = -gamma_eff[None, :, None]
 
-    def integrand(k: int) -> np.ndarray:
-        row = np.exp(neg_g * tv[k])
-        row *= wgt[k]
-        return row
+    def integrand(lo: int, hi: int) -> np.ndarray:
+        y = np.exp(neg_g * tv[lo:hi, None, :])
+        y *= wgt[lo:hi, None, None]
+        return y
 
-    for cs in _cumulative_simpson_rows(integrand, grid.n_time, grid.delta_t):
+    for cs in _cumulative_simpson_chunks(integrand, grid.n_time, grid.delta_t,
+                                         _SOURCE_CHUNK):
         # cs + 1 scales the shock intensity of the march.  Simpson's odd-row
         # formula turns negative where e^{-gamma_eff (P_BS - h)} grows by
         # more than about a factor 8 per time step (digitals next to the
         # strike at large gamma_eff); the step would then lose its M-matrix
         # property, so refuse rather than march.
-        low = np.min(cs, axis=1) + 1.0
-        bad = np.flatnonzero(~(low > 0.0))
+        low = np.min(cs, axis=2) + 1.0
+        bad = np.argwhere(~(low > 0.0))
         if bad.size:
-            b = int(bad[0])
+            k, b = bad[0]
             raise NumericalError(
                 f"single-shock source table not positive (min of cs + 1 is "
-                f"{low[b]:.3g}) at gamma_eff = {gamma_eff[b]:.6g}, nsteps = "
+                f"{low[k, b]:.3g}) at gamma_eff = {gamma_eff[b]:.6g}, nsteps = "
                 f"{grid.n_time}: the time grid does not resolve "
                 "e^{-gamma_eff (P_BS - h)}; lower the quantity or risk "
                 "aversion, or raise nsteps")
-        yield cs
+        yield from cs
 
 
 def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,

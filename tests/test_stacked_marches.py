@@ -253,15 +253,16 @@ def test_cumulative_simpson_rounds_as_scipy(n_rows):
         assert np.array_equal(pde._cumulative_simpson(y, dx), ref)
 
 
-@pytest.mark.parametrize("n_rows", [2, 3, 4, 5, 301])
-def test_cumulative_simpson_rows_equal_the_whole_table(n_rows):
-    rng = np.random.default_rng(n_rows)
-    y = np.exp(3.0 * rng.standard_normal((n_rows, 3, 7)))
-    dx = 1.0 / (n_rows - 1)
-    whole = pde._cumulative_simpson(y, dx)
-    rows = list(pde._cumulative_simpson_rows(lambda k: y[k], n_rows - 1, dx))
-    assert len(rows) == n_rows - 1
-    assert np.array_equal(np.stack(rows), whole[1:])
+@pytest.mark.parametrize("chunk", [2, 4, 64])
+def test_cumulative_simpson_chunks_equal_the_whole_table(chunk):
+    rng = np.random.default_rng(chunk)
+    for n_rows in (2, 3, 4, 5, 6, 7, 8, 9, 301):
+        y = np.exp(3.0 * rng.standard_normal((n_rows, 3, 7)))
+        dx = 1.0 / (n_rows - 1)
+        blocks = list(pde._cumulative_simpson_chunks(
+            lambda lo, hi: y[lo:hi], n_rows - 1, dx, chunk))
+        assert all(len(block) <= chunk for block in blocks)
+        assert np.array_equal(np.concatenate(blocks), pde._cumulative_simpson(y, dx)[1:])
 
 
 def test_cli_import_leaves_out_scipy_integrate():
