@@ -39,9 +39,10 @@ surfaces for every march: the indifference system, the linear
 (small-gamma limit) prices, the first-order expansion in gamma, and the
 single-shock variant, whose source integral is a cumulative Simpson rule
 over a Black-Scholes table, integrated a block of rows at a time as the
-march reaches them.  Each march hands it only its per-step update; the expansion step reuses the linear one for its zeroth order,
-and the indifference and MEMM linear marches take their intensities from
-the one MEMM tilt in ``model``.  A march stores only the time rows it is
+march reaches them.  Each march hands it only its per-step update; the
+expansion step reuses the linear one for its zeroth order, and the
+indifference and MEMM linear marches take their intensities from the one
+MEMM tilt in ``model``.  A march stores only the time rows it is
 asked to ``keep`` (all of them by default), so a quote at t = 0 holds one
 row per surface instead of N + 1.  The single-shock march solves its first
 step, the one that leaves the kinked terminal payoff, to convergence by
@@ -106,18 +107,15 @@ def _check_exponent(x: np.ndarray | float, what: str,
     """Refuse an exponent beyond _EXP_CAP.  With ``gamma_eff`` (one entry
     per block of a (B, ...) stack) the message names the first offending
     block's gamma_eff."""
-    if gamma_eff is None:
-        m = float(np.max(np.abs(x)))
-        if math.isfinite(m) and m <= _EXP_CAP:
-            return
-        where = ""
-    else:
+    m = float(np.max(np.abs(x)))
+    if math.isfinite(m) and m <= _EXP_CAP:
+        return
+    where = ""
+    if gamma_eff is not None:
         ms = np.max(np.abs(x).reshape(len(gamma_eff), -1), axis=1)
-        bad = np.flatnonzero(~(ms <= _EXP_CAP))
-        if bad.size == 0:
-            return
-        m = float(ms[bad[0]])
-        where = f" at gamma_eff = {float(gamma_eff[bad[0]]):.6g}"
+        b = int(np.flatnonzero(~(ms <= _EXP_CAP))[0])
+        m = float(ms[b])
+        where = f" at gamma_eff = {float(gamma_eff[b]):.6g}"
     raise NumericalError(
         f"exponent guard tripped: |{what}| reached {m:.6g} > {_EXP_CAP:.0f}"
         f"{where}; the requested risk aversion / quantity / payoff scale is "
