@@ -39,6 +39,8 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Bisection stops when the reproduced price is within this of the target.
 _IMPLIED_PRICE_TOL = 1e-10
 _IMPLIED_MAX_ITER = 200
+# Largest broadcast bs_price evaluates in one piece.
+_BS_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -81,29 +83,16 @@ def _validate_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
-def bs_price(payoff: Payoff, ttm, spot, sigma: float):
-    """Per-contract Black-Scholes price at zero rates.
-
-    Vectorized over ``ttm`` and ``spot`` (numpy broadcasting).  ttm = 0
-    returns the payoff itself, with the strict-inequality digital
-    convention.
-    """
-    _validate_sigma(sigma)
-    tau = np.asarray(ttm, dtype=float)
-    s = np.asarray(spot, dtype=float)
-    if np.any(tau < 0.0):
-        raise ValueError("ttm must be >= 0")
-    if np.any(s <= 0.0):
-        raise ValueError("spot must be > 0")
-    tau_b, s_b = np.broadcast_arrays(tau, s)
-    out = np.empty(tau_b.shape, dtype=float)
-    expired = tau_b == 0.0
+def _bs_fill(payoff: Payoff, tau: np.ndarray, s: np.ndarray, sigma: float,
+             out: np.ndarray) -> None:
+    """Write P_BS(tau, s) into ``out`` (all three of one shape)."""
+    expired = tau == 0.0
     if np.any(expired):
-        out[expired] = np.asarray(payoff.value(s_b[expired]), dtype=float)
+        out[expired] = np.asarray(payoff.value(s[expired]), dtype=float)
     live = ~expired
     if np.any(live):
-        t_l = tau_b[live]
-        s_l = s_b[live]
+        t_l = tau[live]
+        s_l = s[live]
         k = payoff.strike
         vol = sigma * np.sqrt(t_l)
         d1 = (np.log(s_l / k) + 0.5 * sigma * sigma * t_l) / vol
@@ -117,6 +106,36 @@ def bs_price(payoff: Payoff, ttm, spot, sigma: float):
         else:  # digital_put
             val = ndtr(-d2)
         out[live] = val
+
+
+def bs_price(payoff: Payoff, ttm, spot, sigma: float):
+    """Per-contract Black-Scholes price at zero rates.
+
+    Vectorized over ``ttm`` and ``spot`` (numpy broadcasting).  ttm = 0
+    returns the payoff itself, with the strict-inequality digital
+    convention.  A broadcast of more than ``_BS_BLOCK`` elements is
+    evaluated in blocks of leading-axis rows written straight into the
+    result, so the masks and intermediates stay cache-sized instead of
+    scaling with the whole table.  Every value is an elementwise function
+    of its own (ttm, spot), so the blocks are bit-identical to one
+    whole-array evaluation.
+    """
+    _validate_sigma(sigma)
+    tau = np.asarray(ttm, dtype=float)
+    s = np.asarray(spot, dtype=float)
+    if np.any(tau < 0.0):
+        raise ValueError("ttm must be >= 0")
+    if np.any(s <= 0.0):
+        raise ValueError("spot must be > 0")
+    tau_b, s_b = np.broadcast_arrays(tau, s)
+    out = np.empty(tau_b.shape, dtype=float)
+    if out.size <= _BS_BLOCK:
+        _bs_fill(payoff, tau_b, s_b, sigma, out)
+    else:
+        rows = max(1, _BS_BLOCK * out.shape[0] // out.size)
+        for lo in range(0, out.shape[0], rows):
+            hi = lo + rows
+            _bs_fill(payoff, tau_b[lo:hi], s_b[lo:hi], sigma, out[lo:hi])
     if out.ndim == 0 or (np.isscalar(ttm) and np.isscalar(spot)):
         return float(out.reshape(-1)[0]) if out.size == 1 else out
     return out

@@ -435,9 +435,14 @@ def cmd_converge(cfg: RunConfig) -> tuple[list[str], list[list[str]], bool]:
     base = max(1, cfg.nsteps // 4)
     ladder = [base, 2 * base, 4 * base, 8 * base]
     quotes = []
+    # The MEMM march on the nsteps grid, when a rung is that grid; the MC
+    # block below reuses it.
+    memm_at_nsteps = None
     for n_time in ladder:
         result = linear_price(params, unit, "MEMM", cfg.grid(n_time=n_time),
                               _FIRST_ROW)
+        if n_time == cfg.nsteps:
+            memm_at_nsteps = result
         quotes.append(float(result.quote(cfg.spot)))
     diffs = [abs(b - a) for a, b in zip(quotes, quotes[1:])]
     for (n_a, n_b), d in zip(zip(ladder, ladder[1:]), diffs):
@@ -454,7 +459,10 @@ def cmd_converge(cfg: RunConfig) -> tuple[list[str], list[list[str]], bool]:
     grid = cfg.grid()
     cell = 0
     for measure in ("MMM", "MEMM"):
-        result = linear_price(params, unit, measure, grid, _FIRST_ROW)
+        if measure == "MEMM" and memm_at_nsteps is not None:
+            result = memm_at_nsteps
+        else:
+            result = linear_price(params, unit, measure, grid, _FIRST_ROW)
         for s in cfg.spots:
             est = mc_linear_price(params, unit, measure, float(s), cfg.paths,
                                   (cfg.seed + cell) % 2 ** 63)

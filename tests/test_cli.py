@@ -257,6 +257,25 @@ class TestConvergeCommand:
                      "--seed", "7", "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / "converge_seed7.csv").read_bytes()
 
+    @pytest.mark.parametrize("nsteps,memm_marches", [(200, 4), (201, 5)])
+    def test_memm_at_nsteps_marched_once(self, tmp_path, monkeypatch,
+                                         nsteps, memm_marches):
+        """When a ladder rung is the nsteps grid (4 * (nsteps // 4) ==
+        nsteps), the MC block reuses that rung's MEMM march."""
+        calls = []
+
+        def counting(params, payoff, measure, grid, keep=None):
+            calls.append((measure, grid.n_time))
+            return real(params, payoff, measure, grid, keep)
+
+        real = cli.linear_price
+        monkeypatch.setattr(cli, "linear_price", counting)
+        code, _ = run_cli(tmp_path, "converge", "--nsteps", str(nsteps),
+                          "--paths", "200")
+        assert code in (0, 4)
+        assert [m for m, _ in calls].count("MEMM") == memm_marches
+        assert ("MMM", nsteps) in calls
+
     def test_failed_checks_exit_4(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "cmd_converge",
                             lambda cfg: (["check"], [["boom"]], False))

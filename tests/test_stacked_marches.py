@@ -178,10 +178,9 @@ class TestSingleShockStack:
             solve_single_shock(params, Payoff("vanilla_call", STRIKE), grid,
                                (1.0, 1000.0))
 
-    def test_memory_does_not_grow_by_whole_tables(self, params, grid):
-        """Each block's source table is integrated row by row as the march
-        reaches it, so eight buyers cost less than one more whole
-        (N + 1) x M table over a single buyer."""
+    @staticmethod
+    def extra_peak(params, grid) -> int:
+        """tracemalloc peak of an eight-buyer stack over a one-buyer one."""
         def peak(quantities) -> int:
             tracemalloc.start()
             try:
@@ -191,9 +190,22 @@ class TestSingleShockStack:
             finally:
                 tracemalloc.stop()
 
-        table = (grid.n_time + 1) * grid.n_space * 8
-        extra = peak([float(n) for n in range(1, 9)]) - peak([1.0])
-        assert extra < table
+        return peak([float(n) for n in range(1, 9)]) - peak([1.0])
+
+    def test_memory_does_not_grow_by_whole_tables(self, params, grid_default):
+        """Each block's source table is integrated row by row as the march
+        reaches it, so on the default grid eight buyers cost less than one
+        more whole (N + 1) x M table over a single buyer."""
+        table = (grid_default.n_time + 1) * grid_default.n_space * 8
+        assert self.extra_peak(params, grid_default) < table
+
+    def test_memory_per_extra_buyer_is_a_few_source_chunks(self, params, grid):
+        """What a buyer adds is its source-chunk state: the integrand rows,
+        the exponent temporary and the integrated chunk, each _SOURCE_CHUNK
+        (+ 3) rows x M, about four such chunks in all.  A whole table per
+        buyer would be N / _SOURCE_CHUNK ~ 9.4 chunks at N = 300."""
+        chunk = pde._SOURCE_CHUNK * grid.n_space * 8
+        assert self.extra_peak(params, grid) / 7 <= 6 * chunk
 
     def test_stacked_exponent_guard_names_the_first_offending_block(self):
         x = np.zeros((3, 4))
