@@ -25,8 +25,8 @@ The package provides
 
 from .bs import (BSQuote, ImpliedTTM, adjusted_ttm, bs_greeks, bs_price,
                  implied_ttm)
-from .emm import (LinearPriceResult, linear_price, memm_vs_mmm_spread,
-                  mmm_and_expansion, single_shock_memm_price)
+from .emm import (LinearPriceResult, linear_price, mmm_and_expansion,
+                  single_shock_memm_price)
 from .errors import NumericalError
 from .mc import MCEstimate, mc_linear_price, sample_realized_ttm
 from .model import (MEASURES, PAYOFF_KINDS, IntensityCurve, MertonFactors,
@@ -66,7 +66,6 @@ __all__ = [
     "linear_price",
     "mmm_and_expansion",
     "single_shock_memm_price",
-    "memm_vs_mmm_spread",
     # indifference PDE
     "GridSpec",
     "PriceSurface",

@@ -83,6 +83,24 @@ def _validate_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
+def _bs_formula(payoff: Payoff, tau: np.ndarray, s: np.ndarray, sigma: float):
+    """The Black-Scholes formula at tau > 0, shared by ``bs_price`` and
+    ``bs_greeks``: returns (vol, d1, d2, price) with vol = sigma sqrt(tau)."""
+    k = payoff.strike
+    vol = sigma * np.sqrt(tau)
+    d1 = (np.log(s / k) + 0.5 * sigma * sigma * tau) / vol
+    d2 = d1 - vol
+    if payoff.kind == "vanilla_call":
+        price = s * ndtr(d1) - k * ndtr(d2)
+    elif payoff.kind == "vanilla_put":
+        price = k * ndtr(-d2) - s * ndtr(-d1)
+    elif payoff.kind == "digital_call":
+        price = ndtr(d2)
+    else:  # digital_put
+        price = ndtr(-d2)
+    return vol, d1, d2, price
+
+
 def _bs_fill(payoff: Payoff, tau: np.ndarray, s: np.ndarray, sigma: float,
              out: np.ndarray) -> None:
     """Write P_BS(tau, s) into ``out`` (all three of one shape)."""
@@ -91,21 +109,7 @@ def _bs_fill(payoff: Payoff, tau: np.ndarray, s: np.ndarray, sigma: float,
         out[expired] = np.asarray(payoff.value(s[expired]), dtype=float)
     live = ~expired
     if np.any(live):
-        t_l = tau[live]
-        s_l = s[live]
-        k = payoff.strike
-        vol = sigma * np.sqrt(t_l)
-        d1 = (np.log(s_l / k) + 0.5 * sigma * sigma * t_l) / vol
-        d2 = d1 - vol
-        if payoff.kind == "vanilla_call":
-            val = s_l * ndtr(d1) - k * ndtr(d2)
-        elif payoff.kind == "vanilla_put":
-            val = k * ndtr(-d2) - s_l * ndtr(-d1)
-        elif payoff.kind == "digital_call":
-            val = ndtr(d2)
-        else:  # digital_put
-            val = ndtr(-d2)
-        out[live] = val
+        out[live] = _bs_formula(payoff, tau[live], s[live], sigma)[3]
 
 
 def bs_price(payoff: Payoff, ttm, spot, sigma: float):
@@ -156,21 +160,16 @@ def bs_greeks(payoff: Payoff, ttm, spot, sigma: float) -> BSQuote:
         raise ValueError("spot must be > 0")
     tau_b, s_b = np.broadcast_arrays(tau, s)
     k = payoff.strike
-    vol = sigma * np.sqrt(tau_b)
-    d1 = (np.log(s_b / k) + 0.5 * sigma * sigma * tau_b) / vol
-    d2 = d1 - vol
+    vol, d1, d2, price = _bs_formula(payoff, tau_b, s_b, sigma)
     # d(d1)/dttm and d(d2)/dttm
     dd1 = -np.log(s_b / k) / (2.0 * sigma * tau_b ** 1.5) + sigma / (4.0 * np.sqrt(tau_b))
     dd2 = dd1 - sigma / (2.0 * np.sqrt(tau_b))
     if payoff.kind in ("vanilla_call", "vanilla_put"):
-        price = (s_b * ndtr(d1) - k * ndtr(d2) if payoff.kind == "vanilla_call"
-                 else k * ndtr(-d2) - s_b * ndtr(-d1))
         delta = ndtr(d1) if payoff.kind == "vanilla_call" else ndtr(d1) - 1.0
         theta = s_b * _phi(d1) * sigma / (2.0 * np.sqrt(tau_b))
         charm = _phi(d1) * dd1
     else:
         sign = 1.0 if payoff.kind == "digital_call" else -1.0
-        price = ndtr(sign * d2)
         delta = sign * _phi(d2) / (s_b * vol)
         theta = sign * _phi(d2) * dd2
         charm = sign * _phi(d2) / (s_b * vol) * (-d2 * dd2 - 0.5 / tau_b)

@@ -40,6 +40,7 @@ failure (guard or convergence), 4 convergence-evidence check failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -477,12 +478,8 @@ def cmd_converge(cfg: RunConfig) -> tuple[list[str], list[list[str]], bool]:
 
 
 def _write_report(out: str, header: list[str], rows: list[list[str]]) -> None:
-    if out == "-":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+    with (contextlib.nullcontext(sys.stdout) if out == "-"
+          else open(out, "w", encoding="utf-8", newline="")) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -494,14 +491,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Option pricing under liquidity shocks: closed forms, "
                     "indifference PDE solves, and Monte Carlo cross-checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "price": "price the payoff with every method across the spot list",
-        "ttm": "adjusted / implied time-to-maturity sweeps (vanilla only)",
-        "hedge": "delta curves and hedge decomposition across a spot sweep",
-        "converge": "grid-ladder and PDE-vs-MC evidence run (exit 4 on failure)",
+    # Each command's report function (read when the parser is built, so a
+    # patched ``cmd_*`` is the one that runs) and its help text.
+    commands = {
+        "price": (cmd_price, "price the payoff with every method across the spot list"),
+        "ttm": (cmd_ttm, "adjusted / implied time-to-maturity sweeps (vanilla only)"),
+        "hedge": (cmd_hedge, "delta curves and hedge decomposition across a spot sweep"),
+        "converge": (cmd_converge,
+                     "grid-ladder and PDE-vs-MC evidence run (exit 4 on failure)"),
     }
-    for name, help_text in descriptions.items():
+    for name, (report, help_text) in commands.items():
         p = sub.add_parser(name, help=help_text, description=help_text)
+        p.set_defaults(report=report)
         p.add_argument("--config", metavar="PATH", default=None,
                        help="flat key=value config file ('#' comments)")
         p.add_argument("--out", metavar="PATH", default=None,
@@ -525,18 +526,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        if args.command == "price":
-            header, rows = cmd_price(cfg)
-            status = _EXIT_OK
-        elif args.command == "ttm":
-            header, rows = cmd_ttm(cfg)
-            status = _EXIT_OK
-        elif args.command == "hedge":
-            header, rows = cmd_hedge(cfg)
-            status = _EXIT_OK
-        else:
-            header, rows, ok = cmd_converge(cfg)
-            status = _EXIT_OK if ok else _EXIT_CHECK_FAILED
+        # `converge` adds an overall pass flag to its report.
+        header, rows, *ok = args.report(cfg)
+        status = _EXIT_OK if all(ok) else _EXIT_CHECK_FAILED
         _write_report(cfg.out, header, rows)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

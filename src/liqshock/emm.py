@@ -5,9 +5,11 @@ under the minimal entropy martingale measure (MEMM), whose regime-switch
 intensities are the market ones tilted by the valuation-factor ratio; the
 minimal martingale measure (MMM) leaves the intensities unchanged.  Both
 prices solve the same linear PDE system as the indifference price's
-zeroth-order term and are marched by the shared stepper in ``pde``;
-``mmm_and_expansion`` marches the MMM price beside the MEMM expansion, whose
-zeroth order is the MEMM price, in one pass.
+zeroth-order term and are marched by the shared stepper in ``pde``, with
+the intensities of ``model.intensity_curve``.  ``linear_price`` marches one
+measure; ``mmm_and_expansion`` marches the MMM price beside the MEMM
+expansion, whose zeroth order is the MEMM price, in one pass, so the
+MMM - MEMM spread of a payoff is read off that one pass.
 
 ``single_shock_memm_price`` evaluates the single-shock MEMM price by an
 independent route: the explicit occupation-time representation (condition
@@ -27,14 +29,13 @@ from . import bs as _bs
 from .errors import NumericalError
 from .model import ModelParams, Payoff, single_shock_factors
 from .pde import (AsymptoticBundle, GridSpec, PriceSurface, _expansion_bundle,
-                  _march_expansion, _march_linear)
+                  _kept_rows, _march_expansion, _march_linear)
 
 __all__ = [
     "LinearPriceResult",
     "linear_price",
     "mmm_and_expansion",
     "single_shock_memm_price",
-    "memm_vs_mmm_spread",
 ]
 
 _QUAD_START_PANELS = 400
@@ -61,6 +62,7 @@ class LinearPriceResult:
 
 def _linear_result(measure: str, p: np.ndarray, q: np.ndarray, grid: GridSpec,
                    payoff: Payoff, keep) -> LinearPriceResult:
+    keep = _kept_rows(grid, keep)
     return LinearPriceResult(
         surface_p=PriceSurface(p, grid, payoff, 0, f"{measure}_p", keep),
         surface_q=PriceSurface(q, grid, payoff, 1, f"{measure}_q", keep),
@@ -93,8 +95,7 @@ def mmm_and_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
     ``asymptotic_expansion``; the bundle's p0/q0 are the linear MEMM
     prices, bit-identical to ``linear_price(..., "MEMM", ...)``.
     """
-    p_mmm, q_mmm, *expansion = _march_expansion(params, payoff, grid, keep,
-                                                with_mmm=True)
+    p_mmm, q_mmm, *expansion = _march_expansion(params, payoff, grid, keep)
     return (_linear_result("MMM", p_mmm, q_mmm, grid, payoff, keep),
             _expansion_bundle(params, payoff, grid, keep, expansion))
 
@@ -185,17 +186,3 @@ def single_shock_memm_price(params: ModelParams, payoff: Payoff, t: float,
         f"single-shock quadrature did not converge to {_QUAD_TOL} within "
         f"{_QUAD_MAX_DOUBLINGS} panel doublings (t={t}, spot={spot})")
 
-
-def memm_vs_mmm_spread(params: ModelParams, payoff: Payoff, spot: float,
-                       grid: GridSpec | None = None) -> float:
-    """MMM price minus MEMM price at (t=0, spot), per contract.
-
-    Positive for payoffs increasing in realized liquid time (vanilla
-    calls/puts); may be negative for in-the-money digitals, whose
-    Black-Scholes value decreases in maturity.
-    """
-    if grid is None:
-        grid = GridSpec.build(params, payoff.strike)
-    p_mm = linear_price(params, payoff, "MMM", grid).quote(spot)
-    p_e = linear_price(params, payoff, "MEMM", grid).quote(spot)
-    return float(p_mm - p_e)

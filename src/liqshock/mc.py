@@ -42,7 +42,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_MC_MEASURES = ("MMM", "MEMM", "MEMM_single_shock")
 _MIN_PATHS = 100
 # Relative headroom allowed before declaring the thinning bound violated.
 _BOUND_SLACK = 1e-12
@@ -298,11 +297,9 @@ def mc_linear_price(params: ModelParams, payoff: Payoff, measure: str,
     sample standard deviation (ddof=1) over sqrt(n_paths), computed over
     antithetic pair averages when ``antithetic`` is set.
     """
-    if measure not in _MC_MEASURES:
-        raise ValueError(f"measure must be one of {_MC_MEASURES}, got {measure!r}")
+    curve = intensity_curve(params, measure)
     if not (math.isfinite(spot) and spot > 0.0):
         raise ValueError(f"spot must be positive and finite, got {spot}")
-    curve = intensity_curve(params, measure)
     ttm = sample_realized_ttm(curve, params.T, start_regime, seed, n_paths,
                               antithetic)
     vals = np.asarray(_bs.bs_price(payoff, ttm, spot, params.sigma0), dtype=float)

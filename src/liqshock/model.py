@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 PAYOFF_KINDS = ("vanilla_call", "vanilla_put", "digital_call", "digital_put")
-MEASURES = ("physical", "MMM", "MEMM", "MEMM_single_shock")
+MEASURES = ("MMM", "MEMM", "MEMM_single_shock")
 
 # Uniform samples used to bound an intensity curve from above, and the
 # safety factor applied to the sampled maximum (curves are smooth and slowly
@@ -288,11 +288,12 @@ def single_shock_factors(params: ModelParams) -> SingleShockFactors:
 class IntensityCurve:
     """Regime-switch intensities t -> (nu01(t), nu10(t)) under a measure.
 
-    physical / MMM keep the market intensities (the MMM does not tilt the
-    chain).  MEMM multiplies by the discount-factor ratio of the target
-    regime over the current one; MEMM_single_shock does the same with the
-    single-shock factors.  ``bound01``/``bound10`` are upper bounds for the
-    curves on [0, T], used by the thinning sampler.
+    MMM keeps the market intensities (it does not tilt the chain).  MEMM
+    multiplies by the discount-factor ratio of the target regime over the
+    current one; MEMM_single_shock does the same with the single-shock
+    factors.  ``bound01``/``bound10`` are upper bounds for the
+    curves on [0, T], used by the thinning sampler; a ``constant`` curve is
+    bounded by its value at t = 0.
     """
 
     def __init__(self, measure: str, params: ModelParams, fn01, fn10, constant: bool):
@@ -300,7 +301,6 @@ class IntensityCurve:
         self.params = params
         self._fn01 = fn01
         self._fn10 = fn10
-        self.is_constant = constant
         if constant:
             self.bound01 = float(fn01(0.0))
             self.bound10 = float(fn10(0.0))
@@ -322,16 +322,12 @@ def intensity_curve(params: ModelParams, measure: str) -> IntensityCurve:
     """Build the intensity curve of one of the supported measures."""
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
-    if measure in ("physical", "MMM"):
-        n01, n10 = params.nu01, params.nu10
+    if measure == "MMM":
+        def flat(v):
+            return lambda t: np.full_like(np.asarray(t, dtype=float), v, dtype=float)
 
-        def fn01(t, _v=n01):
-            return np.full_like(np.asarray(t, dtype=float), _v, dtype=float)
-
-        def fn10(t, _v=n10):
-            return np.full_like(np.asarray(t, dtype=float), _v, dtype=float)
-
-        return IntensityCurve(measure, params, fn01, fn10, constant=True)
+        return IntensityCurve(measure, params, flat(params.nu01),
+                              flat(params.nu10), constant=True)
     if measure == "MEMM":
         fac = merton_factors(params)
 

@@ -40,15 +40,15 @@ surfaces for every march: the indifference system, the linear
 single-shock variant, whose source integral is a cumulative Simpson rule
 over a Black-Scholes table, integrated a block of rows at a time as the
 march reaches them.  Each march hands it only its per-step update; the
-expansion step reuses the linear one for its zeroth order, and the
-indifference and MEMM linear marches take their intensities from the one
-MEMM tilt in ``model``.  A march stores only the time rows it is
-asked to ``keep`` (all of them by default), so a quote at t = 0 holds one
-row per surface instead of N + 1.  The single-shock march solves its first
-step, the one that leaves the kinked terminal payoff, to convergence by
-repeating the linearization (Newton): a single linearized step there
-overstates the source next to the strike and lifts the buyer price above
-its gamma -> 0 limit.
+expansion step reuses the linear one for its zeroth order, the linear
+steps take their intensities from ``model.intensity_curve`` and the
+indifference step from the one MEMM tilt in ``model`` behind it.  A march
+stores only the time rows it is asked to ``keep`` (all of them by
+default), so a quote at t = 0 holds one row per surface instead of N + 1.
+The single-shock march solves its first step, the one that leaves the
+kinked terminal payoff, to convergence by repeating the linearization
+(Newton): a single linearized step there overstates the source next to the
+strike and lifts the buyer price above its gamma -> 0 limit.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ from scipy.linalg.lapack import dgtsv
 
 from . import bs as _bs
 from .errors import NumericalError
-from .model import (ModelParams, Payoff, _memm_intensities, merton_factors,
-                    single_shock_factors)
+from .model import (ModelParams, Payoff, _memm_intensities, intensity_curve,
+                    merton_factors, single_shock_factors)
 
 __all__ = [
     "GridSpec",
@@ -246,11 +246,11 @@ class GridSpec:
         return np.exp(self.z_nodes())
 
 
-def _kept_rows(grid: GridSpec, keep) -> tuple[int, ...]:
+def _kept_rows(grid: GridSpec, keep) -> tuple[int, ...] | None:
     """Sorted distinct time-row indices from a sequence of them; ``None``
-    means every row."""
+    (every row) stays ``None``."""
     if keep is None:
-        return tuple(range(grid.n_time + 1))
+        return None
     rows = sorted({operator.index(i) for i in keep})
     if not rows:
         raise ValueError("keep must name at least one time row")
@@ -267,7 +267,8 @@ class PriceSurface:
 
     ``values[k, j]`` is the price at the k-th stored time row and log-price
     z_min + j * delta_z.  ``keep`` lists the grid time indices of the
-    stored rows (ascending); ``None`` means every row, so ``values[i]`` is
+    stored rows (strictly ascending, in the order of ``values``; anything
+    else is refused); ``None`` means every row, so ``values[i]`` is
     the row at calendar time i * delta_t.  ``regime`` tags which regime the
     surface quotes (0: tradeable regime, 1: shock regime).
     """
@@ -281,7 +282,12 @@ class PriceSurface:
 
     def __post_init__(self) -> None:
         if self.keep is not None:
-            object.__setattr__(self, "keep", _kept_rows(self.grid, self.keep))
+            keep = _kept_rows(self.grid, self.keep)
+            if keep != tuple(self.keep):
+                raise ValueError(
+                    f"keep must list distinct time rows in ascending order, "
+                    f"got {self.keep!r}")
+            object.__setattr__(self, "keep", keep)
         n_rows = self.grid.n_time + 1 if self.keep is None else len(self.keep)
         expected = (n_rows, self.grid.n_space)
         if self.values.shape != expected:
@@ -308,10 +314,16 @@ class PriceSurface:
         """Price profile over z at grid time t."""
         return self.values[self._row_index(t)]
 
-    def _locate(self, spot) -> tuple[np.ndarray, np.ndarray]:
+    def _stencil(self, spot, t: float):
+        """The three-node read of the row at t behind ``quote`` and
+        ``delta``: each spot's offset x = z - z_j from its nearest interior
+        node j, the value p_j there, and the differences p_{j+1} - p_{j-1}
+        and p_{j+1} - 2 p_j + p_{j-1}."""
+        row = self.row(t)
         s = np.asarray(spot, dtype=float)
-        if np.any(s <= 0.0):
-            raise ValueError("spot must be > 0")
+        flat = s.reshape(-1)
+        _bs._first_bad(flat, np.isfinite(flat) & (flat > 0.0),
+                       "spot must be positive and finite")
         z = np.log(s)
         outside = (z < self.grid.z_min) | (z > self.grid.z_max)
         if np.any(outside):
@@ -320,31 +332,23 @@ class PriceSurface:
                 f"[{math.exp(self.grid.z_min):.6g}, {math.exp(self.grid.z_max):.6g}]")
         j = np.rint((z - self.grid.z_min) / self.grid.delta_z).astype(int)
         j = np.clip(j, 1, self.grid.n_space - 2)
-        return z, j
+        x = z - (self.grid.z_min + j * self.grid.delta_z)
+        pm, p0, pp = row[j - 1], row[j], row[j + 1]
+        return x, p0, pp - pm, pp - 2.0 * p0 + pm
 
     def quote(self, spot, t: float = 0.0):
         """Price at (t, spot); quadratic interpolation on the three nearest
         nodes.  Vectorized over spot."""
-        row = self.row(t)
-        z, j = self._locate(spot)
-        zj = self.grid.z_min + j * self.grid.delta_z
-        x = z - zj
+        x, p0, d1, d2 = self._stencil(spot, t)
         dz = self.grid.delta_z
-        pm, p0, pp = row[j - 1], row[j], row[j + 1]
-        out = p0 + x * (pp - pm) / (2.0 * dz) + 0.5 * x * x * (pp - 2.0 * p0 + pm) / (dz * dz)
+        out = p0 + x * d1 / (2.0 * dz) + 0.5 * x * x * d2 / (dz * dz)
         return out if np.ndim(out) else float(out)
 
     def delta(self, spot, t: float = 0.0):
         """dP/dS at (t, spot) from the same local quadratic, divided by S."""
-        row = self.row(t)
-        z, j = self._locate(spot)
-        zj = self.grid.z_min + j * self.grid.delta_z
-        x = z - zj
+        x, _, d1, d2 = self._stencil(spot, t)
         dz = self.grid.delta_z
-        pm, p0, pp = row[j - 1], row[j], row[j + 1]
-        dpdz = (pp - pm) / (2.0 * dz) + x * (pp - 2.0 * p0 + pm) / (dz * dz)
-        s = np.asarray(spot, dtype=float)
-        out = dpdz / s
+        out = (d1 / (2.0 * dz) + x * d2 / (dz * dz)) / np.asarray(spot, dtype=float)
         return out if np.ndim(out) else float(out)
 
 
@@ -423,7 +427,7 @@ def _march(grid: GridSpec, terminal: tuple[np.ndarray, ...], step,
     kept row is stored where it belongs as soon as it is computed.
     """
     n = grid.n_time
-    keep = _kept_rows(grid, keep)
+    keep = _kept_rows(grid, keep) or range(n + 1)
     slot = [-1] * (n + 1)
     for k, i in enumerate(keep):
         slot[i] = k
@@ -482,7 +486,8 @@ def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
 def _linear_step(params: ModelParams, grid: GridSpec,
                  measures: tuple[str, ...], stepper: _Stepper):
     """Step of the linear (p, q) system, one block per measure ('MMM' or
-    'MEMM' intensities) of a (B, M) stack.
+    'MEMM') of a (B, M) stack, with the intensities of
+    ``model.intensity_curve``.
 
     Returns ``(step, dt_k01, w)``: ``step(i, rows)`` maps the rows (p, q)
     at time i + 1 to those at time i, and ``dt_k01[i]`` and ``w[i]`` (shape
@@ -494,14 +499,10 @@ def _linear_step(params: ModelParams, grid: GridSpec,
     dt_k01 = np.empty((times.size, len(measures), 1))
     w = np.empty_like(dt_k01)
     for b, measure in enumerate(measures):
-        if measure == "MEMM":
-            nu01_t, nu10_t = _memm_intensities(merton_factors(params), times)
-        else:
-            nu01_t = np.full(times.shape, params.nu01)
-            nu10_t = np.full(times.shape, params.nu10)
-        dt_k01[:, b, 0] = dt * nu01_t
+        curve = intensity_curve(params, measure)
+        dt_k01[:, b, 0] = dt * curve.nu01(times)
         # math.exp, not np.exp: the weights must round as a scalar step's do.
-        w[:, b, 0] = [math.exp(-float(v) * dt) for v in nu10_t]
+        w[:, b, 0] = [math.exp(-float(v) * dt) for v in curve.nu10(times)]
 
     def step(i: int, rows):
         p, q = rows
@@ -524,10 +525,10 @@ def _march_linear(params: ModelParams, payoff: Payoff, grid: GridSpec,
 
 
 def _march_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                     keep=None, with_mmm: bool = False) -> tuple[np.ndarray, ...]:
-    """March the small-gamma expansion under MEMM intensities: the linear
-    prices (p0, q0) and the first-order coefficients (p1, q1), and with
-    ``with_mmm`` the linear MMM prices too, as (p0, q0, p1, q1) or
+                     keep=None) -> tuple[np.ndarray, ...]:
+    """March the linear MMM prices next to the small-gamma expansion under
+    MEMM intensities, whose zeroth order (p0, q0) is the linear MEMM price
+    and (p1, q1) its first-order coefficients; returns
     (p_mmm, q_mmm, p0, q0, p1, q1).
 
     The MMM block rides in the same tridiagonal solve as p0 (a two-block
@@ -539,18 +540,17 @@ def _march_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
     coefficients stay <= 0 node by node (they measure the concave utility
     drag, which only subtracts value).
     """
-    measures = ("MMM", "MEMM") if with_mmm else ("MEMM",)
-    linear, dt_k01, w = _linear_step(
-        params, grid, measures, _Stepper(grid, params.sigma0, len(measures)))
-    k_memm = dt_k01[:, -1, 0].tolist()
-    w_memm = w[:, -1, 0].tolist()
+    linear, dt_k01, w = _linear_step(params, grid, ("MMM", "MEMM"),
+                                     _Stepper(grid, params.sigma0, 2))
+    k_memm = dt_k01[:, 1, 0].tolist()
+    w_memm = w[:, 1, 0].tolist()
     stepper = _Stepper(grid, params.sigma0)
 
     def step(i: int, rows):
         p_lin, q_lin, p1, q1 = rows
         p_lin_new, q_lin_new = linear(i, (p_lin, q_lin))
-        # The MEMM block (the last) is the zeroth order p0, q0.
-        p0, q0, p0_new = p_lin[-1], q_lin[-1], p_lin_new[-1]
+        # The MEMM block (the second) is the zeroth order p0, q0.
+        p0, q0, p0_new = p_lin[1], q_lin[1], p_lin_new[1]
         dt_k01, w = k_memm[i], w_memm[i]
         # Differentiate the nonlinear updates in gamma at gamma = 0.
         # p-step: source picks up -(1/2) v^2 plus the linearisation
@@ -564,12 +564,10 @@ def _march_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
         q1 = p1 + (q1 - p1) * w + 0.5 * w * (w - 1.0) * vin**2
         return p_lin_new, q_lin_new, p1, q1
 
-    h = np.tile(_terminal(payoff, grid), (len(measures), 1))
+    h = np.tile(_terminal(payoff, grid), (2, 1))
     zero = np.zeros(grid.n_space)
     p_lin, q_lin, p1, q1 = _march(grid, (h, h, zero, zero), step, keep)
-    if with_mmm:
-        return p_lin[0], q_lin[0], p_lin[1], q_lin[1], p1, q1
-    return p_lin[0], q_lin[0], p1, q1
+    return p_lin[0], q_lin[0], p_lin[1], q_lin[1], p1, q1
 
 
 def _single_shock_base(params: ModelParams, payoff: Payoff, grid: GridSpec):
@@ -785,6 +783,7 @@ def solve_indifference(params: ModelParams, payoff: Payoff, grid: GridSpec,
     2 * len(quantities) surfaces of that many rows.
     """
     ns = [float(n) for n in quantities]
+    keep = _kept_rows(grid, keep)
     p, q = _march_nonlinear(params, payoff, grid,
                             np.array([n * params.gamma for n in ns]), keep)
     out = []
@@ -826,6 +825,7 @@ def solve_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
     for n in ns:
         if n <= 0.0:
             raise ValueError(f"buyer solve requires quantity > 0, got {n}")
+    keep = _kept_rows(grid, keep)
     p = _march_single_shock(params, payoff, grid,
                             np.array([n * params.gamma for n in ns]), keep)
     return [PriceSurface(p[b], grid, replace(payoff, quantity=n), 0,
@@ -877,6 +877,7 @@ class AsymptoticBundle:
 
 def _expansion_bundle(params: ModelParams, payoff: Payoff, grid: GridSpec,
                       keep, surfaces) -> AsymptoticBundle:
+    keep = _kept_rows(grid, keep)
     p0, q0, p1, q1 = (PriceSurface(v, grid, payoff, regime, label, keep)
                       for v, regime, label in zip(surfaces, (0, 1, 0, 1),
                                                   ("p0", "q0", "p1", "q1")))
@@ -887,9 +888,10 @@ def asymptotic_expansion(params: ModelParams, payoff: Payoff,
                          grid: GridSpec) -> AsymptoticBundle:
     """March the small-gamma expansion system (MEMM intensities): p0/q0 are
     the linear MEMM prices, p1/q1 carry source -(1/2) nu01(t) (q0 - p0)^2
-    and are nonpositive node by node."""
+    and are nonpositive node by node.  The one expansion march also marches
+    the MMM price (see ``emm.mmm_and_expansion``); it is dropped here."""
     return _expansion_bundle(params, payoff, grid, None,
-                             _march_expansion(params, payoff, grid))
+                             _march_expansion(params, payoff, grid)[2:])
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,17 @@ class TestBsGreeks:
         with pytest.raises(ValueError):
             bs_greeks(Payoff("vanilla_call", 10.0), 0.0, 10.0, SIGMA)
 
+    @pytest.mark.parametrize("kind", ["vanilla_call", "vanilla_put",
+                                      "digital_call", "digital_put"])
+    def test_price_equals_bs_price_bitwise(self, kind):
+        """bs_greeks and bs_price share one formula: equal bit for bit on a
+        (ttm, spot) grid reaching deep in and out of the money."""
+        payoff = Payoff(kind, 10.0)
+        ttm = np.array([1e-6, 1e-3, 0.05, 0.5, 1.0, 3.0, 25.0])[:, None]
+        spot = np.array([0.5, 2.0, 7.0, 9.99, 10.0, 10.01, 13.0, 40.0, 500.0])[None, :]
+        assert np.array_equal(bs_greeks(payoff, ttm, spot, SIGMA).price,
+                              bs_price(payoff, ttm, spot, SIGMA))
+
 
 class TestAdjustedTtm:
     def make(self, **kw) -> ModelParams:

@@ -20,7 +20,6 @@ from liqshock import (
     Payoff,
     bs_price,
     linear_price,
-    memm_vs_mmm_spread,
     single_shock_memm_price,
 )
 from conftest import SPOTS, STRIKE
@@ -112,14 +111,6 @@ class TestSingleShockMemm:
 
 
 class TestSpread:
-    def test_wiring_matches_fixture_surfaces(self, params, linear_solved,
-                                             grid_default):
-        payoff = Payoff("vanilla_call", STRIKE)
-        direct = memm_vs_mmm_spread(params, payoff, 10.0, grid_default)
-        via_fixture = (linear_solved("MMM", "vanilla_call").quote(10.0)
-                       - linear_solved("MEMM", "vanilla_call").quote(10.0))
-        assert direct == pytest.approx(via_fixture, abs=1e-12)
-
     def test_vanilla_call_spread_positive(self, linear_solved):
         mm = linear_solved("MMM", "vanilla_call")
         me = linear_solved("MEMM", "vanilla_call")

@@ -88,8 +88,7 @@ class TestPayoff:
     def test_registry_constants(self):
         assert set(PAYOFF_KINDS) == {
             "vanilla_call", "vanilla_put", "digital_call", "digital_put"}
-        assert set(MEASURES) == {
-            "physical", "MMM", "MEMM", "MEMM_single_shock"}
+        assert set(MEASURES) == {"MMM", "MEMM", "MEMM_single_shock"}
 
 
 class TestMertonFactors:
@@ -183,14 +182,12 @@ class TestSingleShockFactors:
 
 
 class TestIntensityCurves:
-    def test_physical_and_mmm_are_constant(self):
+    def test_mmm_is_constant(self):
         p = make_params()
-        for measure in ("physical", "MMM"):
-            c = intensity_curve(p, measure)
-            assert c.is_constant
-            ts = np.linspace(0.0, p.T, 5)
-            assert np.allclose(c.nu01(ts), p.nu01)
-            assert np.allclose(c.nu10(ts), p.nu10)
+        c = intensity_curve(p, "MMM")
+        ts = np.linspace(0.0, p.T, 5)
+        assert np.allclose(c.nu01(ts), p.nu01)
+        assert np.allclose(c.nu10(ts), p.nu10)
 
     def test_memm_tilt_direction_and_terminal_value(self):
         """The tilted chain is more shock-prone: nu01 is scaled up by

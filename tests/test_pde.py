@@ -104,6 +104,13 @@ class TestPriceSurface:
         with pytest.raises(ValueError):
             p.quote(-3.0)
 
+    @pytest.mark.parametrize("spot", [math.nan, math.inf, [10.0, math.nan]])
+    def test_non_finite_spot_rejected(self, indiff_solved, spot):
+        p, _ = indiff_solved("vanilla_call", 1.0)
+        for read in (p.quote, p.delta):
+            with pytest.raises(ValueError, match="spot must be positive and finite"):
+                read(spot)
+
     def test_quote_reproduces_nodal_values(self, indiff_solved):
         p, _ = indiff_solved("vanilla_call", 1.0)
         nodes = p.grid.spot_nodes()

@@ -123,6 +123,17 @@ class TestKeptRowSurface:
         assert a.keep == (0, 150)
         assert np.array_equal(a.values, b.values)
 
+    def test_keep_out_of_order_is_refused(self, params, grid):
+        """``keep`` names the time of each row of ``values`` in order, so a
+        surface cannot re-sort it without misreading its rows."""
+        unit = Payoff("vanilla_call", STRIKE)
+        full = linear_price(params, unit, "MMM", grid).surface_p
+        for keep in ((150, 0), (0, 0, 150)):
+            with pytest.raises(ValueError, match="keep must list distinct"):
+                PriceSurface(full.values[list(keep)], grid, unit, 0, keep=keep)
+        kept = PriceSurface(full.values[[0, 150]], grid, unit, 0, keep=(0, 150))
+        assert kept.quote(10.0) == full.quote(10.0)
+
 
 def first_step_iterations(params, payoff, grid, monkeypatch) -> int:
     """Newton iterations of a solo single-shock march's first step: every
