@@ -20,6 +20,14 @@ intensities are sampled by thinning against a precomputed curve bound,
 constant intensities accept every candidate (which reduces thinning to
 plain exponential sojourns), and the single-shock curve makes the first
 recovery absorbing.
+
+A candidate whose intensity reaches its bound is accepted whatever its
+acceptance draw, so a dense round fills the acceptance vector (purpose 1)
+only when one of its blocks holds a candidate below its bound, once, at
+the first such block.  MMM, and MEMM at d0 = 0, never fill it; MEMM and
+single-shock curves fill it in every dense round.  This depends only on
+the intensities a round computes, and every draw is the same, bit for
+bit, as if every round filled both vectors.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ _MASK64 = (1 << 64) - 1
 _LO32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 _TWO_M53 = 1.0 / 9007199254740992.0
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -188,6 +197,13 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
     if horizon == 0.0:
         return np.zeros(n_paths)
     bounds = (curve.bound01, curve.bound10)
+    # Waits are log1p(-u) / -rate, which is -log1p(-u) / rate bit for bit;
+    # only a zero bound needs a where, to draw w = inf (no candidate).
+    neg_rates = (-bounds[0], -bounds[1])
+    all_positive = bounds[0] > 0.0 and bounds[1] > 0.0
+    # A candidate whose intensity reaches a normal, finite bound b is
+    # accepted whatever its draw: u * b < b for every u in [0, 1).
+    exact_bounds = all(b == 0.0 or _TINY <= b < math.inf for b in bounds)
     # The live paths' index (ascending), regime, clock and liquid time so
     # far; a round compacts its survivors to the front, in order.  A path
     # writes its result to ``liquid`` when it retires.
@@ -212,7 +228,9 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
             if u_s is None:
                 u_s, u_a = np.empty(n_paths), np.empty(n_paths)
             _round_uniforms(seed, r, 0, antithetic, u_s)
-            _round_uniforms(seed, r, 1, False, u_a)
+        # The acceptance vector is filled on the round's first block that
+        # can reject a candidate (never when every candidate is certain).
+        filled = False
         kept = 0
         for lo in range(0, n_live, _BLOCK):
             hi = min(lo + _BLOCK, n_live)
@@ -220,14 +238,19 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
             if sparse:
                 us, ua = _live_uniforms(seed, r, antithetic, n_paths, ix)
             else:
-                us, ua = u_s[ix], u_a[ix]
+                us = u_s[ix]
             st = state[lo:hi]
             t_old = t_cur[lo:hi]
             liq = acc_liq[lo:hi]
             m0 = st == 0
-            rate = np.where(m0, bounds[0], bounds[1])
-            with np.errstate(divide="ignore"):
-                w = np.where(rate > 0.0, -np.log1p(-us) / rate, np.inf)
+            neg_rate = np.where(m0, neg_rates[0], neg_rates[1])
+            # us is a copy: the exponential waits are computed in place.
+            w = np.log1p(np.negative(us, out=us), out=us)
+            if all_positive:
+                w /= neg_rate
+            else:
+                with np.errstate(divide="ignore"):
+                    w = np.where(neg_rate < 0.0, w / neg_rate, np.inf)
             # Liquid time accrues along regime-0 stretches up to the
             # horizon, whether or not the candidate switch is accepted.
             # Adding 0.0 leaves every other entry (all >= 0) unchanged.
@@ -254,7 +277,14 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
                 raise NumericalError(
                     "intensity exceeded its thinning bound; the curve bound "
                     "is not a true upper bound")
-            acc = ua.take(sel) * bnd < nu_c
+            if exact_bounds and np.all(nu_c >= bnd):
+                acc = np.ones(ix.size, dtype=bool)
+            else:
+                if not (sparse or filled):
+                    _round_uniforms(seed, r, 1, False, u_a)
+                    filled = True
+                ua = ua.take(sel) if sparse else u_a[ix]
+                acc = ua * bnd < nu_c
             n_cand += ix.size
             n_acc += int(np.count_nonzero(acc))
             if absorbing:

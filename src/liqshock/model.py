@@ -178,23 +178,26 @@ class MertonFactors:
         tau = self.T - np.asarray(t, dtype=float)
         return tau
 
-    def F0(self, t: np.ndarray | float) -> np.ndarray | float:
+    def _factors(self, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+        """(F0(t), F1(t)), both from one pair of exponentials."""
         tau = self._tau(t)
         if self.nu01 == 0.0:
-            out = np.exp(-self.d0 * tau)
-        else:
-            out = self._a1 * np.exp(-self.lambda1 * tau) + self._a2 * np.exp(-self.lambda2 * tau)
+            e = np.exp(-self.d0 * tau)
+            return e, e * (1.0 + self.d0 * _one_minus_exp_over(self.nu10 - self.d0, tau))
+        e1 = np.exp(-self.lambda1 * tau)
+        e2 = np.exp(-self.lambda2 * tau)
+        a1, a2 = self._a1, self._a2
+        k = self.d0 + self.nu01
+        w1 = a1 * (k - self.lambda1) / self.nu01
+        w2 = a2 * (k - self.lambda2) / self.nu01
+        return a1 * e1 + a2 * e2, w1 * e1 + w2 * e2
+
+    def F0(self, t: np.ndarray | float) -> np.ndarray | float:
+        out = self._factors(t)[0]
         return out if np.ndim(out) else float(out)
 
     def F1(self, t: np.ndarray | float) -> np.ndarray | float:
-        tau = self._tau(t)
-        if self.nu01 == 0.0:
-            out = np.exp(-self.d0 * tau) * (1.0 + self.d0 * _one_minus_exp_over(self.nu10 - self.d0, tau))
-        else:
-            k = self.d0 + self.nu01
-            w1 = self._a1 * (k - self.lambda1) / self.nu01
-            w2 = self._a2 * (k - self.lambda2) / self.nu01
-            out = w1 * np.exp(-self.lambda1 * tau) + w2 * np.exp(-self.lambda2 * tau)
+        out = self._factors(t)[1]
         return out if np.ndim(out) else float(out)
 
     def F2(self, t: np.ndarray | float) -> np.ndarray | float:
@@ -226,8 +229,7 @@ def _memm_intensities(fac: MertonFactors,
     """MEMM switch intensities (nu01(t), nu10(t)) at times t: each market
     intensity times the discount factor of the regime it enters over that
     of the regime it leaves, nu01 F1/F0 and nu10 F0/F1."""
-    f0 = np.asarray(fac.F0(t), dtype=float)
-    f1 = np.asarray(fac.F1(t), dtype=float)
+    f0, f1 = fac._factors(t)
     return fac.nu01 * f1 / f0, fac.nu10 * f0 / f1
 
 

@@ -890,8 +890,12 @@ def asymptotic_expansion(params: ModelParams, payoff: Payoff,
     the linear MEMM prices, p1/q1 carry source -(1/2) nu01(t) (q0 - p0)^2
     and are nonpositive node by node.  The one expansion march also marches
     the MMM price (see ``emm.mmm_and_expansion``); it is dropped here."""
-    return _expansion_bundle(params, payoff, grid, None,
-                             _march_expansion(params, payoff, grid)[2:])
+    p0, q0, p1, q1 = _march_expansion(params, payoff, grid)[2:]
+    # p0/q0 are views into the two-block stacks; each copy drops the last
+    # view of its stack, which frees that stack's MMM block.
+    p0 = p0.copy()
+    q0 = q0.copy()
+    return _expansion_bundle(params, payoff, grid, None, (p0, q0, p1, q1))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from liqshock import (
     merton_factors,
     single_shock_factors,
 )
+from liqshock.model import _memm_intensities
 
 TABLE_PARAMS = dict(mu0=0.06, sigma0=0.3, nu01=1.0, nu10=12.0, gamma=1.0, T=1.0)
 
@@ -43,6 +44,29 @@ param_strategy = st.builds(
     nu10=st.floats(0.5, 20.0),
     T=st.floats(0.1, 3.0),
 )
+
+
+# Corners of the benchmark's parameter box (T = 1, gamma does not enter).
+BOX_CORNERS = [dict(sigma0=s, nu01=a, nu10=b, mu0=m)
+               for s in (0.2, 0.4) for a in (0.5, 2.0) for b in (6.0, 24.0)
+               for m in (0.03, 0.09)]
+
+
+def separate_factors(fac, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """F0 and F1 as two separate closed forms, each evaluating its own
+    exponentials."""
+    tau = fac.T - t
+    d0, nu01, nu10, l1, l2 = fac.d0, fac.nu01, fac.nu10, fac.lambda1, fac.lambda2
+    if nu01 == 0.0:
+        delta = nu10 - d0
+        ratio = tau + 0.0 if delta == 0.0 else -np.expm1(-delta * tau) / delta
+        return np.exp(-d0 * tau), np.exp(-d0 * tau) * (1.0 + d0 * ratio)
+    a1 = (l2 - d0) / (l2 - l1)
+    a2 = (l1 - d0) / (l1 - l2)
+    w1 = a1 * (d0 + nu01 - l1) / nu01
+    w2 = a2 * (d0 + nu01 - l2) / nu01
+    return (a1 * np.exp(-l1 * tau) + a2 * np.exp(-l2 * tau),
+            w1 * np.exp(-l1 * tau) + w2 * np.exp(-l2 * tau))
 
 
 class TestModelParams:
@@ -138,6 +162,23 @@ class TestMertonFactors:
         ref = expm(A * p.T) @ np.array([1.0, 1.0])
         assert fac.F0(0.0) == pytest.approx(ref[0], rel=1e-12)
         assert fac.F1(0.0) == pytest.approx(ref[1], rel=1e-12)
+
+    @pytest.mark.parametrize("kw", BOX_CORNERS + [
+        dict(nu01=0.0), dict(mu0=0.0), dict(nu01=0.0, mu0=0.0)],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_memm_intensities_share_exponentials_exactly(self, kw):
+        """F0 and F1 computed from one shared pair of exponentials equal
+        their separate closed forms bit for bit, and so do the MEMM
+        intensities nu01 F1/F0 and nu10 F0/F1."""
+        p = make_params(**kw)
+        fac = merton_factors(p)
+        t = np.linspace(0.0, p.T, 2001)
+        f0, f1 = separate_factors(fac, t)
+        assert np.array_equal(fac.F0(t), f0)
+        assert np.array_equal(fac.F1(t), f1)
+        nu01_t, nu10_t = _memm_intensities(fac, t)
+        assert np.array_equal(nu01_t, p.nu01 * fac.F1(t) / fac.F0(t))
+        assert np.array_equal(nu10_t, p.nu10 * fac.F0(t) / fac.F1(t))
 
     @settings(max_examples=60, deadline=None)
     @given(param_strategy)

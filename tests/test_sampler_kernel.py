@@ -6,8 +6,12 @@ filled both uniform vectors for every path in every round.  50,000 paths
 span several blocks of live paths, and both dense rounds (draws taken from
 the filled vectors) and sparse rounds (draws computed at the live indices
 only).  The blocked sampler must reproduce them bit for bit whatever the
-block size and wherever the sparse-round threshold lies.  (Like the march
-goldens, the digests pin this platform's floating point.)
+block size and wherever the sparse-round threshold lies.  Its ``curves``
+entry is a constant-flagged curve whose nu01 equals its bound on [0, T/2]
+and falls below it after, so acceptance is certain for some candidates
+and not for others; those digests were written before dense rounds
+learned to skip the acceptance fill.  (Like the march goldens, the digests
+pin this platform's floating point.)
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +33,7 @@ from liqshock import (
     sample_realized_ttm,
 )
 from liqshock import mc
+from liqshock.model import IntensityCurve
 
 GOLDENS = json.loads((Path(__file__).parent / "data" /
                       "sampler_digests_50k.json").read_text())
@@ -57,6 +63,38 @@ def draw_digests(name: str) -> dict[str, str]:
         out[f"MEMM_single_shock_anti{int(anti)}"] = digest(
             sample_realized_ttm(curve, params.T, 0, seed, n, anti))
     return out
+
+
+def kinked_curve() -> tuple[IntensityCurve, dict]:
+    """The stored curve: nu01 = 1.5 - max(0, t - 0.5) under its bound
+    nu01(0) = 1.5, and a constant nu10 = 12."""
+    spec = GOLDENS["curves"]["nu01_kinked_at_half"]
+    params = ModelParams(**spec["params"])
+    curve = IntensityCurve("kinked", params,
+                           lambda t: 1.5 - np.maximum(0.0, t - 0.5),
+                           lambda t: np.full_like(t, 12.0), constant=True)
+    return curve, spec
+
+
+def kinked_digests() -> dict[str, str]:
+    curve, spec = kinked_curve()
+    return {f"r{regime}_anti{int(anti)}": digest(sample_realized_ttm(
+                curve, curve.params.T, regime, spec["seed"],
+                GOLDENS["n_paths"], anti))
+            for regime in (0, 1) for anti in (False, True)}
+
+
+def count_fills(monkeypatch) -> list[int]:
+    """Record the purpose of every ``_round_uniforms`` fill."""
+    purposes = []
+    real = mc._round_uniforms
+
+    def spy(seed, round_idx, purpose, antithetic, out):
+        purposes.append(purpose)
+        return real(seed, round_idx, purpose, antithetic, out)
+
+    monkeypatch.setattr(mc, "_round_uniforms", spy)
+    return purposes
 
 
 def test_goldens_reach_sparse_rounds_and_several_blocks(monkeypatch):
@@ -97,6 +135,51 @@ def test_draws_independent_of_block_size(monkeypatch):
     monkeypatch.setattr(mc, "_BLOCK", 64)
     name = SETS[-1]
     assert draw_digests(name) == GOLDENS["sets"][name]["digests"]
+
+
+@pytest.mark.parametrize("block", [mc._BLOCK, 64])
+def test_skipped_acceptance_fill_keeps_draws(monkeypatch, block):
+    """Where some candidates reach their bound and others fall below it,
+    the draws are those of the sampler that filled every acceptance
+    vector."""
+    monkeypatch.setattr(mc, "_BLOCK", block)
+    assert kinked_digests() == GOLDENS["curves"]["nu01_kinked_at_half"][
+        "digests"]
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_acceptance_fills_only_where_a_candidate_can_be_rejected(
+        monkeypatch, name):
+    """MMM, and MEMM at d0 = 0, accept every candidate, so no round fills
+    the acceptance vector (purpose 1); MEMM can reject any candidate, so
+    every dense round (one thinning fill, purpose 0) fills it exactly
+    once."""
+    spec = GOLDENS["sets"][name]
+    params = ModelParams(**spec["params"])
+    purposes = count_fills(monkeypatch)
+    for measure, mu0, fills in (("MMM", params.mu0, False),
+                                ("MEMM", params.mu0, True),
+                                ("MEMM", 0.0, False)):
+        curve = intensity_curve(replace(params, mu0=mu0), measure)
+        for regime in (0, 1):
+            for anti in (False, True):
+                purposes.clear()
+                sample_realized_ttm(curve, params.T, regime, spec["seed"],
+                                    GOLDENS["n_paths"], anti)
+                dense = purposes.count(0)
+                assert dense >= 3
+                assert purposes.count(1) == (dense if fills else 0)
+
+
+def test_kinked_curve_fills_some_dense_rounds(monkeypatch):
+    """Started in the shock, round 0 holds only nu10 = bound candidates
+    and skips its fill; later rounds meet nu01 below its bound."""
+    curve, spec = kinked_curve()
+    purposes = count_fills(monkeypatch)
+    sample_realized_ttm(curve, curve.params.T, 1, spec["seed"],
+                        GOLDENS["n_paths"])
+    assert purposes[:2] == [0, 0]
+    assert 0 < purposes.count(1) < purposes.count(0)
 
 
 CAP = mc._round_cap(1.0, 200.0)

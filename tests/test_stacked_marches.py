@@ -253,6 +253,27 @@ class TestLinearPass:
         assert np.array_equal(bundle.q1.values, ref.q1.values)
 
 
+    def test_standalone_bundle_owns_its_surfaces(self, params):
+        """``asymptotic_expansion`` keeps no view into the two-block march,
+        so the MMM block is freed: the bundle holds its four surfaces and
+        no more, bit-identical to ``mmm_and_expansion``'s."""
+        grid = GridSpec.build(params, STRIKE, n_time=N_TIME)
+        unit = Payoff("vanilla_put", STRIKE)
+        tracemalloc.start()
+        try:
+            bundle = asymptotic_expansion(params, unit, grid)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        surface_bytes = (N_TIME + 1) * grid.n_space * 8
+        assert held < 4.5 * surface_bytes
+        _, ref = mmm_and_expansion(params, unit, grid)
+        for name in ("p0", "q0", "p1", "q1"):
+            values = getattr(bundle, name).values
+            assert values.base is None
+            assert np.array_equal(values, getattr(ref, name).values)
+
+
 @pytest.mark.parametrize("quantity", [1.0, -5.0])
 def test_gamma_sweep_equals_per_gamma_solves(params, grid, quantity):
     gammas = [0.25, 0.5, 1.0, 2.0]
