@@ -34,7 +34,8 @@ seed reproduce byte-identical reports.  The single-shock solver is
 buyer-side only, so negative quantities produce no SingleShock rows.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 numerical
-failure (guard or convergence), 4 convergence-evidence check failed.
+failure (guard or convergence) or out of memory (the grid or the sample is
+too large), 4 convergence-evidence check failed.
 """
 
 from __future__ import annotations
@@ -535,6 +536,11 @@ def main(argv: list[str] | None = None) -> int:
         return _EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return _EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"out of memory: {exc}; the PDE grid (nsteps, width) or the "
+              "Monte Carlo sample (paths) is too large for this machine",
+              file=sys.stderr)
         return _EXIT_NUMERICAL
     if status == _EXIT_CHECK_FAILED:
         print("convergence checks failed (see report)", file=sys.stderr)

@@ -333,11 +333,14 @@ def intensity_curve(params: ModelParams, measure: str) -> IntensityCurve:
     if measure == "MEMM":
         fac = merton_factors(params)
 
+        # Each ratio alone, in the operand order of _memm_intensities.
         def fn01(t, _f=fac):
-            return _memm_intensities(_f, t)[0]
+            f0, f1 = _f._factors(t)
+            return _f.nu01 * f1 / f0
 
         def fn10(t, _f=fac):
-            return _memm_intensities(_f, t)[1]
+            f0, f1 = _f._factors(t)
+            return _f.nu10 * f0 / f1
 
         return IntensityCurve(measure, params, fn01, fn10, constant=params.d0 == 0.0)
     # MEMM_single_shock

@@ -49,6 +49,16 @@ The single-shock march solves its first step, the one that leaves the
 kinked terminal payoff, to convergence by repeating the linearization
 (Newton): a single linearized step there overstates the source next to the
 strike and lifts the buyer price above its gamma -> 0 limit.
+
+Each march allocates its scratch rows once and its step writes into them
+with in-place ufuncs (``out=``), in the operand order of the plain
+expressions each step spells out in its comments, so every surface is
+bit-identical to an allocating step.  Per-step scalars and per-block
+factors come from tables built once before the loop, and ``_Stepper``
+folds both end rows of every block into its diagonal through one
+persistent view.  At 538 nodes a numpy call costs about as much in
+dispatch and allocation as in arithmetic, so this is most of what a step
+costs besides ``dgtsv``.
 """
 
 from __future__ import annotations
@@ -120,6 +130,16 @@ def _check_exponent(x: np.ndarray | float, what: str,
         f"exponent guard tripped: |{what}| reached {m:.6g} > {_EXP_CAP:.0f}"
         f"{where}; the requested risk aversion / quantity / payoff scale is "
         "outside the representable range of the scheme")
+
+
+def _guard_exponent(x: np.ndarray, buf: np.ndarray, what: str,
+                    gamma_eff: np.ndarray) -> None:
+    """The march steps' ``_check_exponent``: one abs into the scratch
+    ``buf`` (x's shape) and one max.  Only a tripped guard (max beyond
+    _EXP_CAP, infinite or NaN) runs the full check, which raises with its
+    message and block."""
+    if not np.abs(x, out=buf).max() <= _EXP_CAP:
+        _check_exponent(x, what, gamma_eff)
 
 
 def _cumulative_simpson_chunks(f, n: int, dx: float, chunk: int):
@@ -369,7 +389,12 @@ class _Stepper:
     The stack is one block-diagonal tridiagonal system whose couplings
     between neighbouring blocks are exactly zero (see the module
     docstring for why each block's solution is then bit-identical to a
-    solve of that block alone)."""
+    solve of that block alone).
+
+    The diagonal is allocated once per march; each solve refills it in
+    place, adds both end-row folds of every block through one persistent
+    view of its end nodes, and hands ``dgtsv`` a flat view of it, in the
+    operand order of a plain assembly."""
 
     def __init__(self, grid: GridSpec, sigma0: float, blocks: int = 1):
         a_coef = 0.5 * sigma0 * sigma0 * grid.delta_t
@@ -389,19 +414,21 @@ class _Stepper:
         self._dl = np.tile(lower, blocks)[:-1]
         self._du = np.tile(upper, blocks)[:-1]
         self._d = np.empty((blocks, m))
-        self._fold_lo = sub * (1.0 + math.exp(-dz))
-        self._fold_hi = sup * (1.0 + math.exp(dz))
+        # A flat view of the diagonal for dgtsv and a persistent view of
+        # its two end nodes in every block, so both folds are one add.
+        self._d_flat = self._d.reshape(-1)
+        self._d_ends = self._d[:, ::m - 1]
+        self._folds = np.array([sub * (1.0 + math.exp(-dz)),
+                                sup * (1.0 + math.exp(dz))])
 
     def solve(self, dt_kappa, rhs: np.ndarray) -> np.ndarray:
         """Solve one implicit step in place of ``rhs`` (shape (M,) for one
         block, (blocks, M) for a stack); ``dt_kappa`` is dt * kappa (scalar
         or per-node, broadcast against the stack, nonnegative for a
         well-posed step)."""
-        d = self._d
-        np.add(self._diag0, dt_kappa, out=d)
-        d[:, 0] += self._fold_lo
-        d[:, -1] += self._fold_hi
-        _, _, _, x, info = dgtsv(self._dl, d.reshape(-1), self._du,
+        np.add(self._diag0, dt_kappa, out=self._d)
+        np.add(self._d_ends, self._folds, out=self._d_ends)
+        _, _, _, x, info = dgtsv(self._dl, self._d_flat, self._du,
                                  rhs.reshape(-1), overwrite_d=1, overwrite_b=1)
         if info != 0:
             raise NumericalError(
@@ -466,20 +493,41 @@ def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
     dt = grid.delta_t
     stepper = _Stepper(grid, params.sigma0, g.size)
     gs, g = g, g[:, None]
+    nu01_over_g = nu01_t[:, None, None] / g
+    nu01_t = nu01_t.tolist()
+    w_t = [math.exp(-v * dt) for v in nu10_t.tolist()]
+    # Scratch: the new rows alternate between two buffers each (the step
+    # reads the old rows while it writes the new), and two temporaries.
+    h = np.tile(_terminal(payoff, grid), (g.shape[0], 1))
+    p_out, q_out = np.empty((2,) + h.shape), np.empty((2,) + h.shape)
+    a, b = np.empty_like(h), np.empty_like(h)
 
     def step(i: int, rows):
         p, q = rows
-        x = g * (q - p)
-        _check_exponent(x, "gamma_eff * (q - p)", gs)
-        kappa = nu01_t[i] * np.exp(-x)
-        rhs = p + dt * ((nu01_t[i] / g) - kappa / g + kappa * p)
-        p = stepper.solve(dt * kappa, rhs)
-        w = math.exp(-nu10_t[i] * dt)
-        y = g * (q - p)
-        _check_exponent(y, "gamma_eff * (q - p)", gs)
-        return p, p - np.log1p(w * np.expm1(-y)) / g
+        # x = g (p - q) is -g (q - p) but for the sign of an exact zero,
+        # which exp and the guard do not see.
+        x = np.subtract(p, q, out=a)
+        np.multiply(g, x, out=x)
+        _guard_exponent(x, b, "gamma_eff * (q - p)", gs)
+        kappa = np.exp(x, out=x)
+        np.multiply(nu01_t[i], kappa, out=kappa)
+        # rhs = p + dt * ((nu01 / g) - kappa / g + kappa * p)
+        rhs = np.divide(kappa, g, out=p_out[i & 1])
+        np.subtract(nu01_over_g[i], rhs, out=rhs)
+        np.add(rhs, np.multiply(kappa, p, out=b), out=rhs)
+        np.multiply(dt, rhs, out=rhs)
+        np.add(p, rhs, out=rhs)
+        p = stepper.solve(np.multiply(dt, kappa, out=b), rhs)
+        # q = p - log1p(w expm1(-g (q - p))) / g
+        y = np.subtract(p, q, out=a)
+        np.multiply(g, y, out=y)
+        _guard_exponent(y, b, "gamma_eff * (q - p)", gs)
+        np.expm1(y, out=y)
+        np.multiply(w_t[i], y, out=y)
+        np.log1p(y, out=y)
+        np.divide(y, g, out=y)
+        return p, np.subtract(p, y, out=q_out[i & 1])
 
-    h = np.tile(_terminal(payoff, grid), (g.shape[0], 1))
     return _march(grid, (h, h), step, keep)
 
 
@@ -492,7 +540,9 @@ def _linear_step(params: ModelParams, grid: GridSpec,
     Returns ``(step, dt_k01, w)``: ``step(i, rows)`` maps the rows (p, q)
     at time i + 1 to those at time i, and ``dt_k01[i]`` and ``w[i]`` (shape
     (B, 1)) hold each block's dt * nu01(t_i) and shock-exit weight
-    w = e^{-nu10(t_i) dt}, which the expansion step reuses.
+    w = e^{-nu10(t_i) dt}, which the expansion step reuses.  The new rows
+    alternate between two scratch buffers each, so the rows a step returns
+    stay valid through the next step.
     """
     times = grid.times()
     dt = grid.delta_t
@@ -503,12 +553,18 @@ def _linear_step(params: ModelParams, grid: GridSpec,
         dt_k01[:, b, 0] = dt * curve.nu01(times)
         # math.exp, not np.exp: the weights must round as a scalar step's do.
         w[:, b, 0] = [math.exp(-float(v) * dt) for v in curve.nu10(times)]
+    p_out = np.empty((2, len(measures), grid.n_space))
+    q_out = np.empty_like(p_out)
 
     def step(i: int, rows):
         p, q = rows
         k = dt_k01[i]
-        p_new = stepper.solve(k, p + k * q)
-        return p_new, p_new + (q - p_new) * w[i]
+        # p_new solves with rhs p + k q; q_new = p_new + (q - p_new) w
+        rhs = np.multiply(k, q, out=p_out[i & 1])
+        p_new = stepper.solve(k, np.add(p, rhs, out=rhs))
+        q_new = np.subtract(q, p_new, out=q_out[i & 1])
+        np.multiply(q_new, w[i], out=q_new)
+        return p_new, np.add(p_new, q_new, out=q_new)
 
     return step, dt_k01, w
 
@@ -544,7 +600,11 @@ def _march_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
                                      _Stepper(grid, params.sigma0, 2))
     k_memm = dt_k01[:, 1, 0].tolist()
     w_memm = w[:, 1, 0].tolist()
+    c_memm = [0.5 * w * (w - 1.0) for w in w_memm]
     stepper = _Stepper(grid, params.sigma0)
+    zero = np.zeros(grid.n_space)
+    p1_out, q1_out = np.empty((2,) + zero.shape), np.empty((2,) + zero.shape)
+    a, b = np.empty_like(zero), np.empty_like(zero)
 
     def step(i: int, rows):
         p_lin, q_lin, p1, q1 = rows
@@ -554,18 +614,27 @@ def _march_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
         dt_k01, w = k_memm[i], w_memm[i]
         # Differentiate the nonlinear updates in gamma at gamma = 0.
         # p-step: source picks up -(1/2) v^2 plus the linearisation
-        # cross-term v * (p0_new - p0), both at the known time level.
-        v = q0 - p0
-        p1 = stepper.solve(dt_k01, p1 + dt_k01 * (q1 - 0.5 * v**2
-                                                 + v * (p0_new - p0)))
+        # cross-term v * (p0_new - p0), both at the known time level:
+        # rhs = p1 + dt_k01 * (q1 - 0.5 * v**2 + v * (p0_new - p0)).
+        v = np.subtract(q0, p0, out=a)
+        rhs = np.square(v, out=p1_out[i & 1])
+        np.multiply(0.5, rhs, out=rhs)
+        np.subtract(q1, rhs, out=rhs)
+        np.add(rhs, np.multiply(v, np.subtract(p0_new, p0, out=b), out=b),
+               out=rhs)
+        np.multiply(dt_k01, rhs, out=rhs)
+        p1 = stepper.solve(dt_k01, np.add(p1, rhs, out=rhs))
         # q-step: relaxation of q1 toward p1 plus the second-order
-        # term of the exact shock update, (1/2) w (w - 1) vin^2 <= 0.
-        vin = q0 - p0_new
-        q1 = p1 + (q1 - p1) * w + 0.5 * w * (w - 1.0) * vin**2
+        # term of the exact shock update, (1/2) w (w - 1) vin^2 <= 0:
+        # q1 = p1 + (q1 - p1) * w + 0.5 * w * (w - 1.0) * vin**2.
+        vin2 = np.square(np.subtract(q0, p0_new, out=a), out=a)
+        q1 = np.subtract(q1, p1, out=q1_out[i & 1])
+        np.multiply(q1, w, out=q1)
+        np.add(p1, q1, out=q1)
+        np.add(q1, np.multiply(c_memm[i], vin2, out=vin2), out=q1)
         return p_lin_new, q_lin_new, p1, q1
 
     h = np.tile(_terminal(payoff, grid), (2, 1))
-    zero = np.zeros(grid.n_space)
     p_lin, q_lin, p1, q1 = _march(grid, (h, h, zero, zero), step, keep)
     return p_lin[0], q_lin[0], p_lin[1], q_lin[1], p1, q1
 
@@ -597,6 +666,17 @@ def _single_shock_base(params: ModelParams, payoff: Payoff, grid: GridSpec):
                                   params.sigma0), dtype=float)
     wgt = nu10 * np.exp((nu10 - d0) * m_grid)
     return fac, pbs, wgt, _cumulative_simpson(wgt, grid.delta_t)
+
+
+def _single_shock_scalars(params: ModelParams, fac, times: np.ndarray,
+                          cs0: np.ndarray):
+    """Per-step scalars of the single-shock marches, indexed by time row i:
+    the lists decay[i] = e^{-nu10 (T - t_i)} and f0[i] = F0(t_i), and the
+    array nu01 * decay[i] * (cs0[n - i] + 1)."""
+    decay = [math.exp(-params.nu10 * (params.T - t)) for t in times.tolist()]
+    f0 = np.asarray(fac.F0(times), dtype=float).tolist()
+    return (decay, f0,
+            params.nu01 * np.array(decay) * (cs0[::-1] + 1.0))
 
 
 def _single_shock_source(pbs: np.ndarray, wgt: np.ndarray, grid: GridSpec,
@@ -676,34 +756,49 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
     h = pbs[0].copy()
     source = _single_shock_source(pbs, wgt, grid, gs)
     times = grid.times()
-    f0 = np.asarray(fac.F0(times), dtype=float)
     n = grid.n_time
     dt = grid.delta_t
     g = gs[:, None]
     stepper = _Stepper(grid, params.sigma0, gs.size)
+    nu01 = params.nu01
+    decay, f0, c_lin = _single_shock_scalars(params, fac, times, cs0)
+    # The 1/g constant nu01 decay (cs0 + 1) / (F0 g) of every step, (B, 1).
+    c_lin = c_lin[:, None, None] / (np.array(f0)[:, None, None] * g)
+    # Scratch: the new row alternates between two buffers (Newton's first
+    # step reads its iterate while it writes the next), two temporaries.
+    p_out = np.empty((2, gs.size, h.size))
+    cs1, x, tmp = np.empty((3, gs.size, h.size))
 
     def linearized(i: int, cs1: np.ndarray, p_old: np.ndarray,
                    p_lin: np.ndarray) -> np.ndarray:
         """Implicit step from row i + 1 to row i with the exponential
         linearized at p_lin; ``cs1`` is the source row CS[:, n - i] + 1."""
-        decay = math.exp(-params.nu10 * (params.T - times[i]))
-        x = g * (p_lin - h)
-        _check_exponent(x, "gamma_eff * (p - h)", gs)
+        np.subtract(p_lin, h, out=x)
+        np.multiply(g, x, out=x)
+        _guard_exponent(x, tmp, "gamma_eff * (p - h)", gs)
         # g_source * e^{g p} assembled in shifted form: all exponents are
         # time-value sized.  The 1/g constant uses the same quadrature
         # table (decay * (cs0 + 1) == F1 of this problem), so the two
         # 1/g terms cancel exactly rather than to quadrature error.
-        src = decay * np.exp(x) * cs1
-        kappa = params.nu01 * src / f0[i]
-        c_lin = params.nu01 * decay * (cs0[n - i] + 1.0) / (f0[i] * g)
-        rhs = p_old + dt * (c_lin - kappa / g + kappa * p_lin)
-        return stepper.solve(dt * kappa, rhs)
+        # kappa = nu01 * (decay * e^x * cs1) / f0
+        kappa = np.exp(x, out=x)
+        np.multiply(decay[i], kappa, out=kappa)
+        np.multiply(kappa, cs1, out=kappa)
+        np.multiply(nu01, kappa, out=kappa)
+        np.divide(kappa, f0[i], out=kappa)
+        # rhs = p_old + dt * (c_lin - kappa / g + kappa * p_lin)
+        rhs = np.divide(kappa, g, out=p_out[i & 1])
+        np.subtract(c_lin[i], rhs, out=rhs)
+        np.add(rhs, np.multiply(kappa, p_lin, out=tmp), out=rhs)
+        np.multiply(dt, rhs, out=rhs)
+        np.add(p_old, rhs, out=rhs)
+        return stepper.solve(np.multiply(dt, kappa, out=tmp), rhs)
 
     def step(i: int, rows):
         (p,) = rows
         # _march steps i = n - 1 .. 0, which reads the source rows
         # k = n - i = 1 .. n in the order ``source`` yields them.
-        cs1 = next(source) + 1.0
+        np.add(next(source), 1.0, out=cs1)
         if i < n - 1:
             return (linearized(i, cs1, p, p),)
         # The first step leaves the kinked payoff: Newton to rounding, each
@@ -742,21 +837,24 @@ def _march_single_shock_linear(params: ModelParams, payoff: Payoff,
     fac, pbs, wgt, cs0 = _single_shock_base(params, payoff, grid)
     h = pbs[0].copy()
     cs1 = _cumulative_simpson(wgt[:, None] * pbs, grid.delta_t)
-    times = grid.times()
-    f0 = np.asarray(fac.F0(times), dtype=float)
     n = grid.n_time
     dt = grid.delta_t
     stepper = _Stepper(grid, params.sigma0)
+    # diag uses kappa(gamma -> 0) = nu01 decay (cs0 + 1) / F0 and the
+    # coupling uses the same decay/F0 scaling, mirroring the nonlinear
+    # assembly term by term.
+    decay, f0, c_lin = _single_shock_scalars(params, fac, grid.times(), cs0)
+    dt_k_hat = [dt * (c / f) for c, f in zip(c_lin.tolist(), f0)]
+    scale = [dt * params.nu01 * d for d in decay]
+    p_out = np.empty((2, h.size))
 
     def step(i: int, rows):
         (p,) = rows
-        decay = math.exp(-params.nu10 * (params.T - times[i]))
-        # diag uses kappa(gamma -> 0) = nu01 decay (cs0 + 1) / F0 and the
-        # coupling uses the same decay/F0 scaling, mirroring the
-        # nonlinear assembly term by term.
-        k_hat = params.nu01 * decay * (cs0[n - i] + 1.0) / f0[i]
-        rhs = p + dt * params.nu01 * decay * (cs1[n - i] + h) / f0[i]
-        return (stepper.solve(dt * k_hat, rhs),)
+        # rhs = p + dt * nu01 * decay * (cs1[n - i] + h) / f0
+        rhs = np.add(cs1[n - i], h, out=p_out[i & 1])
+        np.multiply(scale[i], rhs, out=rhs)
+        np.divide(rhs, f0[i], out=rhs)
+        return (stepper.solve(dt_k_hat[i], np.add(p, rhs, out=rhs)),)
 
     return _march(grid, (h,), step)[0]
 

@@ -302,6 +302,19 @@ class TestExitCodes:
         assert main(["price", "--config", path, "--out", "-"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    # Sizes numpy refuses up front (tens of TiB per array), so no memory is
+    # ever touched; never test with a size that could be allocated.
+    @pytest.mark.parametrize("argv", [["converge", "--paths", "100000000000000"],
+                                      ["ttm", "--nsteps", "10000000000000"]],
+                             ids=["paths", "nsteps"])
+    def test_out_of_memory_exits_3(self, argv, capsys):
+        assert main(argv + ["--out", "-"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("out of memory: Unable to allocate")
+        for key in ("nsteps", "width", "paths"):
+            assert key in captured.err
+
     @pytest.mark.parametrize("command", ["ttm", "hedge"])
     def test_out_of_domain_spot_is_named(self, command, capsys):
         assert main([command, "--spots", "1,10", "--out", "-"]) == 2

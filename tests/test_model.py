@@ -180,6 +180,19 @@ class TestMertonFactors:
         assert np.array_equal(nu01_t, p.nu01 * fac.F1(t) / fac.F0(t))
         assert np.array_equal(nu10_t, p.nu10 * fac.F0(t) / fac.F1(t))
 
+    @pytest.mark.parametrize("kw", BOX_CORNERS + [
+        dict(nu01=0.0), dict(mu0=0.0), dict(nu01=0.0, mu0=0.0)],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_memm_curve_ratios_match_the_shared_tilt(self, kw):
+        """The MEMM curve's nu01(t) and nu10(t), each formed alone, equal
+        the two ratios of ``_memm_intensities`` bit for bit."""
+        p = make_params(**kw)
+        t = np.linspace(0.0, p.T, 2001)
+        nu01_t, nu10_t = _memm_intensities(merton_factors(p), t)
+        curve = intensity_curve(p, "MEMM")
+        assert np.array_equal(curve.nu01(t), nu01_t)
+        assert np.array_equal(curve.nu10(t), nu10_t)
+
     @settings(max_examples=60, deadline=None)
     @given(param_strategy)
     def test_ordering_property(self, p):

@@ -228,6 +228,76 @@ class TestSingleShockStack:
         pde._check_exponent(x[:1], "gamma_eff * (p - h)", np.array([1.]))
 
 
+class TestStepGuard:
+    """The guard the march steps call (one abs into scratch, one max)
+    decides as ``_check_exponent`` does and raises its very message."""
+
+    WHATS = ("gamma_eff * (q - p)", "gamma_eff * (p - h)")
+    GAMMAS = np.array([1.0, 2.0, 3.0])
+
+    @staticmethod
+    def check(x, what, gammas) -> str | None:
+        try:
+            pde._check_exponent(x, what, gammas)
+        except NumericalError as exc:
+            return str(exc)
+        return None
+
+    def guard(self, x, what, gammas) -> str | None:
+        try:
+            pde._guard_exponent(x, np.empty_like(x), what, gammas)
+        except NumericalError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("what", WHATS)
+    def test_cap_itself_passes(self, what):
+        x = np.zeros((3, 4))
+        x[1, 2], x[2, 0] = 700.0, -700.0
+        assert self.guard(x, what, self.GAMMAS) is None
+        assert self.check(x, what, self.GAMMAS) is None
+
+    @pytest.mark.parametrize("what", WHATS)
+    @pytest.mark.parametrize("bad", [np.nextafter(700.0, np.inf),
+                                     -np.nextafter(700.0, np.inf),
+                                     np.inf, -np.inf, np.nan],
+                             ids=["above", "below", "inf", "-inf", "nan"])
+    @pytest.mark.parametrize("block", [0, 2])
+    def test_refusals_match_the_full_check(self, what, bad, block):
+        x = np.full((3, 4), 699.0)
+        x[block, 3] = bad
+        msg = self.guard(x, what, self.GAMMAS)
+        assert msg is not None and msg == self.check(x, what, self.GAMMAS)
+        assert f"at gamma_eff = {self.GAMMAS[block]:g};" in msg
+        one = x[block:block + 1]
+        assert self.guard(one, what, self.GAMMAS[:1]) == self.check(
+            one, what, self.GAMMAS[:1])
+
+    def test_every_step_guard_goes_through_it(self, params, monkeypatch):
+        """Both guards of each indifference step and the guard of each
+        single-shock step call ``_guard_exponent`` on the exponent
+        ``_check_exponent`` would see."""
+        calls: dict[str, int] = {}
+        real = pde._guard_exponent
+
+        def spy(x, buf, what, gamma_eff):
+            calls[what] = calls.get(what, 0) + 1
+            assert x.shape == buf.shape == (gamma_eff.size, grid.n_space)
+            assert self.check(x, what, gamma_eff) is None
+            real(x, buf, what, gamma_eff)
+
+        monkeypatch.setattr(pde, "_guard_exponent", spy)
+        grid = GridSpec.build(params, STRIKE, n_time=40)
+        unit = Payoff("vanilla_call", STRIKE)
+        solve_indifference(params, unit, grid, (1.0, -2.0), (0,))
+        assert calls == {"gamma_eff * (q - p)": 2 * grid.n_time}
+        calls.clear()
+        solve_single_shock(params, unit, grid, (1.0, 2.0), (0,))
+        # Newton's first step takes at least two linearizations.
+        assert calls["gamma_eff * (p - h)"] > grid.n_time
+        assert list(calls) == ["gamma_eff * (p - h)"]
+
+
 def test_indifference_stack_guard_names_the_block(params):
     grid = GridSpec.build(params, STRIKE, n_time=100)
     with pytest.raises(NumericalError,
