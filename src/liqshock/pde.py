@@ -50,15 +50,28 @@ kinked terminal payoff, to convergence by repeating the linearization
 (Newton): a single linearized step there overstates the source next to the
 strike and lifts the buyer price above its gamma -> 0 limit.
 
+Every march keeps its rows flat: the B blocks of a stack are one
+contiguous row of B*M nodes, the layout ``dgtsv`` solves, and the march
+stores each kept row into its (B, rows, M) surface through a reshape.
 Each march allocates its scratch rows once and its step writes into them
 with in-place ufuncs (``out=``), in the operand order of the plain
 expressions each step spells out in its comments, so every surface is
-bit-identical to an allocating step.  Per-step scalars and per-block
-factors come from tables built once before the loop, and ``_Stepper``
-folds both end rows of every block into its diagonal through one
-persistent view.  At 538 nodes a numpy call costs about as much in
-dispatch and allocation as in arithmetic, so this is most of what a step
-costs besides ``dgtsv``.
+bit-identical to an allocating step.  At 538 nodes a numpy call costs
+about as much in dispatch as in arithmetic, and the dispatch depends on
+the operands' layout.  Measured on a 2-core x86_64 VM (numpy 2.4), one
+call on one block takes about 0.55 us with flat-row operands, 0.45 us
+with a 0-d array for the scalar, 0.7 us with a Python float and 0.9 us
+with a (1, 1) column broadcast over a (1, M) row; at B = 6 a (6, 1)
+column over a (6, M) view takes about 4 us, a flat row 2.3 us.  So every
+operand a step takes is a full row or a scalar: gamma_eff and the
+end-row folds as full rows built once per march, dt and the diagonal's
+base value as 0-d arrays, a per-step per-block factor as a full row
+spread from its table a chunk of steps at a time (``_block_rows``), and
+a per-step scalar as the Python float it is (making 0-d arrays of them
+costs what it saves).  Only the exponent guard and the single-shock
+source rows take (B, M) views, persistent ones of the flat scratch.
+What is left of a one-block step is about 12 us of ``dgtsv`` and about
+20 calls of about 0.6 to 1.5 us each.
 """
 
 from __future__ import annotations
@@ -108,6 +121,9 @@ _ROUNDING = 4.0 * np.finfo(float).eps
 # march, small enough that the tables stay O(B * M).
 _SOURCE_CHUNK = 32
 
+# Time rows of a per-block factor spread to full rows at a time.
+_ROW_CHUNK = 32
+
 _DEFAULT_N_TIME = 2000
 _DEFAULT_WIDTH = 6.0
 
@@ -135,10 +151,11 @@ def _check_exponent(x: np.ndarray | float, what: str,
 def _guard_exponent(x: np.ndarray, buf: np.ndarray, what: str,
                     gamma_eff: np.ndarray) -> None:
     """The march steps' ``_check_exponent``: one abs into the scratch
-    ``buf`` (x's shape) and one max.  Only a tripped guard (max beyond
+    ``buf`` (x's shape) and one max, a bare ``maximum.reduce`` (NaN
+    propagates, as through ``max``).  Only a tripped guard (max beyond
     _EXP_CAP, infinite or NaN) runs the full check, which raises with its
     message and block."""
-    if not np.abs(x, out=buf).max() <= _EXP_CAP:
+    if not np.maximum.reduce(np.abs(x, out=buf), None) <= _EXP_CAP:
         _check_exponent(x, what, gamma_eff)
 
 
@@ -372,6 +389,28 @@ class PriceSurface:
         return out if np.ndim(out) else float(out)
 
 
+def _block_rows(table: np.ndarray, m: int):
+    """Rows n - 1, n - 2, .., 0 of a per-step, per-block table of shape
+    (n + 1, B, 1), each spread over its blocks to one flat row of B * M
+    nodes, in the order a march steps.  _ROW_CHUNK rows are spread at a
+    time by one broadcast copy, which costs a step less than broadcasting
+    its (B, 1) column over a (B, M) view would."""
+    n_rows, blocks = table.shape[:2]
+    buf = np.empty((min(_ROW_CHUNK, n_rows - 1), blocks, m))
+    rows = buf.reshape(len(buf), -1)
+    for hi in range(n_rows - 1, 0, -_ROW_CHUNK):
+        lo = max(hi - _ROW_CHUNK, 0)
+        np.copyto(buf[:hi - lo], table[lo:hi])
+        yield from rows[hi - lo - 1::-1]
+
+
+def _const(v: float) -> np.ndarray:
+    """A per-march constant as a 0-d array: as an operand of an in-place
+    ufunc on a flat row it dispatches faster than a Python float, a
+    one-element column or a full row."""
+    return np.array(v, dtype=float)
+
+
 class _Stepper:
     """One implicit step of v -> (1 - dt L + dt kappa) v = rhs with
     L = (sigma^2/2)(d_zz - d_z) and linear-in-S end conditions (p_SS = 0)
@@ -391,17 +430,18 @@ class _Stepper:
     docstring for why each block's solution is then bit-identical to a
     solve of that block alone).
 
-    The diagonal is allocated once per march; each solve refills it in
-    place, adds both end-row folds of every block through one persistent
-    view of its end nodes, and hands ``dgtsv`` a flat view of it, in the
-    operand order of a plain assembly."""
+    The diagonal is one flat row of B*M nodes, allocated once per march,
+    the layout ``dgtsv`` solves.  Each solve refills it in place from the
+    base value and dt * kappa, then adds the end-row folds as one full row
+    that is zero away from each block's two end nodes (x + 0.0 is x), in
+    the operand order of a plain assembly."""
 
     def __init__(self, grid: GridSpec, sigma0: float, blocks: int = 1):
         a_coef = 0.5 * sigma0 * sigma0 * grid.delta_t
         dz = grid.delta_z
         sub = -a_coef * (1.0 / (dz * dz) + 1.0 / (2.0 * dz))
         sup = -a_coef * (1.0 / (dz * dz) - 1.0 / (2.0 * dz))
-        self._diag0 = 1.0 + 2.0 * a_coef / (dz * dz)
+        self._diag0 = _const(1.0 + 2.0 * a_coef / (dz * dz))
         m = grid.n_space
         # One block's off-diagonals padded to length m; the pad is the zero
         # coupling to the next block and is cut off after the last block.
@@ -413,29 +453,31 @@ class _Stepper:
         upper[m - 1] = 0.0
         self._dl = np.tile(lower, blocks)[:-1]
         self._du = np.tile(upper, blocks)[:-1]
-        self._d = np.empty((blocks, m))
-        # A flat view of the diagonal for dgtsv and a persistent view of
-        # its two end nodes in every block, so both folds are one add.
-        self._d_flat = self._d.reshape(-1)
-        self._d_ends = self._d[:, ::m - 1]
-        self._folds = np.array([sub * (1.0 + math.exp(-dz)),
-                                sup * (1.0 + math.exp(dz))])
+        folds = np.zeros(m)
+        folds[0] = sub * (1.0 + math.exp(-dz))
+        folds[m - 1] = sup * (1.0 + math.exp(dz))
+        self._folds = np.tile(folds, blocks)
+        self._d = np.empty(blocks * m)
+        # The (B, M) view takes a per-block dt * kappa of a (B, M) rhs.
+        self._d_rows = self._d.reshape(blocks, m)
 
     def solve(self, dt_kappa, rhs: np.ndarray) -> np.ndarray:
-        """Solve one implicit step in place of ``rhs`` (shape (M,) for one
-        block, (blocks, M) for a stack); ``dt_kappa`` is dt * kappa (scalar
-        or per-node, broadcast against the stack, nonnegative for a
-        well-posed step)."""
-        np.add(self._diag0, dt_kappa, out=self._d)
-        np.add(self._d_ends, self._folds, out=self._d_ends)
-        _, _, _, x, info = dgtsv(self._dl, self._d_flat, self._du,
-                                 rhs.reshape(-1), overwrite_d=1, overwrite_b=1)
+        """Solve one implicit step in place of ``rhs`` (a flat row of B*M
+        nodes, or (B, M)); ``dt_kappa`` is dt * kappa (scalar or per-node,
+        broadcast against ``rhs``, nonnegative for a well-posed step).
+        Returns the solution in ``rhs``'s shape."""
+        flat = rhs.ndim == 1
+        np.add(self._diag0, dt_kappa, out=self._d if flat else self._d_rows)
+        np.add(self._d, self._folds, out=self._d)
+        _, _, _, x, info = dgtsv(self._dl, self._d, self._du,
+                                 rhs if flat else rhs.reshape(-1),
+                                 overwrite_d=1, overwrite_b=1)
         if info != 0:
             raise NumericalError(
                 f"tridiagonal step is singular (LAPACK dgtsv info = {info}); "
                 "the step coefficients are outside the range the scheme "
                 "supports")
-        return x.reshape(rhs.shape)
+        return x if flat else x.reshape(rhs.shape)
 
 
 def _terminal(payoff: Payoff, grid: GridSpec) -> np.ndarray:
@@ -447,11 +489,14 @@ def _march(grid: GridSpec, terminal: tuple[np.ndarray, ...], step,
     """Backward march from the terminal rows; ``step(i, rows)`` returns the
     rows at time i from those at time i + 1.
 
-    Only the time rows listed in ``keep`` are stored (default: all; see
-    ``_kept_rows``).  Each surface is allocated once in its final layout: a row
-    of shape (..., M) gives a surface of shape (..., len(keep), M), so a
-    (B, M) stack of contracts gives a (B, len(keep), M) stack, and every
-    kept row is stored where it belongs as soon as it is computed.
+    The steps see every row flat: a (B, M) terminal row of B blocks is
+    marched as one contiguous row of B * M nodes.  Only the time rows
+    listed in ``keep`` are stored (default: all; see ``_kept_rows``).  Each
+    surface is allocated once in its final layout: a terminal row of shape
+    (..., M) gives a surface of shape (..., len(keep), M), so a (B, M)
+    stack of contracts gives a (B, len(keep), M) stack, and every kept row
+    is stored where it belongs, through a reshape, as soon as it is
+    computed.
     """
     n = grid.n_time
     keep = _kept_rows(grid, keep) or range(n + 1)
@@ -465,13 +510,13 @@ def _march(grid: GridSpec, terminal: tuple[np.ndarray, ...], step,
     if slot[n] >= 0:
         for surf, row in zip(by_time, terminal):
             surf[slot[n]] = row
-    rows = terminal
+    rows = tuple(row.reshape(-1) for row in terminal)
     for i in range(n - 1, -1, -1):
         rows = step(i, rows)
         k = slot[i]
         if k >= 0:
             for surf, row in zip(by_time, rows):
-                surf[k] = row
+                surf[k] = row.reshape(surf.shape[1:])
     return surfaces
 
 
@@ -484,23 +529,26 @@ def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
     Returns (p, q) stacks of shape (len(gamma_eff), len(keep), M); block b
     is bit-identical to a march of gamma_eff[b] alone.
     """
-    g = np.asarray(gamma_eff, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError(f"gamma_eff must be a nonempty 1-D array, got shape {g.shape}")
-    if not np.all(np.isfinite(g)) or np.any(g == 0.0):
-        raise ValueError(f"gamma_eff must be finite and nonzero, got {g.tolist()}")
+    gs = np.asarray(gamma_eff, dtype=float)
+    if gs.ndim != 1 or gs.size == 0:
+        raise ValueError(f"gamma_eff must be a nonempty 1-D array, got shape {gs.shape}")
+    if not np.all(np.isfinite(gs)) or np.any(gs == 0.0):
+        raise ValueError(f"gamma_eff must be finite and nonzero, got {gs.tolist()}")
     nu01_t, nu10_t = _memm_intensities(merton_factors(params), grid.times())
-    dt = grid.delta_t
-    stepper = _Stepper(grid, params.sigma0, g.size)
-    gs, g = g, g[:, None]
-    nu01_over_g = nu01_t[:, None, None] / g
+    blocks, m = gs.size, grid.n_space
+    dt = _const(grid.delta_t)
+    stepper = _Stepper(grid, params.sigma0, blocks)
+    g = np.repeat(gs, m)                # each node's gamma_eff
+    nu01_over_g = _block_rows(nu01_t[:, None, None] / gs[:, None], m)
+    w_t = [math.exp(-v * grid.delta_t) for v in nu10_t.tolist()]
     nu01_t = nu01_t.tolist()
-    w_t = [math.exp(-v * dt) for v in nu10_t.tolist()]
     # Scratch: the new rows alternate between two buffers each (the step
-    # reads the old rows while it writes the new), and two temporaries.
-    h = np.tile(_terminal(payoff, grid), (g.shape[0], 1))
-    p_out, q_out = np.empty((2,) + h.shape), np.empty((2,) + h.shape)
-    a, b = np.empty_like(h), np.empty_like(h)
+    # reads the old rows while it writes the new), and two temporaries
+    # with (B, M) views for the guard.
+    h = np.tile(_terminal(payoff, grid), (blocks, 1))
+    p_out, q_out = np.empty((2, h.size)), np.empty((2, h.size))
+    a, b = np.empty((2, h.size))
+    a_blocks, b_blocks = a.reshape(h.shape), b.reshape(h.shape)
 
     def step(i: int, rows):
         p, q = rows
@@ -508,12 +556,12 @@ def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
         # which exp and the guard do not see.
         x = np.subtract(p, q, out=a)
         np.multiply(g, x, out=x)
-        _guard_exponent(x, b, "gamma_eff * (q - p)", gs)
+        _guard_exponent(a_blocks, b_blocks, "gamma_eff * (q - p)", gs)
         kappa = np.exp(x, out=x)
         np.multiply(nu01_t[i], kappa, out=kappa)
         # rhs = p + dt * ((nu01 / g) - kappa / g + kappa * p)
         rhs = np.divide(kappa, g, out=p_out[i & 1])
-        np.subtract(nu01_over_g[i], rhs, out=rhs)
+        np.subtract(next(nu01_over_g), rhs, out=rhs)
         np.add(rhs, np.multiply(kappa, p, out=b), out=rhs)
         np.multiply(dt, rhs, out=rhs)
         np.add(p, rhs, out=rhs)
@@ -521,7 +569,7 @@ def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
         # q = p - log1p(w expm1(-g (q - p))) / g
         y = np.subtract(p, q, out=a)
         np.multiply(g, y, out=y)
-        _guard_exponent(y, b, "gamma_eff * (q - p)", gs)
+        _guard_exponent(a_blocks, b_blocks, "gamma_eff * (q - p)", gs)
         np.expm1(y, out=y)
         np.multiply(w_t[i], y, out=y)
         np.log1p(y, out=y)
@@ -534,36 +582,39 @@ def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
 def _linear_step(params: ModelParams, grid: GridSpec,
                  measures: tuple[str, ...], stepper: _Stepper):
     """Step of the linear (p, q) system, one block per measure ('MMM' or
-    'MEMM') of a (B, M) stack, with the intensities of
+    'MEMM') of a flat stack of B blocks, with the intensities of
     ``model.intensity_curve``.
 
     Returns ``(step, dt_k01, w)``: ``step(i, rows)`` maps the rows (p, q)
-    at time i + 1 to those at time i, and ``dt_k01[i]`` and ``w[i]`` (shape
-    (B, 1)) hold each block's dt * nu01(t_i) and shock-exit weight
-    w = e^{-nu10(t_i) dt}, which the expansion step reuses.  The new rows
-    alternate between two scratch buffers each, so the rows a step returns
-    stay valid through the next step.
+    at time i + 1 to those at time i (called once per i, from N - 1 down
+    to 0), and ``dt_k01[i]`` and ``w[i]`` (shape (B, 1)) hold each block's
+    dt * nu01(t_i) and shock-exit weight w = e^{-nu10(t_i) dt}, which the
+    expansion step reuses; the step takes both as full rows
+    (``_block_rows``).  The new rows alternate between two scratch buffers
+    each, so the rows a step returns stay valid through the next step.
     """
     times = grid.times()
     dt = grid.delta_t
-    dt_k01 = np.empty((times.size, len(measures), 1))
+    blocks, m = len(measures), grid.n_space
+    dt_k01 = np.empty((times.size, blocks, 1))
     w = np.empty_like(dt_k01)
     for b, measure in enumerate(measures):
         curve = intensity_curve(params, measure)
         dt_k01[:, b, 0] = dt * curve.nu01(times)
         # math.exp, not np.exp: the weights must round as a scalar step's do.
         w[:, b, 0] = [math.exp(-float(v) * dt) for v in curve.nu10(times)]
-    p_out = np.empty((2, len(measures), grid.n_space))
+    k_rows, w_rows = _block_rows(dt_k01, m), _block_rows(w, m)
+    p_out = np.empty((2, blocks * m))
     q_out = np.empty_like(p_out)
 
     def step(i: int, rows):
         p, q = rows
-        k = dt_k01[i]
+        k, w_i = next(k_rows), next(w_rows)
         # p_new solves with rhs p + k q; q_new = p_new + (q - p_new) w
         rhs = np.multiply(k, q, out=p_out[i & 1])
         p_new = stepper.solve(k, np.add(p, rhs, out=rhs))
         q_new = np.subtract(q, p_new, out=q_out[i & 1])
-        np.multiply(q_new, w[i], out=q_new)
+        np.multiply(q_new, w_i, out=q_new)
         return p_new, np.add(p_new, q_new, out=q_new)
 
     return step, dt_k01, w
@@ -575,9 +626,8 @@ def _march_linear(params: ModelParams, payoff: Payoff, grid: GridSpec,
     intensities; returns the (p, q) surfaces."""
     step, _, _ = _linear_step(params, grid, (measure,),
                               _Stepper(grid, params.sigma0))
-    h = _terminal(payoff, grid)[None, :]
-    p, q = _march(grid, (h, h), step, keep)
-    return p[0], q[0]
+    h = _terminal(payoff, grid)
+    return _march(grid, (h, h), step, keep)
 
 
 def _march_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
@@ -601,16 +651,18 @@ def _march_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
     k_memm = dt_k01[:, 1, 0].tolist()
     w_memm = w[:, 1, 0].tolist()
     c_memm = [0.5 * w * (w - 1.0) for w in w_memm]
+    half = _const(0.5)
     stepper = _Stepper(grid, params.sigma0)
-    zero = np.zeros(grid.n_space)
-    p1_out, q1_out = np.empty((2,) + zero.shape), np.empty((2,) + zero.shape)
+    m = grid.n_space
+    zero = np.zeros(m)
+    p1_out, q1_out = np.empty((2, m)), np.empty((2, m))
     a, b = np.empty_like(zero), np.empty_like(zero)
 
     def step(i: int, rows):
         p_lin, q_lin, p1, q1 = rows
         p_lin_new, q_lin_new = linear(i, (p_lin, q_lin))
         # The MEMM block (the second) is the zeroth order p0, q0.
-        p0, q0, p0_new = p_lin[1], q_lin[1], p_lin_new[1]
+        p0, q0, p0_new = p_lin[m:], q_lin[m:], p_lin_new[m:]
         dt_k01, w = k_memm[i], w_memm[i]
         # Differentiate the nonlinear updates in gamma at gamma = 0.
         # p-step: source picks up -(1/2) v^2 plus the linearisation
@@ -618,7 +670,7 @@ def _march_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
         # rhs = p1 + dt_k01 * (q1 - 0.5 * v**2 + v * (p0_new - p0)).
         v = np.subtract(q0, p0, out=a)
         rhs = np.square(v, out=p1_out[i & 1])
-        np.multiply(0.5, rhs, out=rhs)
+        np.multiply(half, rhs, out=rhs)
         np.subtract(q1, rhs, out=rhs)
         np.add(rhs, np.multiply(v, np.subtract(p0_new, p0, out=b), out=b),
                out=rhs)
@@ -695,7 +747,8 @@ def _single_shock_source(pbs: np.ndarray, wgt: np.ndarray, grid: GridSpec,
     """
     tv = pbs
     tv -= pbs[0].copy()
-    tv_max = float(np.max(np.abs(tv)))
+    # max |tv| without a second whole table; np.maximum keeps a NaN.
+    tv_max = float(np.maximum(tv.max(), -tv.min()))
     for b, g in enumerate(gamma_eff.tolist()):
         # max |g * tv| is g * max |tv| exactly: rounding is monotone.
         _check_exponent(g * tv_max, "gamma_eff * time value", gamma_eff[b:b + 1])
@@ -753,29 +806,35 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
             raise ValueError(
                 f"single-shock solver is buyer-only (gamma_eff > 0), got {g}")
     fac, pbs, wgt, cs0 = _single_shock_base(params, payoff, grid)
-    h = pbs[0].copy()
+    blocks, m = gs.size, grid.n_space
+    h = np.tile(pbs[0], blocks)
     source = _single_shock_source(pbs, wgt, grid, gs)
     times = grid.times()
     n = grid.n_time
-    dt = grid.delta_t
-    g = gs[:, None]
-    stepper = _Stepper(grid, params.sigma0, gs.size)
-    nu01 = params.nu01
+    dt = _const(grid.delta_t)
+    g = np.repeat(gs, m)                # each node's gamma_eff
+    stepper = _Stepper(grid, params.sigma0, blocks)
+    nu01 = _const(params.nu01)
     decay, f0, c_lin = _single_shock_scalars(params, fac, times, cs0)
-    # The 1/g constant nu01 decay (cs0 + 1) / (F0 g) of every step, (B, 1).
-    c_lin = c_lin[:, None, None] / (np.array(f0)[:, None, None] * g)
+    # The 1/g constant nu01 decay (cs0 + 1) / (F0 g) of every step.
+    c_lin = _block_rows(
+        c_lin[:, None, None] / (np.array(f0)[:, None, None] * gs[:, None]), m)
+    one = _const(1.0)
     # Scratch: the new row alternates between two buffers (Newton's first
-    # step reads its iterate while it writes the next), two temporaries.
-    p_out = np.empty((2, gs.size, h.size))
-    cs1, x, tmp = np.empty((3, gs.size, h.size))
+    # step reads its iterate while it writes the next), two temporaries;
+    # (B, M) views for the source rows and the guard.
+    p_out = np.empty((2, h.size))
+    cs1, x, tmp = np.empty((3, h.size))
+    cs1_blocks, x_blocks, tmp_blocks = (r.reshape(blocks, m) for r in (cs1, x, tmp))
 
-    def linearized(i: int, cs1: np.ndarray, p_old: np.ndarray,
+    def linearized(i: int, c_lin_i: np.ndarray, p_old: np.ndarray,
                    p_lin: np.ndarray) -> np.ndarray:
         """Implicit step from row i + 1 to row i with the exponential
-        linearized at p_lin; ``cs1`` is the source row CS[:, n - i] + 1."""
+        linearized at p_lin; ``cs1`` holds the source row CS[:, n - i] + 1
+        and ``c_lin_i`` the step's 1/g constant."""
         np.subtract(p_lin, h, out=x)
         np.multiply(g, x, out=x)
-        _guard_exponent(x, tmp, "gamma_eff * (p - h)", gs)
+        _guard_exponent(x_blocks, tmp_blocks, "gamma_eff * (p - h)", gs)
         # g_source * e^{g p} assembled in shifted form: all exponents are
         # time-value sized.  The 1/g constant uses the same quadrature
         # table (decay * (cs0 + 1) == F1 of this problem), so the two
@@ -788,7 +847,7 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
         np.divide(kappa, f0[i], out=kappa)
         # rhs = p_old + dt * (c_lin - kappa / g + kappa * p_lin)
         rhs = np.divide(kappa, g, out=p_out[i & 1])
-        np.subtract(c_lin[i], rhs, out=rhs)
+        np.subtract(c_lin_i, rhs, out=rhs)
         np.add(rhs, np.multiply(kappa, p_lin, out=tmp), out=rhs)
         np.multiply(dt, rhs, out=rhs)
         np.add(p_old, rhs, out=rhs)
@@ -798,17 +857,19 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
         (p,) = rows
         # _march steps i = n - 1 .. 0, which reads the source rows
         # k = n - i = 1 .. n in the order ``source`` yields them.
-        np.add(next(source), 1.0, out=cs1)
+        np.add(next(source), one, out=cs1_blocks)
+        c_lin_i = next(c_lin)
         if i < n - 1:
-            return (linearized(i, cs1, p, p),)
+            return (linearized(i, c_lin_i, p, p),)
         # The first step leaves the kinked payoff: Newton to rounding, each
         # block frozen at the iterate where its own update converged.
-        active = np.ones(gs.size, dtype=bool)
+        active = np.ones(blocks, dtype=bool)
         for it in range(_FIRST_STEP_MAX_ITER):
-            p_new = linearized(i, cs1, h, p)
-            update = np.max(np.abs(p_new - p), axis=1)
-            scale = np.maximum(1.0, np.max(np.abs(p_new), axis=1))
-            p = np.where(active[:, None], p_new, p)
+            p_new = linearized(i, c_lin_i, h, p)
+            update = np.max(np.abs(p_new - p).reshape(blocks, m), axis=1)
+            scale = np.maximum(1.0, np.max(np.abs(p_new).reshape(blocks, m),
+                                           axis=1))
+            p = np.where(np.repeat(active, m), p_new, p)
             active &= ~(update <= _ROUNDING * scale)
             if not active.any():
                 return (p,)
@@ -819,7 +880,7 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
             f"{update[b]:.3g}); the requested risk aversion / quantity is "
             "outside the range the source table resolves on this grid")
 
-    return _march(grid, (np.tile(h, (gs.size, 1)),), step, keep)[0]
+    return _march(grid, (h.reshape(blocks, m),), step, keep)[0]
 
 
 def _march_single_shock_linear(params: ModelParams, payoff: Payoff,

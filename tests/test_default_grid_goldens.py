@@ -4,7 +4,10 @@
 the marches ``price``, ``ttm`` and ``hedge`` run at the default
 2000 x 538 grid of the worked example: the one-block indifference march
 (``hedge``), the linear MEMM march at ``ttm``'s kept rows, and row 0 of
-``price``'s three stacked marches, for every payoff.  Each array is pinned
+``price``'s three stacked marches, for every payoff.  It also pins row 0
+of the linear marches of ``converge``'s grid ladder: MEMM at N = 500, 1000
+and 4000 and MMM at N = 2000, at the default parameters and at one corner
+of the benchmark box.  Each array is pinned
 by the SHA-256 of its float64 bytes, so a zero whose sign flips fails it
 too.  (The digests pin this platform's floating point, as the N = 300
 ones do.)
@@ -21,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +47,14 @@ TTM_ROWS = sorted({round(k * 2000 / 20) for k in range(21)})
 def params() -> ModelParams:
     return ModelParams(mu0=0.06, sigma0=0.3, nu01=1.0, nu10=12.0,
                        gamma=1.0, T=1.0)
+
+
+# One corner of the benchmark's parameter box (sigma0, nu01, nu10 at their
+# upper ends).
+CORNER = dict(sigma0=0.4, nu01=2.0, nu10=24.0)
+# `converge`'s ladder rungs but the default N = 2000, whose MEMM march the
+# `ttm` digests pin.
+LADDER = (500, 1000, 4000)
 
 
 def digest(a: np.ndarray) -> str:
@@ -89,7 +101,23 @@ def price_marches(kind: str) -> dict[str, np.ndarray]:
     return out
 
 
-GROUPS = {"hedge": hedge_marches, "ttm": ttm_march, "price": price_marches}
+def converge_marches(kind: str) -> dict[str, np.ndarray]:
+    """Row 0 of `converge`'s linear marches at the default parameters and
+    at the box corner: MEMM on the ladder rungs, MMM at N = 2000."""
+    out = {}
+    for tag, par in (("default", params()), ("corner", replace(params(), **CORNER))):
+        unit = Payoff(kind, STRIKE)
+        runs = [("MEMM", n) for n in LADDER] + [("MMM", 2000)]
+        for measure, n in runs:
+            res = linear_price(par, unit, measure,
+                               GridSpec.build(par, STRIKE, n_time=n), (0,))
+            out[f"{tag}_{measure}_{n}_p"] = res.surface_p.values
+            out[f"{tag}_{measure}_{n}_q"] = res.surface_q.values
+    return out
+
+
+GROUPS = {"hedge": hedge_marches, "ttm": ttm_march, "price": price_marches,
+          "converge": converge_marches}
 
 
 def digests(group: str, kind: str) -> dict[str, str]:
@@ -116,6 +144,11 @@ def test_price_marches_bit_identical(goldens, kind):
     assert digests("price", kind) == goldens["price"][kind]
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_converge_marches_bit_identical(goldens, kind):
+    assert digests("converge", kind) == goldens["converge"][kind]
+
+
 def test_ttm_rows_are_the_commands():
     assert len(TTM_ROWS) == cli._SWEEP_TIME_POINTS == 21
 
@@ -125,5 +158,6 @@ if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
         "hedge": {k: digests("hedge", k) for k in ("vanilla_call", "vanilla_put")},
         "ttm": {k: digests("ttm", k) for k in ("vanilla_call", "vanilla_put")},
         "price": {k: digests("price", k) for k in KINDS},
+        "converge": {k: digests("converge", k) for k in KINDS},
     }
     DATA.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")

@@ -215,6 +215,10 @@ class TestStackedIndifference:
         dt_kappa = rng.uniform(0.0, 0.05, (3, m))
         rhs = rng.uniform(-1.0, 2.0, (3, m))
         got = _Stepper(grid, params.sigma0, blocks=3).solve(dt_kappa, rhs.copy())
+        # The marches' layout: the three blocks as one flat row.
+        flat = _Stepper(grid, params.sigma0, blocks=3).solve(
+            dt_kappa.reshape(-1), rhs.reshape(-1).copy())
+        assert flat.shape == (3 * m,)
         a = 0.5 * params.sigma0 ** 2 * grid.delta_t
         dz = grid.delta_z
         sub = -a * (1.0 / (dz * dz) + 1.0 / (2.0 * dz))
@@ -230,6 +234,7 @@ class TestStackedIndifference:
             ab[1, -1] += sup * (1.0 + math.exp(dz))
             ref = solve_banded((1, 1), ab, rhs[b], check_finite=False)
             assert np.array_equal(got[b], ref)
+            assert np.array_equal(flat[b * m:(b + 1) * m], ref)
 
     def test_one_block_tripping_the_guard_fails_the_stack(self, params):
         grid = GridSpec.build(params, STRIKE, n_time=100)

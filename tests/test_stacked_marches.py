@@ -218,6 +218,21 @@ class TestSingleShockStack:
         chunk = pde._SOURCE_CHUNK * grid.n_space * 8
         assert self.extra_peak(params, grid) / 7 <= 6 * chunk
 
+    def test_one_buyer_holds_about_one_table(self, params, grid_default):
+        """The Black-Scholes table is the one whole (N + 1) x M table of a
+        single-shock march: its time values overwrite it in place, and the
+        exponent guard takes their largest magnitude without a second
+        table."""
+        table = (grid_default.n_time + 1) * grid_default.n_space * 8
+        tracemalloc.start()
+        try:
+            solve_single_shock(params, Payoff("vanilla_call", STRIKE),
+                               grid_default, [1.0], (0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * table
+
     def test_stacked_exponent_guard_names_the_first_offending_block(self):
         x = np.zeros((3, 4))
         x[1, 2] = -701.0
@@ -276,7 +291,8 @@ class TestStepGuard:
     def test_every_step_guard_goes_through_it(self, params, monkeypatch):
         """Both guards of each indifference step and the guard of each
         single-shock step call ``_guard_exponent`` on the exponent
-        ``_check_exponent`` would see."""
+        ``_check_exponent`` would see, in stacks and in one-block marches
+        alike."""
         calls: dict[str, int] = {}
         real = pde._guard_exponent
 
@@ -289,13 +305,16 @@ class TestStepGuard:
         monkeypatch.setattr(pde, "_guard_exponent", spy)
         grid = GridSpec.build(params, STRIKE, n_time=40)
         unit = Payoff("vanilla_call", STRIKE)
-        solve_indifference(params, unit, grid, (1.0, -2.0), (0,))
-        assert calls == {"gamma_eff * (q - p)": 2 * grid.n_time}
-        calls.clear()
-        solve_single_shock(params, unit, grid, (1.0, 2.0), (0,))
-        # Newton's first step takes at least two linearizations.
-        assert calls["gamma_eff * (p - h)"] > grid.n_time
-        assert list(calls) == ["gamma_eff * (p - h)"]
+        for quantities in ((1.0, -2.0), (1.0,), (-2.0,)):
+            calls.clear()
+            solve_indifference(params, unit, grid, quantities, (0,))
+            assert calls == {"gamma_eff * (q - p)": 2 * grid.n_time}
+        for quantities in ((1.0, 2.0), (1.0,)):
+            calls.clear()
+            solve_single_shock(params, unit, grid, quantities, (0,))
+            # Newton's first step takes at least two linearizations.
+            assert calls["gamma_eff * (p - h)"] > grid.n_time
+            assert list(calls) == ["gamma_eff * (p - h)"]
 
 
 def test_indifference_stack_guard_names_the_block(params):
