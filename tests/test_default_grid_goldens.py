@@ -7,14 +7,14 @@ the marches ``price``, ``ttm`` and ``hedge`` run at the default
 ``price``'s three stacked marches, for every payoff.  It also pins row 0
 of the linear marches of ``converge``'s grid ladder: MEMM at N = 500, 1000
 and 4000 and MMM at N = 2000, at the default parameters and at one corner
-of the benchmark box.  Each array is pinned
-by the SHA-256 of its float64 bytes, so a zero whose sign flips fails it
-too.  (The digests pin this platform's floating point, as the N = 300
-ones do.)
+of the benchmark box.  Each array is pinned by the SHA-256 of its float64
+bytes, so a zero whose sign flips fails it too.  (The digests pin this
+platform's floating point, as the N = 300 ones do.)
 
 The digests in ``data/default_grid_goldens.json`` were written before the
-march steps moved to preallocated scratch; regenerate them only for a
-change that means to move the surfaces:
+march steps moved to preallocated scratch, and the ``converge`` group
+before the marches moved to flat rows; regenerate them only for a change
+that means to move the surfaces:
 
     PYTHONPATH=src python3 tests/test_default_grid_goldens.py --write
 """
@@ -105,9 +105,9 @@ def converge_marches(kind: str) -> dict[str, np.ndarray]:
     """Row 0 of `converge`'s linear marches at the default parameters and
     at the box corner: MEMM on the ladder rungs, MMM at N = 2000."""
     out = {}
+    unit = Payoff(kind, STRIKE)
+    runs = [("MEMM", n) for n in LADDER] + [("MMM", 2000)]
     for tag, par in (("default", params()), ("corner", replace(params(), **CORNER))):
-        unit = Payoff(kind, STRIKE)
-        runs = [("MEMM", n) for n in LADDER] + [("MMM", 2000)]
         for measure, n in runs:
             res = linear_price(par, unit, measure,
                                GridSpec.build(par, STRIKE, n_time=n), (0,))
