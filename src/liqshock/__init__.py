@@ -33,7 +33,7 @@ from .model import (MEASURES, PAYOFF_KINDS, IntensityCurve, MertonFactors,
                     ModelParams, Payoff, SingleShockFactors, intensity_curve,
                     merton_factors, single_shock_factors)
 from .pde import (AsymptoticBundle, GridSpec, HedgeReport, PriceSurface,
-                  asymptotic_expansion, gamma_sweep, hedge_report,
+                  asymptotic_expansion, hedge_report,
                   single_shock_zero_order, solve_buyer, solve_indifference,
                   solve_single_shock, solve_single_shock_buyer, solve_writer)
 
@@ -79,7 +79,6 @@ __all__ = [
     "single_shock_zero_order",
     "asymptotic_expansion",
     "hedge_report",
-    "gamma_sweep",
     # Monte Carlo oracle
     "MCEstimate",
     "sample_realized_ttm",

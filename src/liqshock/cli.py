@@ -257,6 +257,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ValueError(f"config key 'width': must be > 0, got {cfg.width}")
     if cfg.paths < 100:
         raise ValueError(f"config key 'paths': must be >= 100, got {cfg.paths}")
+    if not 0 <= cfg.seed < 2 ** 63:
+        raise ValueError(f"config key 'seed': must be in [0, 2**63), got {cfg.seed}")
 
 
 def _default_spot_sweep(strike: float) -> tuple[float, ...]:

@@ -81,6 +81,15 @@ class ModelParams:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.T <= 0.0:
             raise ValueError(f"T must be > 0, got {self.T}")
+        # The discount factors' roots solve l^2 - (d0 + nu01 + nu10) l + d0 nu10.
+        try:
+            s = self.d0 + self.nu01 + self.nu10
+        except ZeroDivisionError:           # sigma0^2 underflows to 0
+            s = math.inf
+        if not math.isfinite(s * s):
+            raise ValueError(
+                "mu0, sigma0, nu01, nu10 out of range: (d0 + nu01 + nu10)^2 "
+                "with d0 = mu0^2 / (2 sigma0^2) is not finite in double precision")
 
     @property
     def d0(self) -> float:

@@ -53,31 +53,34 @@ strike and lifts the buyer price above its gamma -> 0 limit.
 Every march keeps its rows flat: the B blocks of a stack are one
 contiguous row of B*M nodes, the layout ``dgtsv`` solves, and the march
 stores each kept row into its (B, rows, M) surface through a reshape.
-Each march allocates its scratch rows once and its step writes into them
-with in-place ufuncs (``out=``), in the operand order of the plain
-expressions each step spells out in its comments, so every surface is
-bit-identical to an allocating step.  At 538 nodes a numpy call costs
-about as much in dispatch as in arithmetic, and the dispatch depends on
-the operands' layout.  Measured on a 2-core x86_64 VM (numpy 2.4), one
-call on one block takes about 0.55 us with flat-row operands, 0.45 us
-with a 0-d array for the scalar, 0.7 us with a Python float and 0.9 us
-with a (1, 1) column broadcast over a (1, M) row; at B = 6 a (6, 1)
-column over a (6, M) view takes about 4 us, a flat row 2.3 us.  So every
-operand a step takes is a full row or a scalar: gamma_eff and the
-end-row folds as full rows built once per march, dt and the diagonal's
-base value as 0-d arrays, a per-step per-block factor as a full row
-spread from its table a chunk of steps at a time (``_block_rows``), and
-a per-step scalar as the Python float it is (making 0-d arrays of them
-costs what it saves).  Only the exponent guard and the single-shock
-source rows take (B, M) views, persistent ones of the flat scratch.
-What is left of a one-block step is about 12 us of ``dgtsv`` and about
-20 calls of about 0.6 to 1.5 us each.
+``_march`` owns the rows a step writes: two flat buffers per surface,
+allocated once per march and handed to steps i and i + 1 in turn.  Each
+march allocates its own scratch rows once, and its step writes into them
+and into its output rows with in-place ufuncs (``out=``), in the operand
+order of the plain expressions each step spells out in its comments, so
+every surface is bit-identical to an allocating step.  At 538 nodes a
+numpy call costs about as much in dispatch as in arithmetic, and the
+dispatch depends on the operands' layout.  Measured on a 2-core x86_64
+VM (numpy 2.4), one call on one block takes about 0.55 us with flat-row
+operands, 0.45 us with a 0-d array for the scalar, 0.7 us with a Python
+float and 0.9 us with a (1, 1) column broadcast over a (1, M) row; at
+B = 6 a (6, 1) column over a (6, M) view takes about 4 us, a flat row
+2.3 us.  So every operand a step takes is a full row or a scalar:
+gamma_eff and the end-row folds as full rows built once per march, dt
+and the diagonal's base value as 0-d arrays, a per-step per-block factor
+as a full row spread from its table a chunk of steps at a time
+(``_block_rows``), and a per-step scalar as the Python float it is
+(making 0-d arrays of them costs what it saves).  Only the exponent
+guard and the single-shock source rows take (B, M) views, persistent ones
+of the flat scratch.  What is left of a one-block step is about 12 us of
+``dgtsv`` and about 20 calls of about 0.6 to 1.5 us each.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 
@@ -102,7 +105,6 @@ __all__ = [
     "single_shock_zero_order",
     "asymptotic_expansion",
     "hedge_report",
-    "gamma_sweep",
 ]
 
 # Hard cap on any exponent fed to exp(); beyond this the computation aborts
@@ -129,23 +131,19 @@ _DEFAULT_WIDTH = 6.0
 
 
 def _check_exponent(x: np.ndarray | float, what: str,
-                    gamma_eff: np.ndarray | None = None) -> None:
-    """Refuse an exponent beyond _EXP_CAP.  With ``gamma_eff`` (one entry
-    per block of a (B, ...) stack) the message names the first offending
+                    gamma_eff: np.ndarray) -> None:
+    """Refuse an exponent beyond _EXP_CAP in a stack of blocks, one entry
+    of ``gamma_eff`` per block; the message names the first offending
     block's gamma_eff."""
-    m = float(np.max(np.abs(x)))
-    if math.isfinite(m) and m <= _EXP_CAP:
-        return
-    where = ""
-    if gamma_eff is not None:
-        ms = np.max(np.abs(x).reshape(len(gamma_eff), -1), axis=1)
-        b = int(np.flatnonzero(~(ms <= _EXP_CAP))[0])
-        m = float(ms[b])
-        where = f" at gamma_eff = {float(gamma_eff[b]):.6g}"
-    raise NumericalError(
-        f"exponent guard tripped: |{what}| reached {m:.6g} > {_EXP_CAP:.0f}"
-        f"{where}; the requested risk aversion / quantity / payoff scale is "
-        "outside the representable range of the scheme")
+    ms = np.max(np.abs(x).reshape(len(gamma_eff), -1), axis=1)
+    bad = np.flatnonzero(~(ms <= _EXP_CAP))
+    if bad.size:
+        b = bad[0]
+        raise NumericalError(
+            f"exponent guard tripped: |{what}| reached {float(ms[b]):.6g} > "
+            f"{_EXP_CAP:.0f} at gamma_eff = {float(gamma_eff[b]):.6g}; the "
+            "requested risk aversion / quantity / payoff scale is outside the "
+            "representable range of the scheme")
 
 
 def _guard_exponent(x: np.ndarray, buf: np.ndarray, what: str,
@@ -260,14 +258,19 @@ class GridSpec:
             raise ValueError(f"strike must be positive, got {strike}")
         if n_time < 1:
             raise ValueError(f"n_time must be >= 1, got {n_time}")
-        if width <= 0.0:
+        if not width > 0.0:
             raise ValueError(f"width must be > 0, got {width}")
         dt = params.T / n_time
         s2dt = params.sigma0 * params.sigma0 * dt
         dz = math.sqrt(s2dt + 0.25 * s2dt * s2dt)
         zk = math.log(strike)
         half = width * params.sigma0 * math.sqrt(params.T)
-        m = max(1, math.ceil(half / dz - 0.5))
+        m = half / dz - 0.5
+        # n_space = 2m + 2 must stay below sys.maxsize, numpy's largest size.
+        if not m < sys.maxsize // 2 - 1:
+            raise ValueError(f"width = {width} needs more space nodes than an "
+                             "array can hold")
+        m = max(1, math.ceil(m))
         z_min = zk - (m + 0.5) * dz
         z_max = zk + (m + 0.5) * dz
         return GridSpec(n_time=n_time, n_space=2 * m + 2, z_min=z_min,
@@ -458,26 +461,21 @@ class _Stepper:
         folds[m - 1] = sup * (1.0 + math.exp(dz))
         self._folds = np.tile(folds, blocks)
         self._d = np.empty(blocks * m)
-        # The (B, M) view takes a per-block dt * kappa of a (B, M) rhs.
-        self._d_rows = self._d.reshape(blocks, m)
 
     def solve(self, dt_kappa, rhs: np.ndarray) -> np.ndarray:
-        """Solve one implicit step in place of ``rhs`` (a flat row of B*M
-        nodes, or (B, M)); ``dt_kappa`` is dt * kappa (scalar or per-node,
-        broadcast against ``rhs``, nonnegative for a well-posed step).
-        Returns the solution in ``rhs``'s shape."""
-        flat = rhs.ndim == 1
-        np.add(self._diag0, dt_kappa, out=self._d if flat else self._d_rows)
+        """Solve one implicit step in place of ``rhs``, a flat row of B*M
+        nodes; ``dt_kappa`` is dt * kappa (a scalar or a flat row,
+        nonnegative for a well-posed step).  Returns the solution."""
+        np.add(self._diag0, dt_kappa, out=self._d)
         np.add(self._d, self._folds, out=self._d)
-        _, _, _, x, info = dgtsv(self._dl, self._d, self._du,
-                                 rhs if flat else rhs.reshape(-1),
+        _, _, _, x, info = dgtsv(self._dl, self._d, self._du, rhs,
                                  overwrite_d=1, overwrite_b=1)
         if info != 0:
             raise NumericalError(
                 f"tridiagonal step is singular (LAPACK dgtsv info = {info}); "
                 "the step coefficients are outside the range the scheme "
                 "supports")
-        return x if flat else x.reshape(rhs.shape)
+        return x
 
 
 def _terminal(payoff: Payoff, grid: GridSpec) -> np.ndarray:
@@ -486,17 +484,21 @@ def _terminal(payoff: Payoff, grid: GridSpec) -> np.ndarray:
 
 def _march(grid: GridSpec, terminal: tuple[np.ndarray, ...], step,
            keep=None) -> tuple[np.ndarray, ...]:
-    """Backward march from the terminal rows; ``step(i, rows)`` returns the
-    rows at time i from those at time i + 1.
+    """Backward march from the terminal rows; ``step(i, rows, out)``
+    returns the rows at time i from those at time i + 1, written into
+    ``out`` (one flat row per surface) or into rows of its own.
 
     The steps see every row flat: a (B, M) terminal row of B blocks is
-    marched as one contiguous row of B * M nodes.  Only the time rows
-    listed in ``keep`` are stored (default: all; see ``_kept_rows``).  Each
-    surface is allocated once in its final layout: a terminal row of shape
-    (..., M) gives a surface of shape (..., len(keep), M), so a (B, M)
-    stack of contracts gives a (B, len(keep), M) stack, and every kept row
-    is stored where it belongs, through a reshape, as soon as it is
-    computed.
+    marched as one contiguous row of B * M nodes.  The march owns the rows
+    a step writes: two flat buffers per surface, allocated once, that steps
+    i and i + 1 take in turn, so a step reads the rows it was given while
+    it writes the new ones, and the rows it returns stay valid through the
+    next step.  Only the time rows listed in ``keep`` are stored (default:
+    all; see ``_kept_rows``).  Each surface is allocated once in its final
+    layout: a terminal row of shape (..., M) gives a surface of shape
+    (..., len(keep), M), so a (B, M) stack of contracts gives a
+    (B, len(keep), M) stack, and every kept row is stored where it
+    belongs, through a reshape, as soon as it is computed.
     """
     n = grid.n_time
     keep = _kept_rows(grid, keep) or range(n + 1)
@@ -511,8 +513,10 @@ def _march(grid: GridSpec, terminal: tuple[np.ndarray, ...], step,
         for surf, row in zip(by_time, terminal):
             surf[slot[n]] = row
     rows = tuple(row.reshape(-1) for row in terminal)
+    # outs[0] and outs[1]: one row of each surface's buffer pair.
+    outs = list(zip(*(np.empty((2, row.size)) for row in rows)))
     for i in range(n - 1, -1, -1):
-        rows = step(i, rows)
+        rows = step(i, rows, outs[i & 1])
         k = slot[i]
         if k >= 0:
             for surf, row in zip(by_time, rows):
@@ -542,16 +546,14 @@ def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
     nu01_over_g = _block_rows(nu01_t[:, None, None] / gs[:, None], m)
     w_t = [math.exp(-v * grid.delta_t) for v in nu10_t.tolist()]
     nu01_t = nu01_t.tolist()
-    # Scratch: the new rows alternate between two buffers each (the step
-    # reads the old rows while it writes the new), and two temporaries
-    # with (B, M) views for the guard.
+    # Scratch: two temporaries with (B, M) views for the guard.
     h = np.tile(_terminal(payoff, grid), (blocks, 1))
-    p_out, q_out = np.empty((2, h.size)), np.empty((2, h.size))
     a, b = np.empty((2, h.size))
     a_blocks, b_blocks = a.reshape(h.shape), b.reshape(h.shape)
 
-    def step(i: int, rows):
+    def step(i: int, rows, out):
         p, q = rows
+        p_out, q_out = out
         # x = g (p - q) is -g (q - p) but for the sign of an exact zero,
         # which exp and the guard do not see.
         x = np.subtract(p, q, out=a)
@@ -560,7 +562,7 @@ def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
         kappa = np.exp(x, out=x)
         np.multiply(nu01_t[i], kappa, out=kappa)
         # rhs = p + dt * ((nu01 / g) - kappa / g + kappa * p)
-        rhs = np.divide(kappa, g, out=p_out[i & 1])
+        rhs = np.divide(kappa, g, out=p_out)
         np.subtract(next(nu01_over_g), rhs, out=rhs)
         np.add(rhs, np.multiply(kappa, p, out=b), out=rhs)
         np.multiply(dt, rhs, out=rhs)
@@ -574,7 +576,7 @@ def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
         np.multiply(w_t[i], y, out=y)
         np.log1p(y, out=y)
         np.divide(y, g, out=y)
-        return p, np.subtract(p, y, out=q_out[i & 1])
+        return p, np.subtract(p, y, out=q_out)
 
     return _march(grid, (h, h), step, keep)
 
@@ -585,13 +587,12 @@ def _linear_step(params: ModelParams, grid: GridSpec,
     'MEMM') of a flat stack of B blocks, with the intensities of
     ``model.intensity_curve``.
 
-    Returns ``(step, dt_k01, w)``: ``step(i, rows)`` maps the rows (p, q)
-    at time i + 1 to those at time i (called once per i, from N - 1 down
-    to 0), and ``dt_k01[i]`` and ``w[i]`` (shape (B, 1)) hold each block's
+    Returns ``(step, dt_k01, w)``: ``step(i, rows, out)`` is a ``_march``
+    step of the rows (p, q) (called once per i, from N - 1 down to 0), and
+    ``dt_k01[i]`` and ``w[i]`` (shape (B, 1)) hold each block's
     dt * nu01(t_i) and shock-exit weight w = e^{-nu10(t_i) dt}, which the
     expansion step reuses; the step takes both as full rows
-    (``_block_rows``).  The new rows alternate between two scratch buffers
-    each, so the rows a step returns stay valid through the next step.
+    (``_block_rows``).
     """
     times = grid.times()
     dt = grid.delta_t
@@ -604,16 +605,15 @@ def _linear_step(params: ModelParams, grid: GridSpec,
         # math.exp, not np.exp: the weights must round as a scalar step's do.
         w[:, b, 0] = [math.exp(-float(v) * dt) for v in curve.nu10(times)]
     k_rows, w_rows = _block_rows(dt_k01, m), _block_rows(w, m)
-    p_out = np.empty((2, blocks * m))
-    q_out = np.empty_like(p_out)
 
-    def step(i: int, rows):
+    def step(i: int, rows, out):
         p, q = rows
+        p_out, q_out = out
         k, w_i = next(k_rows), next(w_rows)
         # p_new solves with rhs p + k q; q_new = p_new + (q - p_new) w
-        rhs = np.multiply(k, q, out=p_out[i & 1])
+        rhs = np.multiply(k, q, out=p_out)
         p_new = stepper.solve(k, np.add(p, rhs, out=rhs))
-        q_new = np.subtract(q, p_new, out=q_out[i & 1])
+        q_new = np.subtract(q, p_new, out=q_out)
         np.multiply(q_new, w_i, out=q_new)
         return p_new, np.add(p_new, q_new, out=q_new)
 
@@ -655,12 +655,11 @@ def _march_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
     stepper = _Stepper(grid, params.sigma0)
     m = grid.n_space
     zero = np.zeros(m)
-    p1_out, q1_out = np.empty((2, m)), np.empty((2, m))
     a, b = np.empty_like(zero), np.empty_like(zero)
 
-    def step(i: int, rows):
+    def step(i: int, rows, out):
         p_lin, q_lin, p1, q1 = rows
-        p_lin_new, q_lin_new = linear(i, (p_lin, q_lin))
+        p_lin_new, q_lin_new = linear(i, (p_lin, q_lin), out[:2])
         # The MEMM block (the second) is the zeroth order p0, q0.
         p0, q0, p0_new = p_lin[m:], q_lin[m:], p_lin_new[m:]
         dt_k01, w = k_memm[i], w_memm[i]
@@ -669,7 +668,7 @@ def _march_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
         # cross-term v * (p0_new - p0), both at the known time level:
         # rhs = p1 + dt_k01 * (q1 - 0.5 * v**2 + v * (p0_new - p0)).
         v = np.subtract(q0, p0, out=a)
-        rhs = np.square(v, out=p1_out[i & 1])
+        rhs = np.square(v, out=out[2])
         np.multiply(half, rhs, out=rhs)
         np.subtract(q1, rhs, out=rhs)
         np.add(rhs, np.multiply(v, np.subtract(p0_new, p0, out=b), out=b),
@@ -680,7 +679,7 @@ def _march_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
         # term of the exact shock update, (1/2) w (w - 1) vin^2 <= 0:
         # q1 = p1 + (q1 - p1) * w + 0.5 * w * (w - 1.0) * vin**2.
         vin2 = np.square(np.subtract(q0, p0_new, out=a), out=a)
-        q1 = np.subtract(q1, p1, out=q1_out[i & 1])
+        q1 = np.subtract(q1, p1, out=out[3])
         np.multiply(q1, w, out=q1)
         np.add(p1, q1, out=q1)
         np.add(q1, np.multiply(c_memm[i], vin2, out=vin2), out=q1)
@@ -820,18 +819,16 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
     c_lin = _block_rows(
         c_lin[:, None, None] / (np.array(f0)[:, None, None] * gs[:, None]), m)
     one = _const(1.0)
-    # Scratch: the new row alternates between two buffers (Newton's first
-    # step reads its iterate while it writes the next), two temporaries;
-    # (B, M) views for the source rows and the guard.
-    p_out = np.empty((2, h.size))
+    # Scratch: the source row and two temporaries, with (B, M) views for
+    # the source rows and the guard.
     cs1, x, tmp = np.empty((3, h.size))
     cs1_blocks, x_blocks, tmp_blocks = (r.reshape(blocks, m) for r in (cs1, x, tmp))
 
     def linearized(i: int, c_lin_i: np.ndarray, p_old: np.ndarray,
-                   p_lin: np.ndarray) -> np.ndarray:
-        """Implicit step from row i + 1 to row i with the exponential
-        linearized at p_lin; ``cs1`` holds the source row CS[:, n - i] + 1
-        and ``c_lin_i`` the step's 1/g constant."""
+                   p_lin: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Implicit step from row i + 1 to row i, written into ``out``,
+        with the exponential linearized at p_lin; ``cs1`` holds the source
+        row CS[:, n - i] + 1 and ``c_lin_i`` the step's 1/g constant."""
         np.subtract(p_lin, h, out=x)
         np.multiply(g, x, out=x)
         _guard_exponent(x_blocks, tmp_blocks, "gamma_eff * (p - h)", gs)
@@ -846,26 +843,27 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
         np.multiply(nu01, kappa, out=kappa)
         np.divide(kappa, f0[i], out=kappa)
         # rhs = p_old + dt * (c_lin - kappa / g + kappa * p_lin)
-        rhs = np.divide(kappa, g, out=p_out[i & 1])
+        rhs = np.divide(kappa, g, out=out)
         np.subtract(c_lin_i, rhs, out=rhs)
         np.add(rhs, np.multiply(kappa, p_lin, out=tmp), out=rhs)
         np.multiply(dt, rhs, out=rhs)
         np.add(p_old, rhs, out=rhs)
         return stepper.solve(np.multiply(dt, kappa, out=tmp), rhs)
 
-    def step(i: int, rows):
-        (p,) = rows
+    def step(i: int, rows, out):
+        (p,), (p_out,) = rows, out
         # _march steps i = n - 1 .. 0, which reads the source rows
         # k = n - i = 1 .. n in the order ``source`` yields them.
         np.add(next(source), one, out=cs1_blocks)
         c_lin_i = next(c_lin)
         if i < n - 1:
-            return (linearized(i, c_lin_i, p, p),)
+            return (linearized(i, c_lin_i, p, p, p_out),)
         # The first step leaves the kinked payoff: Newton to rounding, each
-        # block frozen at the iterate where its own update converged.
+        # block frozen at the iterate where its own update converged (every
+        # iterate is a new array, never ``p_out``).
         active = np.ones(blocks, dtype=bool)
         for it in range(_FIRST_STEP_MAX_ITER):
-            p_new = linearized(i, c_lin_i, h, p)
+            p_new = linearized(i, c_lin_i, h, p, p_out)
             update = np.max(np.abs(p_new - p).reshape(blocks, m), axis=1)
             scale = np.maximum(1.0, np.max(np.abs(p_new).reshape(blocks, m),
                                            axis=1))
@@ -897,9 +895,13 @@ def _march_single_shock_linear(params: ModelParams, payoff: Payoff,
     """
     fac, pbs, wgt, cs0 = _single_shock_base(params, payoff, grid)
     h = pbs[0].copy()
-    cs1 = _cumulative_simpson(wgt[:, None] * pbs, grid.delta_t)
     n = grid.n_time
     dt = grid.delta_t
+    # Rows k = 1 .. n of the source table CS1[k] = int_0^{m_k} wgt P_BS dm,
+    # integrated _SOURCE_CHUNK rows at a time as the march reaches them.
+    cs1 = (row for rows in _cumulative_simpson_chunks(
+        lambda lo, hi: wgt[lo:hi, None] * pbs[lo:hi], n, dt, _SOURCE_CHUNK)
+        for row in rows)
     stepper = _Stepper(grid, params.sigma0)
     # diag uses kappa(gamma -> 0) = nu01 decay (cs0 + 1) / F0 and the
     # coupling uses the same decay/F0 scaling, mirroring the nonlinear
@@ -907,12 +909,12 @@ def _march_single_shock_linear(params: ModelParams, payoff: Payoff,
     decay, f0, c_lin = _single_shock_scalars(params, fac, grid.times(), cs0)
     dt_k_hat = [dt * (c / f) for c, f in zip(c_lin.tolist(), f0)]
     scale = [dt * params.nu01 * d for d in decay]
-    p_out = np.empty((2, h.size))
 
-    def step(i: int, rows):
-        (p,) = rows
-        # rhs = p + dt * nu01 * decay * (cs1[n - i] + h) / f0
-        rhs = np.add(cs1[n - i], h, out=p_out[i & 1])
+    def step(i: int, rows, out):
+        (p,), (rhs,) = rows, out
+        # rhs = p + dt * nu01 * decay * (cs1[n - i] + h) / f0, with the
+        # source rows k = n - i = 1 .. n read in the order ``cs1`` yields them
+        np.add(next(cs1), h, out=rhs)
         np.multiply(scale[i], rhs, out=rhs)
         np.divide(rhs, f0[i], out=rhs)
         return (stepper.solve(dt_k_hat[i], np.add(p, rhs, out=rhs)),)
@@ -997,8 +999,7 @@ def solve_single_shock_buyer(params: ModelParams, payoff: Payoff,
     (recovery is absorbing).  Buyer-only: the writer direction would need
     e^{+gamma h} inside the source integral, which overflows for unbounded
     payoffs."""
-    n = _split_quantity(payoff, buyer=True)
-    return solve_single_shock(params, payoff, grid, [n])[0]
+    return solve_single_shock(params, payoff, grid, [payoff.quantity])[0]
 
 
 def single_shock_zero_order(params: ModelParams, payoff: Payoff,
@@ -1131,23 +1132,3 @@ def hedge_report(params: ModelParams, payoff: Payoff, surface: PriceSurface,
                     implied_ttm_value=float(imp.ttm[i]))
     return reports if np.ndim(spot) else reports[0]
 
-
-def gamma_sweep(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                gammas, spot: float | None = None) -> list[tuple[float, float]]:
-    """Per-contract indifference quotes at t = 0 across risk aversions, all
-    marched in one stack that stores row 0 only.
-
-    ``gammas`` must be positive and ascending; the payoff quantity's sign
-    picks the side (positive: buyer, negative: writer).  Returns
-    [(gamma, quote), ...] at ``spot`` (default: the strike).
-    """
-    gl = [float(g) for g in gammas]
-    if not gl:
-        raise ValueError("gammas must be nonempty")
-    if any(g <= 0.0 for g in gl) or any(b <= a for a, b in zip(gl, gl[1:])):
-        raise ValueError("gammas must be positive and strictly ascending")
-    s = payoff.strike if spot is None else float(spot)
-    p, _ = _march_nonlinear(params, payoff, grid,
-                            np.array([payoff.quantity * g for g in gl]), (0,))
-    return [(g, float(PriceSurface(p[b], grid, payoff, 0, "sweep", (0,))
-                      .quote(s, 0.0))) for b, g in enumerate(gl)]

@@ -315,6 +315,35 @@ class TestExitCodes:
         for key in ("nsteps", "width", "paths"):
             assert key in captured.err
 
+    @pytest.mark.parametrize("width", ["1e300", "1e308"])
+    def test_oversized_width_exits_2(self, tmp_path, width, capsys):
+        path = write_config(tmp_path, f"width = {width}\n")
+        assert main(["ttm", "--config", path, "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: width = {float(width)}")
+
+    @pytest.mark.parametrize("seed", [str(2 ** 63), "-1"])
+    def test_seed_outside_the_sampler_range_exits_2(self, seed, capsys):
+        assert main(["converge", "--seed", seed, "--paths", "1000",
+                     "--nsteps", "200", "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config key 'seed'" in captured.err
+
+    def test_unrepresentable_intensity_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, "nu10 = 1e160\nnsteps = 100\n")
+        assert main(["price", "--config", path, "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "nu10" in captured.err
+
+    def test_intensity_past_the_exponent_cap_exits_3(self, tmp_path, capsys):
+        path = write_config(tmp_path,
+                            "nu10 = 1e150\nnsteps = 100\ncontracts = 1\n")
+        assert main(["price", "--config", path, "--out", "-"]) == 3
+        assert "exceeds the exponent cap" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["ttm", "hedge"])
     def test_out_of_domain_spot_is_named(self, command, capsys):
         assert main([command, "--spots", "1,10", "--out", "-"]) == 2

@@ -83,6 +83,16 @@ class TestModelParams:
         with pytest.raises(ValueError, match=field):
             make_params(**{field: value})
 
+    @pytest.mark.parametrize("kw", [dict(nu10=1e160), dict(nu01=1e160),
+                                    dict(mu0=1e160), dict(sigma0=1e-160),
+                                    dict(sigma0=1e-200)])
+    def test_unrepresentable_root_sum_rejected(self, kw):
+        """The factors' roots need (d0 + nu01 + nu10)^2 in double precision;
+        beyond it the parameters are refused by name, before any warning."""
+        with pytest.raises(ValueError, match="mu0, sigma0, nu01, nu10"):
+            make_params(**kw)
+        make_params(nu10=1e150)
+
 
 class TestPayoff:
     def test_kinds_and_values(self):

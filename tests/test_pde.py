@@ -10,6 +10,7 @@ buyer <= linear <= writer sandwich as a randomized property.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from liqshock import (
     PriceSurface,
     asymptotic_expansion,
     bs_price,
-    gamma_sweep,
     hedge_report,
     linear_price,
     single_shock_memm_price,
@@ -71,6 +71,14 @@ class TestGridSpec:
             GridSpec.build(params, STRIKE, n_time=0)
         with pytest.raises(ValueError):
             GridSpec.build(params, STRIKE, width=0.0)
+
+    @pytest.mark.parametrize("width", [float("nan"), -1.0, 1e300, 1e308,
+                                       float("inf")])
+    def test_unbuildable_width_is_named(self, params, width):
+        """A width whose grid would not fit an array is refused before any
+        node count is formed."""
+        with pytest.raises(ValueError, match="width"):
+            GridSpec.build(params, STRIKE, width=width)
 
     def test_direct_construction_validation(self):
         with pytest.raises(ValueError, match="delta_z"):
@@ -214,7 +222,6 @@ class TestStackedIndifference:
         rng = np.random.default_rng(5)
         dt_kappa = rng.uniform(0.0, 0.05, (3, m))
         rhs = rng.uniform(-1.0, 2.0, (3, m))
-        got = _Stepper(grid, params.sigma0, blocks=3).solve(dt_kappa, rhs.copy())
         # The marches' layout: the three blocks as one flat row.
         flat = _Stepper(grid, params.sigma0, blocks=3).solve(
             dt_kappa.reshape(-1), rhs.reshape(-1).copy())
@@ -233,7 +240,6 @@ class TestStackedIndifference:
             ab[1, 0] += sub * (1.0 + math.exp(-dz))
             ab[1, -1] += sup * (1.0 + math.exp(dz))
             ref = solve_banded((1, 1), ab, rhs[b], check_finite=False)
-            assert np.array_equal(got[b], ref)
             assert np.array_equal(flat[b * m:(b + 1) * m], ref)
 
     def test_one_block_tripping_the_guard_fails_the_stack(self, params):
@@ -334,29 +340,26 @@ class TestSingleShock:
                                      grid)
 
 
-class TestGammaSweep:
-    def test_buyer_monotone_decreasing(self, params):
+class TestRiskAversionSweep:
+    """A risk-aversion sweep is a quantity stack at gamma = 1: gamma enters
+    the march only through gamma_eff = quantity * gamma."""
+
+    GAMMAS = [0.25, 0.5, 1.0, 2.0]
+
+    def quotes(self, params, quantity):
         grid = GridSpec.build(params, STRIKE, n_time=300)
-        rows = gamma_sweep(params, Payoff("vanilla_call", STRIKE, 1.0), grid,
-                           [0.25, 0.5, 1.0, 2.0])
-        quotes = [q for _, q in rows]
+        stack = solve_indifference(replace(params, gamma=1.0),
+                                   Payoff("vanilla_call", STRIKE), grid,
+                                   [quantity * g for g in self.GAMMAS], keep=(0,))
+        return [p.quote(STRIKE) for p, _ in stack]
+
+    def test_buyer_monotone_decreasing(self, params):
+        quotes = self.quotes(params, 1.0)
         assert all(b < a for a, b in zip(quotes, quotes[1:]))
 
     def test_writer_monotone_increasing(self, params):
-        grid = GridSpec.build(params, STRIKE, n_time=300)
-        rows = gamma_sweep(params, Payoff("vanilla_call", STRIKE, -1.0), grid,
-                           [0.25, 0.5, 1.0, 2.0])
-        quotes = [q for _, q in rows]
+        quotes = self.quotes(params, -1.0)
         assert all(b > a for a, b in zip(quotes, quotes[1:]))
-
-    def test_gamma_list_validated(self, params, grid_default):
-        payoff = Payoff("vanilla_call", STRIKE, 1.0)
-        with pytest.raises(ValueError):
-            gamma_sweep(params, payoff, grid_default, [])
-        with pytest.raises(ValueError):
-            gamma_sweep(params, payoff, grid_default, [1.0, 0.5])
-        with pytest.raises(ValueError):
-            gamma_sweep(params, payoff, grid_default, [0.0, 1.0])
 
 
 class TestHedgeReport:

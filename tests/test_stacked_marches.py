@@ -1,11 +1,11 @@
 """Row-selective marches and the stacked passes of ``price``.
 
 A march that keeps only some time rows must store exactly those rows of
-the full march; the single-shock stack, the MMM + expansion pass and the
-stacked gamma sweep must reproduce their one-surface solves bit for bit
-(``np.array_equal`` throughout).  The source-table quadrature must round
-as scipy's cumulative Simpson rule does, without importing
-``scipy.integrate`` at run time.
+the full march; the single-shock stack, the MMM + expansion pass and a
+risk-aversion sweep as one quantity stack must reproduce their
+one-surface solves bit for bit (``np.array_equal`` throughout).  The
+source-table quadrature must round as scipy's cumulative Simpson rule
+does, without importing ``scipy.integrate`` at run time.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from liqshock import (
     Payoff,
     PriceSurface,
     asymptotic_expansion,
-    gamma_sweep,
     linear_price,
     mmm_and_expansion,
+    single_shock_zero_order,
     solve_indifference,
     solve_single_shock,
     solve_single_shock_buyer,
@@ -233,6 +233,21 @@ class TestSingleShockStack:
             tracemalloc.stop()
         assert peak < 1.5 * table
 
+    def test_zero_order_holds_the_table_and_its_surface(self, params,
+                                                        grid_default):
+        """The gamma -> 0 single-shock march keeps every row, so it holds its
+        surface next to the Black-Scholes table; its source rows are
+        integrated a chunk at a time, not as a third whole table."""
+        table = (grid_default.n_time + 1) * grid_default.n_space * 8
+        tracemalloc.start()
+        try:
+            single_shock_zero_order(params, Payoff("vanilla_call", STRIKE),
+                                    grid_default)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * table
+
     def test_stacked_exponent_guard_names_the_first_offending_block(self):
         x = np.zeros((3, 4))
         x[1, 2] = -701.0
@@ -364,16 +379,18 @@ class TestLinearPass:
 
 
 @pytest.mark.parametrize("quantity", [1.0, -5.0])
-def test_gamma_sweep_equals_per_gamma_solves(params, grid, quantity):
+def test_gamma_stack_equals_per_gamma_solves(params, grid, quantity):
+    """A quantity stack at gamma = 1 over quantity * g is the risk-aversion
+    sweep over g, bit for bit."""
     gammas = [0.25, 0.5, 1.0, 2.0]
-    payoff = Payoff("vanilla_call", STRIKE, quantity)
-    swept = gamma_sweep(params, payoff, grid, gammas, spot=11.0)
-    for (g, quote), g_ref in zip(swept, gammas):
-        (p, _), = solve_indifference(replace(params, gamma=g_ref),
-                                     Payoff("vanilla_call", STRIKE), grid,
-                                     [quantity])
-        assert g == g_ref
-        assert quote == float(p.quote(11.0, 0.0))
+    unit = Payoff("vanilla_call", STRIKE)
+    swept = solve_indifference(replace(params, gamma=1.0), unit, grid,
+                               [quantity * g for g in gammas], keep=(0,))
+    for (p, q), g in zip(swept, gammas):
+        (p_ref, q_ref), = solve_indifference(replace(params, gamma=g), unit,
+                                             grid, [quantity], keep=(0,))
+        assert np.array_equal(p.values, p_ref.values)
+        assert np.array_equal(q.values, q_ref.values)
 
 
 @pytest.mark.parametrize("n_rows", [2, 3, 4, 301, 2001])
