@@ -13,11 +13,13 @@ The package provides
   discount factors of the regime chain, expected-liquid-time ("adjusted")
   and price-implied time-to-maturity (:mod:`liqshock.bs`,
   :mod:`liqshock.model`);
-* linear prices under the minimal martingale and minimal entropy martingale
-  measures, plus a single-shock quadrature oracle (:mod:`liqshock.emm`);
-* exponential-utility indifference prices for buyers and writers via an
-  implicit finite-difference march, their small-risk-aversion expansion,
-  a single-shock variant, and a hedge decomposition (:mod:`liqshock.pde`);
+* an implicit finite-difference march for every PDE price: linear prices
+  under the minimal martingale and minimal entropy martingale measures,
+  exponential-utility indifference prices for buyers and writers, their
+  small-risk-aversion expansion, a single-shock variant, and a hedge
+  decomposition (:mod:`liqshock.pde`);
+* a single-shock quadrature oracle, independent of the march
+  (:mod:`liqshock.emm`);
 * a Monte Carlo oracle on the realized-liquid-time representation
   (:mod:`liqshock.mc`);
 * a CSV-reporting command line, ``liqshock`` (:mod:`liqshock.cli`).
@@ -25,17 +27,17 @@ The package provides
 
 from .bs import (BSQuote, ImpliedTTM, adjusted_ttm, bs_greeks, bs_price,
                  implied_ttm)
-from .emm import (LinearPriceResult, linear_price, mmm_and_expansion,
-                  single_shock_memm_price)
+from .emm import single_shock_memm_price
 from .errors import NumericalError
 from .mc import MCEstimate, mc_linear_price, sample_realized_ttm
 from .model import (MEASURES, PAYOFF_KINDS, IntensityCurve, MertonFactors,
                     ModelParams, Payoff, SingleShockFactors, intensity_curve,
                     merton_factors, single_shock_factors)
-from .pde import (AsymptoticBundle, GridSpec, HedgeReport, PriceSurface,
-                  asymptotic_expansion, hedge_report,
-                  single_shock_zero_order, solve_buyer, solve_indifference,
-                  solve_single_shock, solve_single_shock_buyer, solve_writer)
+from .pde import (AsymptoticBundle, GridSpec, HedgeReport, LinearPriceResult,
+                  PriceSurface, asymptotic_expansion, hedge_report,
+                  linear_price, mmm_and_expansion, single_shock_zero_order,
+                  solve_buyer, solve_indifference, solve_single_shock,
+                  solve_single_shock_buyer, solve_writer)
 
 __version__ = "0.1.0"
 

@@ -50,12 +50,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bs as _bs
-from .emm import linear_price, mmm_and_expansion
 from .errors import NumericalError
 from .mc import mc_linear_price
 from .model import PAYOFF_KINDS, ModelParams, Payoff
-from .pde import (GridSpec, hedge_report, solve_buyer, solve_indifference,
-                  solve_single_shock, solve_writer)
+from .pde import (GridSpec, hedge_report, linear_price, mmm_and_expansion,
+                  solve_buyer, solve_indifference, solve_single_shock,
+                  solve_writer)
 # `price` marches through the stacked entry points above; these one-surface
 # solvers stay bound here because perfbench/spans.py patches them by name.
 from .pde import asymptotic_expansion, solve_single_shock_buyer  # noqa: F401
@@ -290,6 +290,7 @@ def cmd_price(cfg: RunConfig) -> Report:
     unit = cfg.make_payoff(1.0)
     grid = cfg.grid()
     spots = cfg.spots
+    grid.log_spots(spots)             # refuse off-grid spots before any march
     gamma_s = _fmt(params.gamma)
     header = ["method", "spot", "n", "gamma", "price"]
     rows: list[list[str]] = []

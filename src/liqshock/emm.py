@@ -1,42 +1,25 @@
-"""Risk-neutral (linear) pricing under the minimal measures.
+"""The single-shock MEMM price by a route independent of the PDE.
 
-The small-risk-aversion limit of the indifference price is the expectation
-under the minimal entropy martingale measure (MEMM), whose regime-switch
-intensities are the market ones tilted by the valuation-factor ratio; the
-minimal martingale measure (MMM) leaves the intensities unchanged.  Both
-prices solve the same linear PDE system as the indifference price's
-zeroth-order term and are marched by the shared stepper in ``pde``, with
-the intensities of ``model.intensity_curve``.  ``linear_price`` marches one
-measure; ``mmm_and_expansion`` marches the MMM price beside the MEMM
-expansion, whose zeroth order is the MEMM price, in one pass, so the
-MMM - MEMM spread of a payoff is read off that one pass.
-
-``single_shock_memm_price`` evaluates the single-shock MEMM price by an
-independent route: the explicit occupation-time representation (condition
-on the first shock time and the recovery time; between switches the chain
-survival factors are known in closed form), integrated with a tensor
-Simpson rule.  It serves as a cross-check oracle for the PDE route.
+``single_shock_memm_price`` evaluates the linear MEMM price of the
+single-shock problem (recovery absorbing) from the explicit occupation-time
+representation: condition on the first shock time and the recovery time;
+between switches the chain survival factors are known in closed form.  The
+two-dimensional integral is a tensor Simpson rule.  It serves as a
+cross-check oracle for the PDE route; the linear MMM and MEMM prices
+themselves are marched in ``pde``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import bs as _bs
 from .errors import NumericalError
 from .model import ModelParams, Payoff, single_shock_factors
-from .pde import (AsymptoticBundle, GridSpec, PriceSurface, _expansion_bundle,
-                  _kept_rows, _march_expansion, _march_linear)
 
-__all__ = [
-    "LinearPriceResult",
-    "linear_price",
-    "mmm_and_expansion",
-    "single_shock_memm_price",
-]
+__all__ = ["single_shock_memm_price"]
 
 _QUAD_START_PANELS = 400
 _QUAD_TOL = 1e-8
@@ -44,60 +27,6 @@ _QUAD_MAX_DOUBLINGS = 12
 # Outer-axis chunk for the tensor quadrature; bounds peak memory at
 # chunk * (panels + 1) doubles.
 _QUAD_CHUNK = 256
-
-
-@dataclass(frozen=True)
-class LinearPriceResult:
-    """Linear price surfaces (per contract) under one pricing measure."""
-
-    surface_p: PriceSurface
-    surface_q: PriceSurface
-    measure: str
-    grid: GridSpec
-
-    def quote(self, spot, regime: int = 0, t: float = 0.0):
-        surf = self.surface_p if regime == 0 else self.surface_q
-        return surf.quote(spot, t)
-
-
-def _linear_result(measure: str, p: np.ndarray, q: np.ndarray, grid: GridSpec,
-                   payoff: Payoff, keep) -> LinearPriceResult:
-    keep = _kept_rows(grid, keep)
-    return LinearPriceResult(
-        surface_p=PriceSurface(p, grid, payoff, 0, f"{measure}_p", keep),
-        surface_q=PriceSurface(q, grid, payoff, 1, f"{measure}_q", keep),
-        measure=measure, grid=grid)
-
-
-def linear_price(params: ModelParams, payoff: Payoff, measure: str,
-                 grid: GridSpec, keep=None) -> LinearPriceResult:
-    """Linear price surfaces under 'MMM' or 'MEMM'.
-
-    Linear pricing is per contract and independent of payoff.quantity.
-    Terminal rows carry the payoff exactly; the tradeable-regime surface at
-    intermediate times solves the implicit march of the coupled system.
-    ``keep`` lists the time-row indices to store (default: all).
-    """
-    if measure not in ("MMM", "MEMM"):
-        raise ValueError(f"measure must be 'MMM' or 'MEMM', got {measure!r}")
-    p, q = _march_linear(params, payoff, grid, measure, keep)
-    return _linear_result(measure, p, q, grid, payoff, keep)
-
-
-def mmm_and_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                      keep=None) -> tuple[LinearPriceResult, AsymptoticBundle]:
-    """The MMM linear price and the MEMM small-gamma expansion from one
-    march.
-
-    The MMM price and the expansion's p0 share each step's tridiagonal
-    solve (a two-block stack), so the MMM result is bit-identical to
-    ``linear_price(..., "MMM", ...)`` and the bundle to
-    ``asymptotic_expansion``; the bundle's p0/q0 are the linear MEMM
-    prices, bit-identical to ``linear_price(..., "MEMM", ...)``.
-    """
-    p_mmm, q_mmm, *expansion = _march_expansion(params, payoff, grid, keep)
-    return (_linear_result("MMM", p_mmm, q_mmm, grid, payoff, keep),
-            _expansion_bundle(params, payoff, grid, keep, expansion))
 
 
 def _simpson_weights(n: int) -> np.ndarray:

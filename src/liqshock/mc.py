@@ -174,11 +174,12 @@ def _round_cap(horizon: float, max_bound: float) -> int:
 
 
 def sample_realized_ttm(curve: IntensityCurve, horizon: float,
-                        start_regime: int, seed: int, n_paths: int = 1,
+                        start_regime: int, seed: int, n_paths: int,
                         antithetic: bool = False) -> np.ndarray:
     """Realized liquid time over [0, horizon] for the two-regime chain.
 
-    Returns an array of shape (n_paths,), each entry in [0, horizon].
+    Returns an array of shape (n_paths,), each entry in [0, horizon];
+    ``n_paths`` must be at least 100 (and even when ``antithetic``).
     ``horizon`` must not exceed the curve's parameter horizon T (the tilted
     intensities are defined on [0, T]).  Under the 'MEMM_single_shock'
     curve at most one shock occurs: the chain starts liquid (regime 0) and

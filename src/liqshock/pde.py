@@ -1,4 +1,5 @@
-"""Finite-difference solvers for indifference prices under liquidity shocks.
+"""Finite-difference solvers for linear and indifference prices under
+liquidity shocks.
 
 The buyer's per-contract indifference price pair (p, q) solves, in log-price
 z = ln S with L = (sigma0^2/2)(d_zz - d_z),
@@ -34,17 +35,25 @@ subtracts 0 * x; so each block goes through the same floating-point
 operations as a solve of that block alone and its result is bit-identical
 to it.
 
-One backward march, ``_march``, owns the time loop and the
-surfaces for every march: the indifference system, the linear
-(small-gamma limit) prices, the first-order expansion in gamma, and the
-single-shock variant, whose source integral is a cumulative Simpson rule
-over a Black-Scholes table, integrated a block of rows at a time as the
-march reaches them.  Each march hands it only its per-step update; the
-expansion step reuses the linear one for its zeroth order, the linear
-steps take their intensities from ``model.intensity_curve`` and the
-indifference step from the one MEMM tilt in ``model`` behind it.  A march
-stores only the time rows it is asked to ``keep`` (all of them by
-default), so a quote at t = 0 holds one row per surface instead of N + 1.
+The small-gamma limit of the indifference price is the linear price
+under the minimal entropy martingale measure (MEMM), whose switch
+intensities are the market ones tilted by the valuation-factor ratio; the
+minimal martingale measure (MMM) leaves them unchanged.  ``linear_price``
+marches one measure; ``mmm_and_expansion`` marches the MMM price beside
+the MEMM expansion, whose zeroth order is the MEMM price, so one pass
+gives both prices and their spread.
+
+One backward march, ``_march``, owns the time loop and the surfaces for
+every march: the indifference system, the linear prices, the first-order
+expansion in gamma, and the single-shock variant, whose source integral is
+a cumulative Simpson rule over a Black-Scholes table, integrated a block
+of rows at a time as the march reaches them.  Each march hands it only its
+per-step update; the expansion step reuses the linear one for its zeroth
+order, the linear steps take their intensities from
+``model.intensity_curve`` and the indifference step from the one MEMM tilt
+in ``model`` behind it.  A march stores only the time rows it is asked to
+``keep`` (all of them by default), so a quote at t = 0 holds one row per
+surface instead of N + 1.
 The single-shock march solves its first step, the one that leaves the
 kinked terminal payoff, to convergence by repeating the linearization
 (Newton): a single linearized step there overstates the source next to the
@@ -95,8 +104,11 @@ from .model import (ModelParams, Payoff, _memm_intensities, intensity_curve,
 __all__ = [
     "GridSpec",
     "PriceSurface",
+    "LinearPriceResult",
     "AsymptoticBundle",
     "HedgeReport",
+    "linear_price",
+    "mmm_and_expansion",
     "solve_indifference",
     "solve_buyer",
     "solve_writer",
@@ -273,6 +285,9 @@ class GridSpec:
         m = max(1, math.ceil(m))
         z_min = zk - (m + 0.5) * dz
         z_max = zk + (m + 0.5) * dz
+        if not z_max < math.log(sys.float_info.max):
+            raise ValueError(f"strike = {strike} puts the grid's largest spot "
+                             "beyond the largest double")
         return GridSpec(n_time=n_time, n_space=2 * m + 2, z_min=z_min,
                         z_max=z_max, delta_t=dt, delta_z=dz)
 
@@ -284,6 +299,21 @@ class GridSpec:
 
     def spot_nodes(self) -> np.ndarray:
         return np.exp(self.z_nodes())
+
+    def log_spots(self, spot) -> np.ndarray:
+        """ln S of each spot; refuses (ValueError) a spot that is not
+        positive and finite or lies outside the grid domain."""
+        s = np.asarray(spot, dtype=float)
+        flat = s.reshape(-1)
+        _bs._first_bad(flat, np.isfinite(flat) & (flat > 0.0),
+                       "spot must be positive and finite")
+        z = np.log(s)
+        outside = (z < self.z_min) | (z > self.z_max)
+        if np.any(outside):
+            raise ValueError(
+                f"spot {float(s[outside][0])} outside the grid domain "
+                f"[{math.exp(self.z_min):.6g}, {math.exp(self.z_max):.6g}]")
+        return z
 
 
 def _kept_rows(grid: GridSpec, keep) -> tuple[int, ...] | None:
@@ -360,16 +390,7 @@ class PriceSurface:
         node j, the value p_j there, and the differences p_{j+1} - p_{j-1}
         and p_{j+1} - 2 p_j + p_{j-1}."""
         row = self.row(t)
-        s = np.asarray(spot, dtype=float)
-        flat = s.reshape(-1)
-        _bs._first_bad(flat, np.isfinite(flat) & (flat > 0.0),
-                       "spot must be positive and finite")
-        z = np.log(s)
-        outside = (z < self.grid.z_min) | (z > self.grid.z_max)
-        if np.any(outside):
-            raise ValueError(
-                f"spot {float(s[outside][0])} outside the grid domain "
-                f"[{math.exp(self.grid.z_min):.6g}, {math.exp(self.grid.z_max):.6g}]")
+        z = self.grid.log_spots(spot)
         j = np.rint((z - self.grid.z_min) / self.grid.delta_z).astype(int)
         j = np.clip(j, 1, self.grid.n_space - 2)
         x = z - (self.grid.z_min + j * self.grid.delta_z)
@@ -620,16 +641,6 @@ def _linear_step(params: ModelParams, grid: GridSpec,
     return step, dt_k01, w
 
 
-def _march_linear(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                  measure: str, keep=None) -> tuple[np.ndarray, np.ndarray]:
-    """Linear pricing march (small-gamma limit) under MMM or MEMM
-    intensities; returns the (p, q) surfaces."""
-    step, _, _ = _linear_step(params, grid, (measure,),
-                              _Stepper(grid, params.sigma0))
-    h = _terminal(payoff, grid)
-    return _march(grid, (h, h), step, keep)
-
-
 def _march_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
                      keep=None) -> tuple[np.ndarray, ...]:
     """March the linear MMM prices next to the small-gamma expansion under
@@ -645,7 +656,18 @@ def _march_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
     leftover is pure curvature with no discretisation cross-term.  Both
     coefficients stay <= 0 node by node (they measure the concave utility
     drag, which only subtracts value).
+
+    Its steps square price differences, which the payoff's range on the
+    grid bounds, so a payoff whose range squared overflows is refused
+    before the march.
     """
+    h = _terminal(payoff, grid)
+    span = float(np.max(h) - np.min(h))
+    if not math.isfinite(span * span):
+        raise NumericalError(
+            f"payoff range {span:.6g} on the grid squares beyond double "
+            "precision; the payoff scale is outside the representable range "
+            "of the first-order expansion")
     linear, dt_k01, w = _linear_step(params, grid, ("MMM", "MEMM"),
                                      _Stepper(grid, params.sigma0, 2))
     k_memm = dt_k01[:, 1, 0].tolist()
@@ -685,7 +707,7 @@ def _march_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
         np.add(q1, np.multiply(c_memm[i], vin2, out=vin2), out=q1)
         return p_lin_new, q_lin_new, p1, q1
 
-    h = np.tile(_terminal(payoff, grid), (2, 1))
+    h = np.tile(h, (2, 1))
     p_lin, q_lin, p1, q1 = _march(grid, (h, h, zero, zero), step, keep)
     return p_lin[0], q_lin[0], p_lin[1], q_lin[1], p1, q1
 
@@ -1049,13 +1071,72 @@ def asymptotic_expansion(params: ModelParams, payoff: Payoff,
     """March the small-gamma expansion system (MEMM intensities): p0/q0 are
     the linear MEMM prices, p1/q1 carry source -(1/2) nu01(t) (q0 - p0)^2
     and are nonpositive node by node.  The one expansion march also marches
-    the MMM price (see ``emm.mmm_and_expansion``); it is dropped here."""
+    the MMM price (see ``mmm_and_expansion``); it is dropped here."""
     p0, q0, p1, q1 = _march_expansion(params, payoff, grid)[2:]
     # p0/q0 are views into the two-block stacks; each copy drops the last
     # view of its stack, which frees that stack's MMM block.
     p0 = p0.copy()
     q0 = q0.copy()
     return _expansion_bundle(params, payoff, grid, None, (p0, q0, p1, q1))
+
+
+@dataclass(frozen=True)
+class LinearPriceResult:
+    """Linear price surfaces (per contract) under one pricing measure."""
+
+    surface_p: PriceSurface
+    surface_q: PriceSurface
+    measure: str
+    grid: GridSpec
+
+    def quote(self, spot, regime: int = 0, t: float = 0.0):
+        if regime not in (0, 1):
+            raise ValueError(f"regime must be 0 or 1, got {regime}")
+        surf = self.surface_p if regime == 0 else self.surface_q
+        return surf.quote(spot, t)
+
+
+def _linear_result(measure: str, p: np.ndarray, q: np.ndarray, grid: GridSpec,
+                   payoff: Payoff, keep) -> LinearPriceResult:
+    keep = _kept_rows(grid, keep)
+    return LinearPriceResult(
+        surface_p=PriceSurface(p, grid, payoff, 0, f"{measure}_p", keep),
+        surface_q=PriceSurface(q, grid, payoff, 1, f"{measure}_q", keep),
+        measure=measure, grid=grid)
+
+
+def linear_price(params: ModelParams, payoff: Payoff, measure: str,
+                 grid: GridSpec, keep=None) -> LinearPriceResult:
+    """Linear price surfaces under 'MMM' or 'MEMM'.
+
+    Linear pricing is per contract and independent of payoff.quantity.
+    Terminal rows carry the payoff exactly; the tradeable-regime surface at
+    intermediate times solves the implicit march of the coupled system.
+    ``keep`` lists the time-row indices to store (default: all).
+    """
+    if measure not in ("MMM", "MEMM"):
+        raise ValueError(f"measure must be 'MMM' or 'MEMM', got {measure!r}")
+    step, _, _ = _linear_step(params, grid, (measure,),
+                              _Stepper(grid, params.sigma0))
+    h = _terminal(payoff, grid)
+    p, q = _march(grid, (h, h), step, keep)
+    return _linear_result(measure, p, q, grid, payoff, keep)
+
+
+def mmm_and_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
+                      keep=None) -> tuple[LinearPriceResult, AsymptoticBundle]:
+    """The MMM linear price and the MEMM small-gamma expansion from one
+    march.
+
+    The MMM price and the expansion's p0 share each step's tridiagonal
+    solve (a two-block stack), so the MMM result is bit-identical to
+    ``linear_price(..., "MMM", ...)`` and the bundle to
+    ``asymptotic_expansion``; the bundle's p0/q0 are the linear MEMM
+    prices, bit-identical to ``linear_price(..., "MEMM", ...)``.
+    """
+    p_mmm, q_mmm, *expansion = _march_expansion(params, payoff, grid, keep)
+    return (_linear_result("MMM", p_mmm, q_mmm, grid, payoff, keep),
+            _expansion_bundle(params, payoff, grid, keep, expansion))
 
 
 @dataclass(frozen=True)

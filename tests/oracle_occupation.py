@@ -9,9 +9,12 @@ This gives machine-accurate reference prices by one-dimensional adaptive
 quadrature — a route completely independent of both the lattice solver
 and the Monte Carlo sampler, used to pin down their shared limit.
 
-Only the liquid-start, constant-intensity case is covered, which is
-exactly the MMM price; time-varying tilts (MEMM) have no comparably
-simple density.
+Only the liquid start is covered.  Under the unchanged (MMM) intensities
+the price is ``E[P_BS(occ, S)]`` over this law.  The MEMM tilt of the
+intensities is the Doob h-transform of killing the chain at rate d0 while
+it is liquid (F0(t) = E[e^{-d0 occ_t}], with occ_t the liquid time left),
+so the MEMM law is the same one reweighted:
+``E^MEMM[g(occ)] = E[g(occ) e^{-d0 occ}] / F0(0)``.
 """
 
 from __future__ import annotations
@@ -62,3 +65,30 @@ def constant_intensity_price(params: ModelParams, payoff: Payoff,
     tail = no_shock_atom(params.nu01, params.T) * float(
         bs_price(payoff, params.T, spot, params.sigma0))
     return val + tail
+
+
+def _killed_expectation(params: ModelParams, g) -> float:
+    """E[g(occ) e^{-d0 occ}] over the occupation law (liquid start)."""
+    def integrand(t: float) -> float:
+        dens = float(occupation_density(t, params.nu01, params.nu10, params.T))
+        return dens * float(np.exp(-params.d0 * t)) * g(t)
+
+    val, _ = quad(integrand, 0.0, params.T, limit=400)
+    tail = no_shock_atom(params.nu01, params.T) * float(
+        np.exp(-params.d0 * params.T)) * g(params.T)
+    return val + tail
+
+
+def killed_occupation_mass(params: ModelParams) -> float:
+    """Total mass E[e^{-d0 occ}] of the reweighted law; equals F0(0)."""
+    return _killed_expectation(params, lambda t: 1.0)
+
+
+def memm_price(params: ModelParams, payoff: Payoff, spot: float) -> float:
+    """Exact MEMM price: quadrature of P_BS over the occupation law
+    reweighted by e^{-d0 occ}, divided by F0(0)."""
+    from liqshock import merton_factors
+
+    total = _killed_expectation(
+        params, lambda t: float(bs_price(payoff, t, spot, params.sigma0)))
+    return total / float(merton_factors(params).F0(0.0))

@@ -351,6 +351,36 @@ class TestExitCodes:
         assert captured.out == ""
         assert "spot 1.0 outside the grid domain" in captured.err
 
+    def test_spots_off_an_overflowing_grid_are_refused_first(self, tmp_path,
+                                                             capsys):
+        # At strike 1e300 the expansion's squares would overflow; the
+        # default spots lie off the grid, which is refused before any march.
+        path = write_config(tmp_path, "strike = 1e300\nnsteps = 200\n")
+        assert main(["price", "--config", path, "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "spot 8.0 outside the grid domain" in captured.err
+
+    def test_payoff_range_whose_square_overflows_exits_3(self, tmp_path,
+                                                          capsys):
+        path = write_config(tmp_path,
+                            "strike = 1e300\nspots = 1e300\nnsteps = 200\n")
+        assert main(["price", "--config", path, "--out", "-"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "payoff range 5.1339e+300 on the grid squares beyond double" \
+            in captured.err
+
+    @pytest.mark.parametrize("command", ["price", "ttm", "hedge", "converge"])
+    def test_grid_past_the_largest_double_exits_2(self, tmp_path, command,
+                                                  capsys):
+        path = write_config(tmp_path, "strike = 1e308\nspots = 1e308\n")
+        assert main([command, "--config", path, "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "strike = 1e+308 puts the grid's largest spot beyond" \
+            in captured.err
+
     def test_unresolved_single_shock_table_exits_3(self, tmp_path, capsys):
         # gamma_eff = 40 on 500 steps: the digital's Simpson source table
         # reaches -545 next to the strike, which would make the shock
