@@ -342,6 +342,10 @@ def cmd_ttm(cfg: RunConfig) -> Report:
             "the ttm command needs a vanilla payoff: digital prices are not "
             "monotone in maturity, so no implied time-to-maturity exists")
     grid = cfg.grid()
+    spots = np.asarray(_sweep_spots(cfg), dtype=float)
+    # Refuse off-grid spots before the march, the anchor first.
+    grid.log_spots(cfg.spot)
+    grid.log_spots(spots)
     n_t = grid.n_time
     indices = sorted({round(k * n_t / (_SWEEP_TIME_POINTS - 1))
                       for k in range(_SWEEP_TIME_POINTS)})
@@ -353,7 +357,6 @@ def cmd_ttm(cfg: RunConfig) -> Report:
 
     # Horizons fall as t rises, so the rows with time left are a prefix.
     n_live = sum(params.T - t > 0.0 for t in times)
-    spots = np.asarray(_sweep_spots(cfg), dtype=float)
     # One inversion over the live time rows (anchor spot) and the spot sweep.
     imp = _bs.implied_ttm(
         pay, np.concatenate([np.full(n_live, cfg.spot), spots]),
@@ -398,6 +401,8 @@ def cmd_hedge(cfg: RunConfig) -> Report:
     quantity = cfg.contracts[0]
     pay_n = cfg.make_payoff(quantity)
     grid = cfg.grid()
+    spots = np.asarray(_sweep_spots(cfg), dtype=float)
+    grid.log_spots(spots)             # refuse off-grid spots before the march
     if quantity > 0.0:
         surf, _ = solve_buyer(params, pay_n, grid, _FIRST_ROW)
     else:
@@ -410,7 +415,6 @@ def cmd_hedge(cfg: RunConfig) -> Report:
               "low_confidence"]
     rows: list[list[str]] = []
     n_s = _fmt(quantity)
-    spots = np.asarray(_sweep_spots(cfg), dtype=float)
     reports = hedge_report(params, pay_n, surf, 0.0, spots)
     deltas_adj = _bs.bs_greeks(unit, t_adj, spots, params.sigma0).delta
     for s, rep, delta_adj in zip(spots, reports, deltas_adj):

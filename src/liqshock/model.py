@@ -233,15 +233,6 @@ def merton_factors(params: ModelParams) -> MertonFactors:
                          lambda1=l1, lambda2=l2)
 
 
-def _memm_intensities(fac: MertonFactors,
-                      t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
-    """MEMM switch intensities (nu01(t), nu10(t)) at times t: each market
-    intensity times the discount factor of the regime it enters over that
-    of the regime it leaves, nu01 F1/F0 and nu10 F0/F1."""
-    f0, f1 = fac._factors(t)
-    return fac.nu01 * f1 / f0, fac.nu10 * f0 / f1
-
-
 @dataclass(frozen=True)
 class SingleShockFactors:
     """Discount factors of the single-shock (first recovery absorbing) chain.
@@ -342,7 +333,8 @@ def intensity_curve(params: ModelParams, measure: str) -> IntensityCurve:
     if measure == "MEMM":
         fac = merton_factors(params)
 
-        # Each ratio alone, in the operand order of _memm_intensities.
+        # Each market intensity times the discount factor of the regime it
+        # enters over that of the regime it leaves: nu01 F1/F0, nu10 F0/F1.
         def fn01(t, _f=fac):
             f0, f1 = _f._factors(t)
             return _f.nu01 * f1 / f0

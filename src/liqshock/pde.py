@@ -47,13 +47,12 @@ One backward march, ``_march``, owns the time loop and the surfaces for
 every march: the indifference system, the linear prices, the first-order
 expansion in gamma, and the single-shock variant, whose source integral is
 a cumulative Simpson rule over a Black-Scholes table, integrated a block
-of rows at a time as the march reaches them.  Each march hands it only its
+of rows at a time as the march reaches them.  Each solve hands it only its
 per-step update; the expansion step reuses the linear one for its zeroth
-order, the linear steps take their intensities from
-``model.intensity_curve`` and the indifference step from the one MEMM tilt
-in ``model`` behind it.  A march stores only the time rows it is asked to
-``keep`` (all of them by default), so a quote at t = 0 holds one row per
-surface instead of N + 1.
+order, and every march with switch intensities (linear, expansion and
+indifference) takes them from ``model.intensity_curve``.  A march stores
+only the time rows it is asked to ``keep`` (all of them by default), so a
+quote at t = 0 holds one row per surface instead of N + 1.
 The single-shock march solves its first step, the one that leaves the
 kinked terminal payoff, to convergence by repeating the linearization
 (Newton): a single linearized step there overstates the source next to the
@@ -98,8 +97,9 @@ from scipy.linalg.lapack import dgtsv
 
 from . import bs as _bs
 from .errors import NumericalError
-from .model import (ModelParams, Payoff, _memm_intensities, intensity_curve,
-                    merton_factors, single_shock_factors)
+from .model import ModelParams, Payoff, intensity_curve, single_shock_factors
+# Unused here; stays bound because perfbench/spans.py patches it by name.
+from .model import merton_factors  # noqa: F401
 
 __all__ = [
     "GridSpec",
@@ -367,7 +367,8 @@ class PriceSurface:
 
     def _row_index(self, t: float) -> int:
         x = t / self.grid.delta_t
-        i = round(x)
+        # A non-finite x has no nearest integer; -1 is refused below.
+        i = round(x) if math.isfinite(x) else -1
         if i < 0 or i > self.grid.n_time or abs(x - i) > 1e-6:
             raise ValueError(
                 f"t={t} is not a grid time (delta_t={self.grid.delta_t})")
@@ -514,15 +515,15 @@ def _march(grid: GridSpec, terminal: tuple[np.ndarray, ...], step,
     a step writes: two flat buffers per surface, allocated once, that steps
     i and i + 1 take in turn, so a step reads the rows it was given while
     it writes the new ones, and the rows it returns stay valid through the
-    next step.  Only the time rows listed in ``keep`` are stored (default:
-    all; see ``_kept_rows``).  Each surface is allocated once in its final
-    layout: a terminal row of shape (..., M) gives a surface of shape
-    (..., len(keep), M), so a (B, M) stack of contracts gives a
+    next step.  Only the time rows listed in ``keep``, a ``_kept_rows``
+    result, are stored (``None``: all).  Each surface is allocated once in
+    its final layout: a terminal row of shape (..., M) gives a surface of
+    shape (..., len(keep), M), so a (B, M) stack of contracts gives a
     (B, len(keep), M) stack, and every kept row is stored where it
     belongs, through a reshape, as soon as it is computed.
     """
     n = grid.n_time
-    keep = _kept_rows(grid, keep) or range(n + 1)
+    keep = keep or range(n + 1)
     slot = [-1] * (n + 1)
     for k, i in enumerate(keep):
         slot[i] = k
@@ -545,21 +546,29 @@ def _march(grid: GridSpec, terminal: tuple[np.ndarray, ...], step,
     return surfaces
 
 
-def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                     gamma_eff: np.ndarray,
-                     keep=None) -> tuple[np.ndarray, np.ndarray]:
-    """Backward march of the (p, q) system at each signed utility scale in
-    the 1-D array ``gamma_eff``, all contracts stacked in one pass.
+def solve_indifference(params: ModelParams, payoff: Payoff, grid: GridSpec,
+                       quantities, keep=None) -> list[tuple[PriceSurface, PriceSurface]]:
+    """Per-contract indifference surfaces (p, q), one pair per signed
+    quantity (positive: buyer, negative: writer), marched in one pass.
 
-    Returns (p, q) stacks of shape (len(gamma_eff), len(keep), M); block b
-    is bit-identical to a march of gamma_eff[b] alone.
+    Quantity scales risk aversion (gamma_eff = quantity * gamma), so
+    terminal data are exact; ``payoff`` supplies kind and strike, and each
+    surface carries the payoff at its own quantity.  The contracts are one
+    stack of blocks, one per quantity, and every pair is bit-identical to a
+    solve of that quantity alone.  ``keep`` lists the time-row indices to
+    store (default: all); the march holds 2 * len(quantities) surfaces of
+    that many rows.
     """
-    gs = np.asarray(gamma_eff, dtype=float)
-    if gs.ndim != 1 or gs.size == 0:
-        raise ValueError(f"gamma_eff must be a nonempty 1-D array, got shape {gs.shape}")
+    ns = [float(n) for n in quantities]
+    if not ns:
+        raise ValueError("quantities must name at least one contract")
+    keep = _kept_rows(grid, keep)
+    gs = np.array([n * params.gamma for n in ns])
     if not np.all(np.isfinite(gs)) or np.any(gs == 0.0):
         raise ValueError(f"gamma_eff must be finite and nonzero, got {gs.tolist()}")
-    nu01_t, nu10_t = _memm_intensities(merton_factors(params), grid.times())
+    curve = intensity_curve(params, "MEMM")
+    times = grid.times()
+    nu01_t, nu10_t = curve.nu01(times), curve.nu10(times)
     blocks, m = gs.size, grid.n_space
     dt = _const(grid.delta_t)
     stepper = _Stepper(grid, params.sigma0, blocks)
@@ -599,7 +608,56 @@ def _march_nonlinear(params: ModelParams, payoff: Payoff, grid: GridSpec,
         np.divide(y, g, out=y)
         return p, np.subtract(p, y, out=q_out)
 
-    return _march(grid, (h, h), step, keep)
+    p, q = _march(grid, (h, h), step, keep)
+    out = []
+    for n, p_n, q_n in zip(ns, p, q):
+        pay = replace(payoff, quantity=n)
+        side = "buyer" if n > 0.0 else "writer"
+        out.append((PriceSurface(p_n, grid, pay, 0, f"{side}_p", keep),
+                    PriceSurface(q_n, grid, pay, 1, f"{side}_q", keep)))
+    return out
+
+
+def solve_buyer(params: ModelParams, payoff: Payoff, grid: GridSpec,
+                keep=None) -> tuple[PriceSurface, PriceSurface]:
+    """Per-contract buyer indifference surfaces (p, q) for payoff.quantity
+    contracts; quantity scales risk aversion, so terminal data are exact."""
+    n = payoff.quantity
+    if n <= 0.0:
+        raise ValueError(f"buyer solve requires quantity > 0, got {n}")
+    return solve_indifference(params, payoff, grid, [n], keep)[0]
+
+
+def solve_writer(params: ModelParams, payoff: Payoff, grid: GridSpec,
+                 keep=None) -> tuple[PriceSurface, PriceSurface]:
+    """Per-contract writer indifference surfaces for |payoff.quantity|
+    contracts; the writer system is the buyer system under gamma -> -gamma."""
+    return solve_indifference(params, payoff, grid, [-abs(payoff.quantity)],
+                              keep)[0]
+
+
+@dataclass(frozen=True)
+class LinearPriceResult:
+    """Linear price surfaces (per contract) under one pricing measure."""
+
+    surface_p: PriceSurface
+    surface_q: PriceSurface
+    measure: str
+    grid: GridSpec
+
+    def quote(self, spot, regime: int = 0, t: float = 0.0):
+        if regime not in (0, 1):
+            raise ValueError(f"regime must be 0 or 1, got {regime}")
+        surf = self.surface_p if regime == 0 else self.surface_q
+        return surf.quote(spot, t)
+
+
+def _linear_result(measure: str, p: np.ndarray, q: np.ndarray, grid: GridSpec,
+                   payoff: Payoff, keep) -> LinearPriceResult:
+    return LinearPriceResult(
+        surface_p=PriceSurface(p, grid, payoff, 0, f"{measure}_p", keep),
+        surface_q=PriceSurface(q, grid, payoff, 1, f"{measure}_q", keep),
+        measure=measure, grid=grid)
 
 
 def _linear_step(params: ModelParams, grid: GridSpec,
@@ -641,26 +699,74 @@ def _linear_step(params: ModelParams, grid: GridSpec,
     return step, dt_k01, w
 
 
-def _march_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                     keep=None) -> tuple[np.ndarray, ...]:
-    """March the linear MMM prices next to the small-gamma expansion under
-    MEMM intensities, whose zeroth order (p0, q0) is the linear MEMM price
-    and (p1, q1) its first-order coefficients; returns
-    (p_mmm, q_mmm, p0, q0, p1, q1).
+def linear_price(params: ModelParams, payoff: Payoff, measure: str,
+                 grid: GridSpec, keep=None) -> LinearPriceResult:
+    """Linear price surfaces under 'MMM' or 'MEMM'.
 
-    The MMM block rides in the same tridiagonal solve as p0 (a two-block
-    stack), so both are bit-identical to their own linear marches.  The
-    first-order update rules are the exact gamma-derivatives (at gamma = 0)
-    of the nonlinear scheme's discrete update map, so p0 + gamma*p1 matches
-    the marched nonlinear price to O(gamma^2) on the same grid -- the
-    leftover is pure curvature with no discretisation cross-term.  Both
-    coefficients stay <= 0 node by node (they measure the concave utility
-    drag, which only subtracts value).
+    Linear pricing is per contract and independent of payoff.quantity.
+    Terminal rows carry the payoff exactly; the tradeable-regime surface at
+    intermediate times solves the implicit march of the coupled system.
+    ``keep`` lists the time-row indices to store (default: all).
+    """
+    if measure not in ("MMM", "MEMM"):
+        raise ValueError(f"measure must be 'MMM' or 'MEMM', got {measure!r}")
+    keep = _kept_rows(grid, keep)
+    step, _, _ = _linear_step(params, grid, (measure,),
+                              _Stepper(grid, params.sigma0))
+    h = _terminal(payoff, grid)
+    p, q = _march(grid, (h, h), step, keep)
+    return _linear_result(measure, p, q, grid, payoff, keep)
+
+
+@dataclass(frozen=True)
+class AsymptoticBundle:
+    """Zeroth- and first-order coefficient surfaces of the small-gamma
+    expansion p = p0 + gamma_eff * p1 + O(gamma_eff^2) (per contract, unit
+    payoff coefficients; quantity folds into gamma_eff)."""
+
+    p0: PriceSurface
+    q0: PriceSurface
+    p1: PriceSurface
+    q1: PriceSurface
+    params: ModelParams
+    payoff: Payoff
+
+    @property
+    def gamma_eff(self) -> float:
+        return self.payoff.quantity * self.params.gamma
+
+    def first_order_quote(self, spot, gamma_eff: float | None = None,
+                          t: float = 0.0):
+        """p0 + gamma_eff * p1 at (t, spot).  gamma_eff defaults to
+        quantity * gamma (negative quantity gives the writer expansion)."""
+        g = self.gamma_eff if gamma_eff is None else gamma_eff
+        return self.p0.quote(spot, t) + g * self.p1.quote(spot, t)
+
+
+def mmm_and_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
+                      keep=None) -> tuple[LinearPriceResult, AsymptoticBundle]:
+    """The MMM linear price and the MEMM small-gamma expansion from one
+    march.
+
+    The expansion's zeroth order (p0, q0) is the linear MEMM price and
+    (p1, q1) its first-order coefficients.  The MMM price and p0 share each
+    step's tridiagonal solve (a two-block stack), so the MMM result is
+    bit-identical to ``linear_price(..., "MMM", ...)`` and p0/q0 to
+    ``linear_price(..., "MEMM", ...)``.
+
+    The first-order update rules are the exact gamma-derivatives (at
+    gamma = 0) of the nonlinear scheme's discrete update map, so
+    p0 + gamma*p1 matches the marched nonlinear price to O(gamma^2) on the
+    same grid -- the leftover is pure curvature with no discretisation
+    cross-term.  Both coefficients stay <= 0 node by node (they measure the
+    concave utility drag, which only subtracts value).
 
     Its steps square price differences, which the payoff's range on the
     grid bounds, so a payoff whose range squared overflows is refused
-    before the march.
+    before the march.  ``keep`` lists the time-row indices to store
+    (default: all).
     """
+    keep = _kept_rows(grid, keep)
     h = _terminal(payoff, grid)
     span = float(np.max(h) - np.min(h))
     if not math.isfinite(span * span):
@@ -709,7 +815,26 @@ def _march_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
 
     h = np.tile(h, (2, 1))
     p_lin, q_lin, p1, q1 = _march(grid, (h, h, zero, zero), step, keep)
-    return p_lin[0], q_lin[0], p_lin[1], q_lin[1], p1, q1
+    bundle = AsymptoticBundle(
+        *(PriceSurface(v, grid, payoff, regime, label, keep)
+          for v, regime, label in zip((p_lin[1], q_lin[1], p1, q1), (0, 1, 0, 1),
+                                      ("p0", "q0", "p1", "q1"))),
+        params, payoff)
+    return _linear_result("MMM", p_lin[0], q_lin[0], grid, payoff, keep), bundle
+
+
+def asymptotic_expansion(params: ModelParams, payoff: Payoff,
+                         grid: GridSpec) -> AsymptoticBundle:
+    """March the small-gamma expansion system (MEMM intensities): p0/q0 are
+    the linear MEMM prices, p1/q1 carry source -(1/2) nu01(t) (q0 - p0)^2
+    and are nonpositive node by node.  The one expansion march also marches
+    the MMM price (see ``mmm_and_expansion``); it is dropped here."""
+    bundle = mmm_and_expansion(params, payoff, grid)[1]
+    # p0/q0 are views into the two-block stacks, so the bundle returned
+    # holds copies of them: no view of the stacks outlives this call, which
+    # frees their MMM blocks.
+    p0, q0 = (replace(s, values=s.values.copy()) for s in (bundle.p0, bundle.q0))
+    return replace(bundle, p0=p0, q0=q0)
 
 
 def _single_shock_base(params: ModelParams, payoff: Payoff, grid: GridSpec):
@@ -800,12 +925,16 @@ def _single_shock_source(pbs: np.ndarray, wgt: np.ndarray, grid: GridSpec,
         yield from cs
 
 
-def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                        gamma_eff: np.ndarray, keep=None) -> np.ndarray:
-    """Backward march of the single-shock buyer price (scalar PDE) at each
-    utility scale in the 1-D array ``gamma_eff``, stacked in one pass on
-    one Black-Scholes table; returns a (len(gamma_eff), len(keep), M)
-    stack whose block b is bit-identical to a march of gamma_eff[b] alone.
+def solve_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
+                       quantities, keep=None) -> list[PriceSurface]:
+    """Per-contract single-shock buyer surfaces, one per positive quantity,
+    marched in one pass on one Black-Scholes table.
+
+    Each quantity gets its own block, utility scale gamma_eff = quantity *
+    gamma, source table and guards (a guard names the block's gamma_eff),
+    and its surface is bit-identical to ``solve_single_shock_buyer`` at
+    that quantity.  ``keep`` lists the time-row indices to store (default:
+    all).
 
     The shock-regime value is an explicit functional of Black-Scholes
     prices (one recovery at most), entering the tradeable-regime equation
@@ -821,11 +950,18 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
     Each block stops iterating once its own update reaches rounding, so
     the other blocks' further iterations leave it as its solo march does.
     """
-    gs = np.asarray(gamma_eff, dtype=float)
-    for g in gs.tolist():
-        if g <= 0.0 or not math.isfinite(g):
+    ns = [float(n) for n in quantities]
+    if not ns:
+        raise ValueError("quantities must name at least one contract")
+    for qty in ns:
+        if qty <= 0.0:
+            raise ValueError(f"buyer solve requires quantity > 0, got {qty}")
+    keep = _kept_rows(grid, keep)
+    gs = np.array([qty * params.gamma for qty in ns])
+    for g_eff in gs.tolist():
+        if g_eff <= 0.0 or not math.isfinite(g_eff):
             raise ValueError(
-                f"single-shock solver is buyer-only (gamma_eff > 0), got {g}")
+                f"single-shock solver is buyer-only (gamma_eff > 0), got {g_eff}")
     fac, pbs, wgt, cs0 = _single_shock_base(params, payoff, grid)
     blocks, m = gs.size, grid.n_space
     h = np.tile(pbs[0], blocks)
@@ -900,12 +1036,24 @@ def _march_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
             f"{update[b]:.3g}); the requested risk aversion / quantity is "
             "outside the range the source table resolves on this grid")
 
-    return _march(grid, (h.reshape(blocks, m),), step, keep)[0]
+    p = _march(grid, (h.reshape(blocks, m),), step, keep)[0]
+    return [PriceSurface(p_q, grid, replace(payoff, quantity=qty), 0,
+                         "single_shock_p", keep) for qty, p_q in zip(ns, p)]
 
 
-def _march_single_shock_linear(params: ModelParams, payoff: Payoff,
-                               grid: GridSpec) -> np.ndarray:
-    """Small-gamma limit of the single-shock price (linear PDE route).
+def solve_single_shock_buyer(params: ModelParams, payoff: Payoff,
+                             grid: GridSpec) -> PriceSurface:
+    """Per-contract buyer price when only the first shock is priced
+    (recovery is absorbing).  Buyer-only: the writer direction would need
+    e^{+gamma h} inside the source integral, which overflows for unbounded
+    payoffs."""
+    return solve_single_shock(params, payoff, grid, [payoff.quantity])[0]
+
+
+def single_shock_zero_order(params: ModelParams, payoff: Payoff,
+                            grid: GridSpec) -> PriceSurface:
+    """Small-gamma limit of the single-shock price (per contract), by the
+    linear PDE route; companion surface for spread attribution.
 
     The shock-regime value q0(t, S) is explicit:
     e^{-nu10 (T-t)} [int_0^{T-t} nu10 e^{(nu10-d0) m} P_BS(m, S) dm + h(S)]
@@ -941,202 +1089,8 @@ def _march_single_shock_linear(params: ModelParams, payoff: Payoff,
         np.divide(rhs, f0[i], out=rhs)
         return (stepper.solve(dt_k_hat[i], np.add(p, rhs, out=rhs)),)
 
-    return _march(grid, (h,), step)[0]
-
-
-def _split_quantity(payoff: Payoff, buyer: bool) -> float:
-    n = payoff.quantity
-    if buyer:
-        if n <= 0.0:
-            raise ValueError(f"buyer solve requires quantity > 0, got {n}")
-        return n
-    return abs(n)
-
-
-def solve_indifference(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                       quantities, keep=None) -> list[tuple[PriceSurface, PriceSurface]]:
-    """Per-contract indifference surfaces (p, q), one pair per signed
-    quantity (positive: buyer, negative: writer), marched in one pass.
-
-    Quantity scales risk aversion (gamma_eff = quantity * gamma), so
-    terminal data are exact; ``payoff`` supplies kind and strike, and each
-    surface carries the payoff at its own quantity.  Every pair is
-    bit-identical to a solve of that quantity alone.  ``keep`` lists the
-    time-row indices to store (default: all); the march holds
-    2 * len(quantities) surfaces of that many rows.
-    """
-    ns = [float(n) for n in quantities]
-    keep = _kept_rows(grid, keep)
-    p, q = _march_nonlinear(params, payoff, grid,
-                            np.array([n * params.gamma for n in ns]), keep)
-    out = []
-    for b, n in enumerate(ns):
-        pay = replace(payoff, quantity=n)
-        side = "buyer" if n > 0.0 else "writer"
-        out.append((PriceSurface(p[b], grid, pay, 0, f"{side}_p", keep),
-                    PriceSurface(q[b], grid, pay, 1, f"{side}_q", keep)))
-    return out
-
-
-def solve_buyer(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                keep=None) -> tuple[PriceSurface, PriceSurface]:
-    """Per-contract buyer indifference surfaces (p, q) for payoff.quantity
-    contracts; quantity scales risk aversion, so terminal data are exact."""
-    n = _split_quantity(payoff, buyer=True)
-    return solve_indifference(params, payoff, grid, [n], keep)[0]
-
-
-def solve_writer(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                 keep=None) -> tuple[PriceSurface, PriceSurface]:
-    """Per-contract writer indifference surfaces for |payoff.quantity|
-    contracts; the writer system is the buyer system under gamma -> -gamma."""
-    n = _split_quantity(payoff, buyer=False)
-    return solve_indifference(params, payoff, grid, [-n], keep)[0]
-
-
-def solve_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                       quantities, keep=None) -> list[PriceSurface]:
-    """Per-contract single-shock buyer surfaces, one per positive quantity,
-    marched in one pass on one Black-Scholes table.
-
-    Each quantity gets its own block, utility scale quantity * gamma,
-    source table and guards (a guard names the block's gamma_eff), and its
-    surface is bit-identical to ``solve_single_shock_buyer`` at that
-    quantity.  ``keep`` lists the time-row indices to store (default: all).
-    """
-    ns = [float(n) for n in quantities]
-    for n in ns:
-        if n <= 0.0:
-            raise ValueError(f"buyer solve requires quantity > 0, got {n}")
-    keep = _kept_rows(grid, keep)
-    p = _march_single_shock(params, payoff, grid,
-                            np.array([n * params.gamma for n in ns]), keep)
-    return [PriceSurface(p[b], grid, replace(payoff, quantity=n), 0,
-                         "single_shock_p", keep) for b, n in enumerate(ns)]
-
-
-def solve_single_shock_buyer(params: ModelParams, payoff: Payoff,
-                             grid: GridSpec) -> PriceSurface:
-    """Per-contract buyer price when only the first shock is priced
-    (recovery is absorbing).  Buyer-only: the writer direction would need
-    e^{+gamma h} inside the source integral, which overflows for unbounded
-    payoffs."""
-    return solve_single_shock(params, payoff, grid, [payoff.quantity])[0]
-
-
-def single_shock_zero_order(params: ModelParams, payoff: Payoff,
-                            grid: GridSpec) -> PriceSurface:
-    """Small-gamma limit of the single-shock price (per contract), by the
-    PDE route; companion surface for spread attribution."""
-    p = _march_single_shock_linear(params, payoff, grid)
-    return PriceSurface(p, grid, payoff, 0, "single_shock_p0")
-
-
-@dataclass(frozen=True)
-class AsymptoticBundle:
-    """Zeroth- and first-order coefficient surfaces of the small-gamma
-    expansion p = p0 + gamma_eff * p1 + O(gamma_eff^2) (per contract, unit
-    payoff coefficients; quantity folds into gamma_eff)."""
-
-    p0: PriceSurface
-    q0: PriceSurface
-    p1: PriceSurface
-    q1: PriceSurface
-    params: ModelParams
-    payoff: Payoff
-
-    @property
-    def gamma_eff(self) -> float:
-        return self.payoff.quantity * self.params.gamma
-
-    def first_order_quote(self, spot, gamma_eff: float | None = None,
-                          t: float = 0.0):
-        """p0 + gamma_eff * p1 at (t, spot).  gamma_eff defaults to
-        quantity * gamma (negative quantity gives the writer expansion)."""
-        g = self.gamma_eff if gamma_eff is None else gamma_eff
-        return self.p0.quote(spot, t) + g * self.p1.quote(spot, t)
-
-
-def _expansion_bundle(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                      keep, surfaces) -> AsymptoticBundle:
-    keep = _kept_rows(grid, keep)
-    p0, q0, p1, q1 = (PriceSurface(v, grid, payoff, regime, label, keep)
-                      for v, regime, label in zip(surfaces, (0, 1, 0, 1),
-                                                  ("p0", "q0", "p1", "q1")))
-    return AsymptoticBundle(p0, q0, p1, q1, params, payoff)
-
-
-def asymptotic_expansion(params: ModelParams, payoff: Payoff,
-                         grid: GridSpec) -> AsymptoticBundle:
-    """March the small-gamma expansion system (MEMM intensities): p0/q0 are
-    the linear MEMM prices, p1/q1 carry source -(1/2) nu01(t) (q0 - p0)^2
-    and are nonpositive node by node.  The one expansion march also marches
-    the MMM price (see ``mmm_and_expansion``); it is dropped here."""
-    p0, q0, p1, q1 = _march_expansion(params, payoff, grid)[2:]
-    # p0/q0 are views into the two-block stacks; each copy drops the last
-    # view of its stack, which frees that stack's MMM block.
-    p0 = p0.copy()
-    q0 = q0.copy()
-    return _expansion_bundle(params, payoff, grid, None, (p0, q0, p1, q1))
-
-
-@dataclass(frozen=True)
-class LinearPriceResult:
-    """Linear price surfaces (per contract) under one pricing measure."""
-
-    surface_p: PriceSurface
-    surface_q: PriceSurface
-    measure: str
-    grid: GridSpec
-
-    def quote(self, spot, regime: int = 0, t: float = 0.0):
-        if regime not in (0, 1):
-            raise ValueError(f"regime must be 0 or 1, got {regime}")
-        surf = self.surface_p if regime == 0 else self.surface_q
-        return surf.quote(spot, t)
-
-
-def _linear_result(measure: str, p: np.ndarray, q: np.ndarray, grid: GridSpec,
-                   payoff: Payoff, keep) -> LinearPriceResult:
-    keep = _kept_rows(grid, keep)
-    return LinearPriceResult(
-        surface_p=PriceSurface(p, grid, payoff, 0, f"{measure}_p", keep),
-        surface_q=PriceSurface(q, grid, payoff, 1, f"{measure}_q", keep),
-        measure=measure, grid=grid)
-
-
-def linear_price(params: ModelParams, payoff: Payoff, measure: str,
-                 grid: GridSpec, keep=None) -> LinearPriceResult:
-    """Linear price surfaces under 'MMM' or 'MEMM'.
-
-    Linear pricing is per contract and independent of payoff.quantity.
-    Terminal rows carry the payoff exactly; the tradeable-regime surface at
-    intermediate times solves the implicit march of the coupled system.
-    ``keep`` lists the time-row indices to store (default: all).
-    """
-    if measure not in ("MMM", "MEMM"):
-        raise ValueError(f"measure must be 'MMM' or 'MEMM', got {measure!r}")
-    step, _, _ = _linear_step(params, grid, (measure,),
-                              _Stepper(grid, params.sigma0))
-    h = _terminal(payoff, grid)
-    p, q = _march(grid, (h, h), step, keep)
-    return _linear_result(measure, p, q, grid, payoff, keep)
-
-
-def mmm_and_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
-                      keep=None) -> tuple[LinearPriceResult, AsymptoticBundle]:
-    """The MMM linear price and the MEMM small-gamma expansion from one
-    march.
-
-    The MMM price and the expansion's p0 share each step's tridiagonal
-    solve (a two-block stack), so the MMM result is bit-identical to
-    ``linear_price(..., "MMM", ...)`` and the bundle to
-    ``asymptotic_expansion``; the bundle's p0/q0 are the linear MEMM
-    prices, bit-identical to ``linear_price(..., "MEMM", ...)``.
-    """
-    p_mmm, q_mmm, *expansion = _march_expansion(params, payoff, grid, keep)
-    return (_linear_result("MMM", p_mmm, q_mmm, grid, payoff, keep),
-            _expansion_bundle(params, payoff, grid, keep, expansion))
+    return PriceSurface(_march(grid, (h,), step)[0], grid, payoff, 0,
+                        "single_shock_p0")
 
 
 @dataclass(frozen=True)

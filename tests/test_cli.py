@@ -351,6 +351,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert "spot 1.0 outside the grid domain" in captured.err
 
+    @pytest.mark.parametrize("command, config", [
+        ("ttm", "spots = 1, 10\n"),
+        ("ttm", "spot = 0.5\nspots = 100\n"),     # the anchor is named first
+        ("hedge", "spots = 1, 10\n"),
+        ("hedge", "spots = 10, 100\ncontracts = -1\n"),
+    ])
+    def test_off_grid_spots_are_refused_before_the_march(
+            self, tmp_path, monkeypatch, capsys, command, config):
+        argv = [command, "--config", write_config(tmp_path, config),
+                "--nsteps", "200", "--out", "-"]
+        assert main(argv) == 2
+        expected = capsys.readouterr().err
+        assert "outside the grid domain" in expected
+
+        def no_march(*args, **kwargs):
+            raise AssertionError("marched before the spots were checked")
+
+        for name in ("linear_price", "solve_buyer", "solve_writer"):
+            monkeypatch.setattr(cli, name, no_march)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == expected
+
     def test_spots_off_an_overflowing_grid_are_refused_first(self, tmp_path,
                                                              capsys):
         # At strike 1e300 the expansion's squares would overflow; the

@@ -24,7 +24,6 @@ from liqshock import (
     merton_factors,
     single_shock_factors,
 )
-from liqshock.model import _memm_intensities
 
 TABLE_PARAMS = dict(mu0=0.06, sigma0=0.3, nu01=1.0, nu10=12.0, gamma=1.0, T=1.0)
 
@@ -178,7 +177,7 @@ class TestMertonFactors:
         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
     def test_memm_intensities_share_exponentials_exactly(self, kw):
         """F0 and F1 computed from one shared pair of exponentials equal
-        their separate closed forms bit for bit, and so do the MEMM
+        their separate closed forms bit for bit, and so do the MEMM curve's
         intensities nu01 F1/F0 and nu10 F0/F1."""
         p = make_params(**kw)
         fac = merton_factors(p)
@@ -186,22 +185,9 @@ class TestMertonFactors:
         f0, f1 = separate_factors(fac, t)
         assert np.array_equal(fac.F0(t), f0)
         assert np.array_equal(fac.F1(t), f1)
-        nu01_t, nu10_t = _memm_intensities(fac, t)
-        assert np.array_equal(nu01_t, p.nu01 * fac.F1(t) / fac.F0(t))
-        assert np.array_equal(nu10_t, p.nu10 * fac.F0(t) / fac.F1(t))
-
-    @pytest.mark.parametrize("kw", BOX_CORNERS + [
-        dict(nu01=0.0), dict(mu0=0.0), dict(nu01=0.0, mu0=0.0)],
-        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
-    def test_memm_curve_ratios_match_the_shared_tilt(self, kw):
-        """The MEMM curve's nu01(t) and nu10(t), each formed alone, equal
-        the two ratios of ``_memm_intensities`` bit for bit."""
-        p = make_params(**kw)
-        t = np.linspace(0.0, p.T, 2001)
-        nu01_t, nu10_t = _memm_intensities(merton_factors(p), t)
         curve = intensity_curve(p, "MEMM")
-        assert np.array_equal(curve.nu01(t), nu01_t)
-        assert np.array_equal(curve.nu10(t), nu10_t)
+        assert np.array_equal(curve.nu01(t), p.nu01 * fac.F1(t) / fac.F0(t))
+        assert np.array_equal(curve.nu10(t), p.nu10 * fac.F0(t) / fac.F1(t))
 
     @settings(max_examples=60, deadline=None)
     @given(param_strategy)

@@ -1,24 +1,76 @@
-"""``pde`` keeps its march internals to itself: no other module of the
-package imports a ``_``-prefixed name from it, so only ``pde`` knows the
-layout of what a march returns."""
+"""Each module of the package keeps its internals to itself, and imports
+only what it uses.
+
+No module imports a ``_``-prefixed name from another one, so a private
+helper's layout is known to the one module that defines it.  Every
+module-level import is used, re-exported through ``__all__``, or bound
+because the benchmark's span tracer (``perfbench/spans.py``) patches it
+in that module by name.  The project configures no linter, so these
+checks are tests."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
+from test_trace_targets import load_spans
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "liqshock"
 
 
-def private_pde_imports(path: Path) -> list[str]:
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    return [alias.name for node in ast.walk(tree)
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def package_import_froms(tree: ast.Module):
+    """The ``from ... import`` statements that import from the package."""
+    return [node for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom)
-            and (node.module, node.level) in (("pde", 1), ("liqshock.pde", 0))
+            and (node.level == 1
+                 or (node.level == 0 and (node.module or "").startswith("liqshock")))]
+
+
+def private_imports(path: Path) -> list[str]:
+    return [alias.name for node in package_import_froms(parse(path))
             for alias in node.names if alias.name.startswith("_")]
 
 
-def test_no_module_imports_private_pde_names():
+def test_no_module_imports_private_names_of_another():
     found = {path.name: names for path in sorted(SRC.glob("*.py"))
-             if path.name != "pde.py" and (names := private_pde_imports(path))}
+             if (names := private_imports(path))}
+    assert found == {}
+
+
+def unused_imports(path: Path, patched: set[str]) -> list[str]:
+    """Names bound by the module-level imports of ``path`` that the module
+    never reads, lists in ``__all__`` or has patched by the tracer."""
+    tree = parse(path)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(alias.asname or alias.name).split(".")[0]
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            exported |= set(ast.literal_eval(node.value))
+    kept = read | exported | patched
+    return [name for name in bound if name not in kept]
+
+
+def test_every_module_level_import_is_used():
+    targets = load_spans().TARGETS
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        module = f"liqshock.{path.stem}"
+        patched = {attr for module_name, attr, _, _ in targets
+                   if module_name == module}
+        if names := unused_imports(path, patched):
+            found[path.name] = names
     assert found == {}

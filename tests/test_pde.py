@@ -10,6 +10,7 @@ buyer <= linear <= writer sandwich as a randomized property.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,15 @@ class TestPriceSurface:
         assert np.shares_memory(p.row(5 * dt), p.values[5])
         with pytest.raises(ValueError, match="grid time"):
             p.row(5.4321 * dt)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, 1e308])
+    def test_non_finite_time_rejected(self, indiff_solved, t):
+        """A time whose row index is not finite is refused by name, not
+        with an OverflowError or numpy's NaN-to-integer error."""
+        p, _ = indiff_solved("vanilla_call", 1.0)
+        for read in (p.row, lambda t: p.quote(10.0, t), lambda t: p.delta(10.0, t)):
+            with pytest.raises(ValueError, match=re.escape(f"t={t} is not a grid time")):
+                read(t)
 
     def test_quote_outside_domain_rejected(self, indiff_solved):
         p, _ = indiff_solved("vanilla_call", 1.0)

@@ -340,6 +340,12 @@ def test_indifference_stack_guard_names_the_block(params):
                            (1.0, 2.0, 1e4))
 
 
+@pytest.mark.parametrize("solve", [solve_indifference, solve_single_shock])
+def test_empty_quantities_are_refused_by_name(params, grid, solve):
+    with pytest.raises(ValueError, match="quantities must name at least one"):
+        solve(params, Payoff("vanilla_call", STRIKE), grid, [])
+
+
 class TestLinearPass:
     @pytest.mark.parametrize("kind", ["vanilla_call", "digital_call"])
     def test_bundle_p0_is_the_memm_price(self, params, kind):
