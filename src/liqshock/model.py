@@ -24,6 +24,7 @@ discount factors (F0c, F1c, F2c) solving the analogous 3-state system.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +94,14 @@ class ModelParams:
 
     @property
     def d0(self) -> float:
-        """Half squared Sharpe ratio of the liquid regime, mu0^2/(2 sigma0^2)."""
-        return self.mu0 * self.mu0 / (2.0 * self.sigma0 * self.sigma0)
+        """Half squared Sharpe ratio of the liquid regime, mu0^2/(2 sigma0^2).
+
+        A subnormal value is flushed to 0.  Every factor e^{-d0 tau} is
+        exactly 1 there, and no double lies strictly between 0 and the
+        smallest subnormal, so the ordering 0 < lambda2 < d0 of the discount
+        factors' roots could not hold."""
+        d0 = self.mu0 * self.mu0 / (2.0 * self.sigma0 * self.sigma0)
+        return d0 if d0 >= sys.float_info.min else 0.0
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ characteristic roots against their defining quadratic.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -72,6 +73,21 @@ class TestModelParams:
     def test_d0_value(self):
         # d0 = mu0^2 / (2 sigma0^2) = 0.0036 / 0.18
         assert make_params().d0 == pytest.approx(0.02, abs=1e-15)
+
+    @pytest.mark.parametrize("mu0", [2.7549906184682247e-162, -1e-160, 1e-156])
+    def test_subnormal_d0_flushed_to_zero(self, mu0):
+        """A d0 below the smallest normal double reads 0, so the roots keep
+        their ordering: lambda2 = 0 and lambda1 = nu01 + nu10."""
+        p = make_params(mu0=mu0, sigma0=1.0, nu01=0.5, nu10=1.0)
+        assert p.d0 == 0.0
+        fac = merton_factors(p)
+        assert (fac.lambda1, fac.lambda2) == (1.5, 0.0)
+
+    def test_smallest_normal_d0_kept(self):
+        p = make_params(mu0=math.sqrt(2.0 * sys.float_info.min) * 2.0, sigma0=1.0)
+        assert p.d0 >= sys.float_info.min
+        fac = merton_factors(p)
+        assert 0.0 < fac.lambda2 < p.d0 < fac.lambda1
 
     @pytest.mark.parametrize("field,value", [
         ("sigma0", 0.0), ("sigma0", -0.1), ("nu01", -1.0), ("nu10", 0.0),
@@ -177,17 +193,27 @@ class TestMertonFactors:
         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
     def test_memm_intensities_share_exponentials_exactly(self, kw):
         """F0 and F1 computed from one shared pair of exponentials equal
-        their separate closed forms bit for bit, and so do the MEMM curve's
-        intensities nu01 F1/F0 and nu10 F0/F1."""
+        their separate closed forms bit for bit."""
         p = make_params(**kw)
         fac = merton_factors(p)
         t = np.linspace(0.0, p.T, 2001)
         f0, f1 = separate_factors(fac, t)
         assert np.array_equal(fac.F0(t), f0)
         assert np.array_equal(fac.F1(t), f1)
+
+    @pytest.mark.parametrize("kw", BOX_CORNERS + [
+        dict(nu01=0.0), dict(mu0=0.0), dict(nu01=0.0, mu0=0.0)],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_memm_curve_ratios_match_the_shared_tilt(self, kw):
+        """The MEMM curve's nu01(t) and nu10(t), each formed alone, equal
+        the tilt nu01 F1/F0, nu10 F0/F1 of one shared pair of exponentials
+        bit for bit."""
+        p = make_params(**kw)
+        t = np.linspace(0.0, p.T, 2001)
+        f0, f1 = merton_factors(p)._factors(t)
         curve = intensity_curve(p, "MEMM")
-        assert np.array_equal(curve.nu01(t), p.nu01 * fac.F1(t) / fac.F0(t))
-        assert np.array_equal(curve.nu10(t), p.nu10 * fac.F0(t) / fac.F1(t))
+        assert np.array_equal(curve.nu01(t), p.nu01 * f1 / f0)
+        assert np.array_equal(curve.nu10(t), p.nu10 * f0 / f1)
 
     @settings(max_examples=60, deadline=None)
     @given(param_strategy)
