@@ -117,12 +117,13 @@ def bs_price(payoff: Payoff, ttm, spot, sigma: float):
 
     Vectorized over ``ttm`` and ``spot`` (numpy broadcasting).  ttm = 0
     returns the payoff itself, with the strict-inequality digital
-    convention.  A broadcast of more than ``_BS_BLOCK`` elements is
-    evaluated in blocks of leading-axis rows written straight into the
-    result, so the masks and intermediates stay cache-sized instead of
-    scaling with the whole table.  Every value is an elementwise function
-    of its own (ttm, spot), so the blocks are bit-identical to one
-    whole-array evaluation.
+    convention.  The broadcast is evaluated in blocks of leading-axis rows
+    of at most ``_BS_BLOCK`` elements (a 0-d broadcast is one row of one),
+    written straight into the result, so the masks and intermediates stay
+    cache-sized instead of scaling with the whole table.  Every value is an
+    elementwise function of its own (ttm, spot), so the blocks are
+    bit-identical to one whole-array evaluation.  A 0-d broadcast returns a
+    float, any other an array of the broadcast shape.
     """
     _validate_sigma(sigma)
     tau = np.asarray(ttm, dtype=float)
@@ -133,16 +134,12 @@ def bs_price(payoff: Payoff, ttm, spot, sigma: float):
         raise ValueError("spot must be > 0")
     tau_b, s_b = np.broadcast_arrays(tau, s)
     out = np.empty(tau_b.shape, dtype=float)
-    if out.size <= _BS_BLOCK:
-        _bs_fill(payoff, tau_b, s_b, sigma, out)
-    else:
-        rows = max(1, _BS_BLOCK * out.shape[0] // out.size)
-        for lo in range(0, out.shape[0], rows):
-            hi = lo + rows
-            _bs_fill(payoff, tau_b[lo:hi], s_b[lo:hi], sigma, out[lo:hi])
-    if out.ndim == 0 or (np.isscalar(ttm) and np.isscalar(spot)):
-        return float(out.reshape(-1)[0]) if out.size == 1 else out
-    return out
+    tau_r, s_r, out_r = np.atleast_1d(tau_b, s_b, out)
+    rows = max(1, _BS_BLOCK // (math.prod(out_r.shape[1:]) or 1))
+    for lo in range(0, out_r.shape[0], rows):
+        hi = lo + rows
+        _bs_fill(payoff, tau_r[lo:hi], s_r[lo:hi], sigma, out_r[lo:hi])
+    return float(out) if out.ndim == 0 else out
 
 
 def bs_greeks(payoff: Payoff, ttm, spot, sigma: float) -> BSQuote:

@@ -28,10 +28,11 @@ all commands run with no config at all.  Recognized keys:
     paths seed                      Monte Carlo controls
     out                             output path ('-' = stdout)
 
-Flags override config values; ``--out -`` writes CSV to stdout.  All output
-is RFC-4180 CSV with 10-significant-digit numbers, so a fixed config and
-seed reproduce byte-identical reports.  The single-shock solver is
-buyer-side only, so negative quantities produce no SingleShock rows.
+Flags override config values and are parsed as config values are;
+``--out -`` writes CSV to stdout.  All output is RFC-4180 CSV with
+10-significant-digit numbers, so a fixed config and seed reproduce
+byte-identical reports.  The single-shock solver is buyer-side only, so
+negative quantities produce no SingleShock rows.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 numerical
 failure (guard or convergence) or out of memory (the grid or the sample is
@@ -189,6 +190,19 @@ _CONFIG_PARSERS = {
     "out": _parse_str,
 }
 
+# The config keys a flag of every subcommand overrides, in help order,
+# each with its metavar and help text.  A flag value is parsed by its
+# key's config parser.
+_FLAGS = {
+    "out": ("PATH", "output CSV path ('-' = stdout, the default)"),
+    "seed": ("U64", "Monte Carlo seed"),
+    "spots": ("LIST", "comma-separated evaluation spots"),
+    "contracts": ("LIST", "comma-separated signed quantities"),
+    "gamma": ("F", "risk aversion"),
+    "nsteps": ("N", "time steps of the PDE grid"),
+    "paths": ("N", "Monte Carlo paths"),
+}
+
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, object]:
     """Parse flat key=value config text into typed values.
@@ -225,14 +239,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         except OSError as exc:
             raise ValueError(f"cannot read config file {args.config!r}: {exc}") from None
         values.update(parse_config_text(text, origin=args.config))
-    for key in ("out", "gamma", "nsteps", "paths", "seed"):
+    for key in _FLAGS:
         flag_value = getattr(args, key)
         if flag_value is not None:
-            values[key] = flag_value
-    for key in ("spots", "contracts"):
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            values[key] = _parse_float_list(key, flag_value)
+            values[key] = _CONFIG_PARSERS[key](key, flag_value)
     cfg = RunConfig(**values, explicit=frozenset(values))
     _validate_config(cfg)
     return cfg
@@ -513,20 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(report=report)
         p.add_argument("--config", metavar="PATH", default=None,
                        help="flat key=value config file ('#' comments)")
-        p.add_argument("--out", metavar="PATH", default=None,
-                       help="output CSV path ('-' = stdout, the default)")
-        p.add_argument("--seed", type=int, default=None, metavar="U64",
-                       help="Monte Carlo seed")
-        p.add_argument("--spots", default=None, metavar="LIST",
-                       help="comma-separated evaluation spots")
-        p.add_argument("--contracts", default=None, metavar="LIST",
-                       help="comma-separated signed quantities")
-        p.add_argument("--gamma", type=float, default=None, metavar="F",
-                       help="risk aversion")
-        p.add_argument("--nsteps", type=int, default=None, metavar="N",
-                       help="time steps of the PDE grid")
-        p.add_argument("--paths", type=int, default=None, metavar="N",
-                       help="Monte Carlo paths")
+        for key, (metavar, flag_help) in _FLAGS.items():
+            p.add_argument(f"--{key}", default=None, metavar=metavar,
+                           help=flag_help)
     return parser
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -301,8 +302,9 @@ class IntensityCurve:
     multiplies by the discount-factor ratio of the target regime over the
     current one; MEMM_single_shock does the same with the single-shock
     factors.  ``bound01``/``bound10`` are upper bounds for the
-    curves on [0, T], used by the thinning sampler; a ``constant`` curve is
-    bounded by its value at t = 0.
+    curves on [0, T], used by the thinning sampler and computed on first
+    read (the marches never read them); a ``constant`` curve is bounded by
+    its value at t = 0.
     """
 
     def __init__(self, measure: str, params: ModelParams, fn01, fn10, constant: bool):
@@ -310,13 +312,21 @@ class IntensityCurve:
         self.params = params
         self._fn01 = fn01
         self._fn10 = fn10
-        if constant:
-            self.bound01 = float(fn01(0.0))
-            self.bound10 = float(fn10(0.0))
-        else:
-            ts = np.linspace(0.0, params.T, _BOUND_SAMPLES)
-            self.bound01 = float(np.max(fn01(ts))) * _BOUND_SAFETY
-            self.bound10 = float(np.max(fn10(ts))) * _BOUND_SAFETY
+        self._constant = constant
+
+    def _bound(self, fn) -> float:
+        if self._constant:
+            return float(fn(0.0))
+        ts = np.linspace(0.0, self.params.T, _BOUND_SAMPLES)
+        return float(np.max(fn(ts))) * _BOUND_SAFETY
+
+    @cached_property
+    def bound01(self) -> float:
+        return self._bound(self._fn01)
+
+    @cached_property
+    def bound10(self) -> float:
+        return self._bound(self._fn10)
 
     def nu01(self, t: np.ndarray | float) -> np.ndarray | float:
         out = self._fn01(np.asarray(t, dtype=float))

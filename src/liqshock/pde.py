@@ -53,6 +53,9 @@ order, and every march with switch intensities (linear, expansion and
 indifference) takes them from ``model.intensity_curve``.  A march stores
 only the time rows it is asked to ``keep`` (all of them by default), so a
 quote at t = 0 holds one row per surface instead of N + 1.
+The two semi-linear marches, indifference and single-shock, take their
+linearized source step through one helper, ``_source_step``; each
+assembles its own slope kappa of the source.
 The single-shock march solves its first step, the one that leaves the
 kinked terminal payoff, to convergence by repeating the linearization
 (Newton): a single linearized step there overstates the source next to the
@@ -304,9 +307,10 @@ class GridSpec:
         """ln S of each spot; refuses (ValueError) a spot that is not
         positive and finite or lies outside the grid domain."""
         s = np.asarray(spot, dtype=float)
-        flat = s.reshape(-1)
-        _bs._first_bad(flat, np.isfinite(flat) & (flat > 0.0),
-                       "spot must be positive and finite")
+        bad = ~(np.isfinite(s) & (s > 0.0))
+        if np.any(bad):
+            raise ValueError(
+                f"spot must be positive and finite, got {float(s[bad][0])}")
         z = np.log(s)
         outside = (z < self.z_min) | (z > self.z_max)
         if np.any(outside):
@@ -546,6 +550,34 @@ def _march(grid: GridSpec, terminal: tuple[np.ndarray, ...], step,
     return surfaces
 
 
+def _gamma_effs(params: ModelParams, quantities) -> tuple[list[float], np.ndarray]:
+    """The signed quantities of a stacked solve as floats, and their
+    gamma_eff = quantity * gamma; refuses an empty list and a gamma_eff
+    that is not finite or is zero."""
+    ns = [float(n) for n in quantities]
+    if not ns:
+        raise ValueError("quantities must name at least one contract")
+    gs = np.array([n * params.gamma for n in ns])
+    if not np.all(np.isfinite(gs)) or np.any(gs == 0.0):
+        raise ValueError(f"gamma_eff must be finite and nonzero, got {gs.tolist()}")
+    return ns, gs
+
+
+def _source_step(stepper: _Stepper, dt: np.ndarray, g: np.ndarray, c,
+                 kappa: np.ndarray, p_old: np.ndarray, p_lin: np.ndarray,
+                 out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """One implicit step of a semi-linear march whose exponential source is
+    linearized at ``p_lin`` with slope ``kappa``: solves
+    (1 - dt L + dt kappa) p = p_old + dt (c - kappa / g + kappa p_lin) in
+    place of ``out``, with ``tmp`` as scratch, and returns p."""
+    rhs = np.divide(kappa, g, out=out)
+    np.subtract(c, rhs, out=rhs)
+    np.add(rhs, np.multiply(kappa, p_lin, out=tmp), out=rhs)
+    np.multiply(dt, rhs, out=rhs)
+    np.add(p_old, rhs, out=rhs)
+    return stepper.solve(np.multiply(dt, kappa, out=tmp), rhs)
+
+
 def solve_indifference(params: ModelParams, payoff: Payoff, grid: GridSpec,
                        quantities, keep=None) -> list[tuple[PriceSurface, PriceSurface]]:
     """Per-contract indifference surfaces (p, q), one pair per signed
@@ -559,13 +591,8 @@ def solve_indifference(params: ModelParams, payoff: Payoff, grid: GridSpec,
     store (default: all); the march holds 2 * len(quantities) surfaces of
     that many rows.
     """
-    ns = [float(n) for n in quantities]
-    if not ns:
-        raise ValueError("quantities must name at least one contract")
+    ns, gs = _gamma_effs(params, quantities)
     keep = _kept_rows(grid, keep)
-    gs = np.array([n * params.gamma for n in ns])
-    if not np.all(np.isfinite(gs)) or np.any(gs == 0.0):
-        raise ValueError(f"gamma_eff must be finite and nonzero, got {gs.tolist()}")
     curve = intensity_curve(params, "MEMM")
     times = grid.times()
     nu01_t, nu10_t = curve.nu01(times), curve.nu10(times)
@@ -591,13 +618,9 @@ def solve_indifference(params: ModelParams, payoff: Payoff, grid: GridSpec,
         _guard_exponent(a_blocks, b_blocks, "gamma_eff * (q - p)", gs)
         kappa = np.exp(x, out=x)
         np.multiply(nu01_t[i], kappa, out=kappa)
-        # rhs = p + dt * ((nu01 / g) - kappa / g + kappa * p)
-        rhs = np.divide(kappa, g, out=p_out)
-        np.subtract(next(nu01_over_g), rhs, out=rhs)
-        np.add(rhs, np.multiply(kappa, p, out=b), out=rhs)
-        np.multiply(dt, rhs, out=rhs)
-        np.add(p, rhs, out=rhs)
-        p = stepper.solve(np.multiply(dt, kappa, out=b), rhs)
+        # The source's 1/g constant is nu01 / g; linearized at p itself.
+        p = _source_step(stepper, dt, g, next(nu01_over_g), kappa, p, p,
+                         p_out, b)
         # q = p - log1p(w expm1(-g (q - p))) / g
         y = np.subtract(p, q, out=a)
         np.multiply(g, y, out=y)
@@ -840,16 +863,18 @@ def asymptotic_expansion(params: ModelParams, payoff: Payoff,
 def _single_shock_base(params: ModelParams, payoff: Payoff, grid: GridSpec):
     """Grid tables shared by every single-shock march of one payoff.
 
-    Returns (fac, pbs, wgt, cs0): the single-shock factors, the
-    Black-Scholes table pbs[k, j] = P_BS(m_k, S_j) (row 0 is the payoff h),
-    the weight wgt[k] = nu10 e^{(nu10 - d0) m_k}, and CS0[k] =
-    int_0^{m_k} wgt dm, the payoff-free weight integral.  CS0 matters
-    because e^{-nu10 (T-t)} (CS0 + 1) is exactly the shock-regime discount
-    factor F1 of this single-shock problem; assembling the 1/gamma
-    constant from CS0 rather than the closed form makes the quadrature
-    error cancel between the 1/gamma terms instead of leaving an
-    O(eps/gamma) residue.  m shares the time-grid spacing, so row N - i
-    corresponds to time-to-maturity T - t_i.
+    Returns (pbs, wgt, decay, f0, c_lin): the Black-Scholes table
+    pbs[k, j] = P_BS(m_k, S_j) (row 0 is the payoff h), the weight
+    wgt[k] = nu10 e^{(nu10 - d0) m_k}, the per-step lists
+    decay[i] = e^{-nu10 (T - t_i)} and f0[i] = F0(t_i) (single-shock
+    factors), and the array c_lin[i] = nu01 decay[i] (CS0[N - i] + 1),
+    where CS0[k] = int_0^{m_k} wgt dm is the payoff-free weight integral.
+    CS0 matters because e^{-nu10 (T-t)} (CS0 + 1) is exactly the
+    shock-regime discount factor F1 of this single-shock problem;
+    assembling the 1/gamma constant from CS0 rather than the closed form
+    makes the quadrature error cancel between the 1/gamma terms instead of
+    leaving an O(eps/gamma) residue.  m shares the time-grid spacing, so
+    row N - i corresponds to time-to-maturity T - t_i.
     """
     fac = single_shock_factors(params)
     d0, nu10 = params.d0, params.nu10
@@ -863,17 +888,10 @@ def _single_shock_base(params: ModelParams, payoff: Payoff, grid: GridSpec):
     pbs = np.asarray(_bs.bs_price(payoff, m_grid[:, None], spots[None, :],
                                   params.sigma0), dtype=float)
     wgt = nu10 * np.exp((nu10 - d0) * m_grid)
-    return fac, pbs, wgt, _cumulative_simpson(wgt, grid.delta_t)
-
-
-def _single_shock_scalars(params: ModelParams, fac, times: np.ndarray,
-                          cs0: np.ndarray):
-    """Per-step scalars of the single-shock marches, indexed by time row i:
-    the lists decay[i] = e^{-nu10 (T - t_i)} and f0[i] = F0(t_i), and the
-    array nu01 * decay[i] * (cs0[n - i] + 1)."""
-    decay = [math.exp(-params.nu10 * (params.T - t)) for t in times.tolist()]
-    f0 = np.asarray(fac.F0(times), dtype=float).tolist()
-    return (decay, f0,
+    cs0 = _cumulative_simpson(wgt, grid.delta_t)
+    decay = [math.exp(-nu10 * (params.T - t)) for t in m_grid.tolist()]
+    f0 = np.asarray(fac.F0(m_grid), dtype=float).tolist()
+    return (pbs, wgt, decay, f0,
             params.nu01 * np.array(decay) * (cs0[::-1] + 1.0))
 
 
@@ -950,29 +968,20 @@ def solve_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
     Each block stops iterating once its own update reaches rounding, so
     the other blocks' further iterations leave it as its solo march does.
     """
-    ns = [float(n) for n in quantities]
-    if not ns:
-        raise ValueError("quantities must name at least one contract")
+    ns, gs = _gamma_effs(params, quantities)
     for qty in ns:
         if qty <= 0.0:
             raise ValueError(f"buyer solve requires quantity > 0, got {qty}")
     keep = _kept_rows(grid, keep)
-    gs = np.array([qty * params.gamma for qty in ns])
-    for g_eff in gs.tolist():
-        if g_eff <= 0.0 or not math.isfinite(g_eff):
-            raise ValueError(
-                f"single-shock solver is buyer-only (gamma_eff > 0), got {g_eff}")
-    fac, pbs, wgt, cs0 = _single_shock_base(params, payoff, grid)
+    pbs, wgt, decay, f0, c_lin = _single_shock_base(params, payoff, grid)
     blocks, m = gs.size, grid.n_space
     h = np.tile(pbs[0], blocks)
     source = _single_shock_source(pbs, wgt, grid, gs)
-    times = grid.times()
     n = grid.n_time
     dt = _const(grid.delta_t)
     g = np.repeat(gs, m)                # each node's gamma_eff
     stepper = _Stepper(grid, params.sigma0, blocks)
     nu01 = _const(params.nu01)
-    decay, f0, c_lin = _single_shock_scalars(params, fac, times, cs0)
     # The 1/g constant nu01 decay (cs0 + 1) / (F0 g) of every step.
     c_lin = _block_rows(
         c_lin[:, None, None] / (np.array(f0)[:, None, None] * gs[:, None]), m)
@@ -1000,13 +1009,8 @@ def solve_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
         np.multiply(kappa, cs1, out=kappa)
         np.multiply(nu01, kappa, out=kappa)
         np.divide(kappa, f0[i], out=kappa)
-        # rhs = p_old + dt * (c_lin - kappa / g + kappa * p_lin)
-        rhs = np.divide(kappa, g, out=out)
-        np.subtract(c_lin_i, rhs, out=rhs)
-        np.add(rhs, np.multiply(kappa, p_lin, out=tmp), out=rhs)
-        np.multiply(dt, rhs, out=rhs)
-        np.add(p_old, rhs, out=rhs)
-        return stepper.solve(np.multiply(dt, kappa, out=tmp), rhs)
+        return _source_step(stepper, dt, g, c_lin_i, kappa, p_old, p_lin,
+                            out, tmp)
 
     def step(i: int, rows, out):
         (p,), (p_out,) = rows, out
@@ -1063,7 +1067,7 @@ def single_shock_zero_order(params: ModelParams, payoff: Payoff,
     of that scheme: the difference p_check(gamma) - p_check0 is then a
     pure gamma-order quantity with no discretisation floor.
     """
-    fac, pbs, wgt, cs0 = _single_shock_base(params, payoff, grid)
+    pbs, wgt, decay, f0, c_lin = _single_shock_base(params, payoff, grid)
     h = pbs[0].copy()
     n = grid.n_time
     dt = grid.delta_t
@@ -1076,7 +1080,6 @@ def single_shock_zero_order(params: ModelParams, payoff: Payoff,
     # diag uses kappa(gamma -> 0) = nu01 decay (cs0 + 1) / F0 and the
     # coupling uses the same decay/F0 scaling, mirroring the nonlinear
     # assembly term by term.
-    decay, f0, c_lin = _single_shock_scalars(params, fac, grid.times(), cs0)
     dt_k_hat = [dt * (c / f) for c, f in zip(c_lin.tolist(), f0)]
     scale = [dt * params.nu01 * d for d in decay]
 

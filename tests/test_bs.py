@@ -24,6 +24,7 @@ from liqshock import (
     bs_price,
     implied_ttm,
 )
+from liqshock.bs import _BS_BLOCK
 from oracle_occupation import occupation_mean
 
 SIGMA = 0.3
@@ -68,6 +69,27 @@ class TestBsPrice:
         out = np.asarray(bs_price(payoff, ttm, spot, SIGMA))
         assert out.shape == (2, 3)
         assert out[1, 2] == pytest.approx(float(bs_price(payoff, 1.0, 12.0, SIGMA)))
+
+    def test_blocked_broadcast_equals_row_calls(self):
+        """A broadcast larger than one block is evaluated in row blocks,
+        bit for bit as each row alone."""
+        payoff = Payoff("digital_call", 10.0)
+        ttm = np.linspace(0.0, 1.0, 41)[:, None]
+        spot = np.linspace(5.0, 15.0, 401)
+        assert ttm.size * spot.size > _BS_BLOCK
+        out = bs_price(payoff, ttm, spot, SIGMA)
+        rows = np.array([bs_price(payoff, t, spot, SIGMA) for t in ttm[:, 0]])
+        assert np.array_equal(out, rows)
+
+    @pytest.mark.parametrize("shape", [(), (1,), (0,), (3, 0)])
+    def test_only_a_0d_broadcast_returns_a_float(self, shape):
+        payoff = Payoff("vanilla_call", 10.0)
+        out = bs_price(payoff, np.ones(shape), 10.0, SIGMA)
+        if shape:
+            assert isinstance(out, np.ndarray) and out.shape == shape
+        else:
+            assert type(out) is float
+            assert out == bs_price(payoff, np.ones(1), 10.0, SIGMA)[0]
 
     def test_put_call_parity(self):
         call = Payoff("vanilla_call", 10.0)

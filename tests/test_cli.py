@@ -323,6 +323,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith(f"error: width = {float(width)}")
 
+    @pytest.mark.parametrize("flag, value, expected", [
+        ("--nsteps", "x", "expected an integer"),
+        ("--gamma", "inf", "value must be finite"),
+        ("--seed", "1.5", "expected an integer")])
+    def test_malformed_flag_value_is_named_as_a_config_key(self, flag, value,
+                                                           expected, capsys):
+        assert main(["price", flag, value, "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config key '{flag[2:]}': {expected}" in captured.err
+
     @pytest.mark.parametrize("seed", [str(2 ** 63), "-1"])
     def test_seed_outside_the_sampler_range_exits_2(self, seed, capsys):
         assert main(["converge", "--seed", seed, "--paths", "1000",

@@ -1,12 +1,12 @@
 """Each module of the package keeps its internals to itself, and imports
 only what it uses.
 
-No module imports a ``_``-prefixed name from another one, so a private
-helper's layout is known to the one module that defines it.  Every
-module-level import is used, re-exported through ``__all__``, or bound
-because the benchmark's span tracer (``perfbench/spans.py``) patches it
-in that module by name.  The project configures no linter, so these
-checks are tests."""
+No module imports a ``_``-prefixed name from another one, or reads one
+through an imported module, so a private helper's layout is known to the
+one module that defines it.  Every module-level import is used,
+re-exported through ``__all__``, or bound because the benchmark's span
+tracer (``perfbench/spans.py``) patches it in that module by name.  The
+project configures no linter, so these checks are tests."""
 
 from __future__ import annotations
 
@@ -31,8 +31,19 @@ def package_import_froms(tree: ast.Module):
 
 
 def private_imports(path: Path) -> list[str]:
-    return [alias.name for node in package_import_froms(parse(path))
-            for alias in node.names if alias.name.startswith("_")]
+    """``_``-prefixed names a module imports from the package, and those it
+    reads as ``alias._name`` through a package module bound by an import
+    (``from . import bs as _bs`` binds ``_bs``)."""
+    tree = parse(path)
+    froms = package_import_froms(tree)
+    names = [alias.name for node in froms for alias in node.names
+             if alias.name.startswith("_")]
+    modules = {alias.asname or alias.name for node in froms
+               if node.module in (None, "liqshock") for alias in node.names}
+    return names + [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.attr.startswith("_")]
 
 
 def test_no_module_imports_private_names_of_another():

@@ -346,6 +346,35 @@ def test_empty_quantities_are_refused_by_name(params, grid, solve):
         solve(params, Payoff("vanilla_call", STRIKE), grid, [])
 
 
+@pytest.mark.parametrize("quantity", [float("inf"), float("nan")])
+@pytest.mark.parametrize("solve", [solve_indifference, solve_single_shock])
+def test_nonfinite_quantities_are_refused_by_value(params, grid, solve,
+                                                   quantity):
+    with pytest.raises(ValueError, match="gamma_eff must be finite and nonzero"):
+        solve(params, Payoff("vanilla_call", STRIKE), grid, [quantity])
+
+
+@pytest.mark.parametrize("march", [
+    lambda params, grid: linear_price(params, Payoff("vanilla_call", STRIKE),
+                                      "MEMM", grid),
+    lambda params, grid: solve_indifference(
+        params, Payoff("vanilla_call", STRIKE), grid, [1.0, -1.0])],
+    ids=["linear_price", "solve_indifference"])
+def test_marches_leave_the_sampler_bounds_uncomputed(params, grid, monkeypatch,
+                                                     march):
+    """Only the Monte Carlo sampler reads a curve's thinning bounds."""
+    curves = []
+
+    def recorded(*args):
+        curves.append(liqshock.model.intensity_curve(*args))
+        return curves[-1]
+
+    monkeypatch.setattr(pde, "intensity_curve", recorded)
+    march(params, grid)
+    assert [c.measure for c in curves] == ["MEMM"]
+    assert not {"bound01", "bound10"} & set(vars(curves[0]))
+
+
 class TestLinearPass:
     @pytest.mark.parametrize("kind", ["vanilla_call", "digital_call"])
     def test_bundle_p0_is_the_memm_price(self, params, kind):
