@@ -83,6 +83,19 @@ def _validate_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
 
 
+def _first_bad(values: np.ndarray, ok: np.ndarray, what: str) -> None:
+    """Raise naming the first of the flat ``values`` where ``ok`` is False."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValueError(f"{what}, got {float(values[bad[0]])}")
+
+
+def _check_spot(s: np.ndarray) -> None:
+    # A NaN fails every comparison, so it is refused with the infinities.
+    _first_bad(s.ravel(), (s > 0.0) & (s < math.inf),
+               "spot must be positive and finite")
+
+
 def _bs_formula(payoff: Payoff, tau: np.ndarray, s: np.ndarray, sigma: float):
     """The Black-Scholes formula at tau > 0, shared by ``bs_price`` and
     ``bs_greeks``: returns (vol, d1, d2, price) with vol = sigma sqrt(tau)."""
@@ -123,15 +136,16 @@ def bs_price(payoff: Payoff, ttm, spot, sigma: float):
     cache-sized instead of scaling with the whole table.  Every value is an
     elementwise function of its own (ttm, spot), so the blocks are
     bit-identical to one whole-array evaluation.  A 0-d broadcast returns a
-    float, any other an array of the broadcast shape.
+    float, any other an array of the broadcast shape.  A ttm or spot that
+    is not finite, a negative ttm or a non-positive spot raises
+    ValueError naming the first such value.
     """
     _validate_sigma(sigma)
     tau = np.asarray(ttm, dtype=float)
     s = np.asarray(spot, dtype=float)
-    if np.any(tau < 0.0):
-        raise ValueError("ttm must be >= 0")
-    if np.any(s <= 0.0):
-        raise ValueError("spot must be > 0")
+    _first_bad(tau.ravel(), (tau >= 0.0) & (tau < math.inf),
+               "ttm must be finite and >= 0")
+    _check_spot(s)
     tau_b, s_b = np.broadcast_arrays(tau, s)
     out = np.empty(tau_b.shape, dtype=float)
     tau_r, s_r, out_r = np.atleast_1d(tau_b, s_b, out)
@@ -146,15 +160,15 @@ def bs_greeks(payoff: Payoff, ttm, spot, sigma: float) -> BSQuote:
     """Price, delta and maturity-sensitivities at zero rates.
 
     Rejects ttm = 0, where delta and the maturity derivatives are not
-    defined for digital payoffs.
+    defined for digital payoffs, and refuses the other inputs
+    ``bs_price`` refuses.
     """
     _validate_sigma(sigma)
     tau = np.asarray(ttm, dtype=float)
     s = np.asarray(spot, dtype=float)
-    if np.any(tau <= 0.0):
-        raise ValueError("bs_greeks requires ttm > 0")
-    if np.any(s <= 0.0):
-        raise ValueError("spot must be > 0")
+    _first_bad(tau.ravel(), (tau > 0.0) & (tau < math.inf),
+               "bs_greeks requires a finite ttm > 0")
+    _check_spot(s)
     tau_b, s_b = np.broadcast_arrays(tau, s)
     k = payoff.strike
     vol, d1, d2, price = _bs_formula(payoff, tau_b, s_b, sigma)
@@ -198,12 +212,6 @@ def adjusted_ttm(params: ModelParams, horizon, regime: int):
     return out if np.ndim(out) else float(out)
 
 
-def _first_bad(values: np.ndarray, ok: np.ndarray, what: str) -> None:
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        raise ValueError(f"{what}, got {float(values[bad[0]])}")
-
-
 def implied_ttm(payoff: Payoff, spot, target_price, sigma: float,
                 horizon) -> ImpliedTTM:
     """Invert the vanilla Black-Scholes price in time-to-maturity.
@@ -238,7 +246,7 @@ def implied_ttm(payoff: Payoff, spot, target_price, sigma: float,
                                        np.asarray(horizon, dtype=float))
     shape = s.shape
     s, target, h = s.ravel(), target.ravel(), h.ravel()
-    _first_bad(s, np.isfinite(s) & (s > 0.0), "spot must be positive and finite")
+    _check_spot(s)
     _first_bad(target, np.isfinite(target), "target_price must be finite")
     _first_bad(h, np.isfinite(h) & (h > 0.0), "horizon must be positive and finite")
 

@@ -313,9 +313,10 @@ def cmd_price(cfg: RunConfig) -> Report:
         for s, v in zip(spots, prices):
             rows.append([method, _fmt(s), _fmt(n), gamma_s, _fmt(v)])
 
-    linear_rows("BS", [_bs.bs_price(unit, params.T, s, params.sigma0) for s in spots])
+    spot_arr = np.asarray(spots, dtype=float)
+    linear_rows("BS", _bs.bs_price(unit, params.T, spot_arr, params.sigma0))
     t_adj = float(_bs.adjusted_ttm(params, params.T, 0))
-    linear_rows("AdjBS", [_bs.bs_price(unit, t_adj, s, params.sigma0) for s in spots])
+    linear_rows("AdjBS", _bs.bs_price(unit, t_adj, spot_arr, params.sigma0))
     mmm, bundle = mmm_and_expansion(params, unit, grid, _FIRST_ROW)
     linear_rows("MMM", [mmm.quote(s) for s in spots])
     linear_rows("MEMM", [bundle.p0.quote(s) for s in spots])
@@ -366,36 +367,35 @@ def cmd_ttm(cfg: RunConfig) -> Report:
     rows: list[list[str]] = []
 
     # Horizons fall as t rises, so the rows with time left are a prefix.
-    n_live = sum(params.T - t > 0.0 for t in times)
+    horizons = params.T - np.array(times)
+    n_live = int(np.count_nonzero(horizons > 0.0))
     # One inversion over the live time rows (anchor spot) and the spot sweep.
     imp = _bs.implied_ttm(
         pay, np.concatenate([np.full(n_live, cfg.spot), spots]),
         np.concatenate([[lin.quote(cfg.spot, t=t) for t in times[:n_live]],
                         lin.quote(spots, t=0.0)]),
         params.sigma0,
-        np.concatenate([params.T - np.array(times[:n_live]),
-                        np.full(spots.size, params.T)]))
+        np.concatenate([horizons[:n_live], np.full(spots.size, params.T)]))
     failed = np.flatnonzero(imp.failure != "")
     if failed.size:
         raise ValueError(imp.failure[failed[0]])
 
+    # One adjusted-clock call per regime: the time rows' horizons, then T
+    # for the spot rows.
+    adj0 = _bs.adjusted_ttm(params, np.append(horizons, params.T), 0)
+    adj1 = _bs.adjusted_ttm(params, np.append(horizons, params.T), 1)
     for k, t in enumerate(times):
-        horizon = params.T - t
-        adj0 = float(_bs.adjusted_ttm(params, horizon, 0))
-        adj1 = float(_bs.adjusted_ttm(params, horizon, 1))
         if k < n_live:
             implied, low_conf = imp.ttm[k], imp.low_confidence[k]
         else:
             implied, low_conf = 0.0, float(pay.value(cfg.spot)) > 0.0
-        rows.append(["t", _fmt(t), _fmt(horizon), _fmt(adj0), _fmt(adj1),
-                     _fmt(implied), _flag(low_conf)])
+        rows.append(["t", _fmt(t), _fmt(horizons[k]), _fmt(adj0[k]),
+                     _fmt(adj1[k]), _fmt(implied), _flag(low_conf)])
 
-    adj0 = float(_bs.adjusted_ttm(params, params.T, 0))
-    adj1 = float(_bs.adjusted_ttm(params, params.T, 1))
     for s, implied, low_conf in zip(spots, imp.ttm[n_live:],
                                     imp.low_confidence[n_live:]):
-        rows.append(["S", _fmt(s), _fmt(params.T), _fmt(adj0), _fmt(adj1),
-                     _fmt(implied), _flag(low_conf)])
+        rows.append(["S", _fmt(s), _fmt(params.T), _fmt(adj0[-1]),
+                     _fmt(adj1[-1]), _fmt(implied), _flag(low_conf)])
     return header, rows
 
 

@@ -91,16 +91,11 @@ def _validate_seed(seed: int) -> int:
 
 
 def _round_uniforms(seed: int, round_idx: int, purpose: int,
-                    antithetic: bool, out: np.ndarray) -> np.ndarray:
+                    out: np.ndarray) -> np.ndarray:
     """Fill ``out`` with uniforms in [0, 1) for one round; key = (seed,
-    round, purpose).
-
-    With ``antithetic`` the second half mirrors the first (u -> 1 - u)."""
+    round, purpose)."""
     key = (seed << 64) | (round_idx * 8 + purpose)
     np.random.Generator(np.random.Philox(key=key)).random(out=out)
-    if antithetic:
-        half = out.size // 2
-        out[half:] = 1.0 - out[:half]
     return out
 
 
@@ -116,28 +111,19 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (hl >> _U32) + (cross >> _U32) + x_hi * a_hi, x * a
 
 
-def _live_uniforms(seed: int, round_idx: int, antithetic: bool,
-                   n_paths: int, idx: np.ndarray) -> np.ndarray:
+def _live_uniforms(seed: int, round_idx: int, idx: np.ndarray) -> np.ndarray:
     """Entries ``idx`` of round ``round_idx``'s two uniform vectors.
 
     Returns a (2, idx.size) array: row 0 holds the thinning draws
-    (purpose 0, mirrored when ``antithetic``), row 1 the acceptance draws
-    (purpose 1), bit-identical to the entries of the vectors
-    ``_round_uniforms`` fills for n_paths paths.  numpy's Philox generator
-    increments its 256-bit counter before each block of four words, so
-    index i is word i % 4 of the block at counter (i // 4 + 1, 0, 0, 0);
-    the key words are (round * 8 + purpose, seed).  Both purposes run
-    through the ten rounds in one pass of uint64 array arithmetic, which
-    wraps modulo 2**64 as the generator's C code does.
+    (purpose 0), row 1 the acceptance draws (purpose 1), bit-identical to
+    the entries of the vectors ``_round_uniforms`` fills.  numpy's Philox
+    generator increments its 256-bit counter before each block of four
+    words, so index i is word i % 4 of the block at counter (i // 4 + 1,
+    0, 0, 0); the key words are (round * 8 + purpose, seed).  Both
+    purposes run through the ten rounds in one pass of uint64 array
+    arithmetic, which wraps modulo 2**64 as the generator's C code does.
     """
     pos = idx.astype(np.uint64)[None, :]
-    mirror = None
-    if antithetic:
-        # Path i >= n/2 reads 1 - u[i - n/2] of the thinning vector.
-        half = n_paths // 2
-        mirror = idx >= half
-        pos = np.repeat(pos, 2, axis=0)
-        pos[0, mirror] -= np.uint64(half)
     k0 = [round_idx * 8, round_idx * 8 + 1]
     k1 = seed
     # Counter words 1..3 start at zero; shapes broadcast, so the first two
@@ -154,17 +140,7 @@ def _live_uniforms(seed: int, round_idx: int, antithetic: bool,
         x0, x1, x2, x3 = hi1 ^ x1 ^ key0, lo1, hi0 ^ x3 ^ key1, lo0
     words = np.broadcast_arrays(x0, x1, x2, x3)
     word = np.choose((pos & np.uint64(3)).astype(np.intp), words)
-    u = (word >> np.uint64(11)).astype(float) * _TWO_M53
-    if antithetic:
-        u[0, mirror] = 1.0 - u[0, mirror]
-    return u
-
-
-def _check_paths(n_paths: int, antithetic: bool) -> None:
-    if n_paths < _MIN_PATHS:
-        raise ValueError(f"n_paths must be >= {_MIN_PATHS}, got {n_paths}")
-    if antithetic and n_paths % 2 != 0:
-        raise ValueError("antithetic sampling requires an even n_paths")
+    return (word >> np.uint64(11)).astype(float) * _TWO_M53
 
 
 def _round_cap(horizon: float, max_bound: float) -> int:
@@ -174,19 +150,22 @@ def _round_cap(horizon: float, max_bound: float) -> int:
 
 
 def sample_realized_ttm(curve: IntensityCurve, horizon: float,
-                        start_regime: int, seed: int, n_paths: int,
-                        antithetic: bool = False) -> np.ndarray:
+                        start_regime: int, seed: int,
+                        n_paths: int) -> np.ndarray:
     """Realized liquid time over [0, horizon] for the two-regime chain.
 
     Returns an array of shape (n_paths,), each entry in [0, horizon];
-    ``n_paths`` must be at least 100 (and even when ``antithetic``).
+    ``n_paths`` must be an integer of at least 100.
     ``horizon`` must not exceed the curve's parameter horizon T (the tilted
     intensities are defined on [0, T]).  Under the 'MEMM_single_shock'
     curve at most one shock occurs: the chain starts liquid (regime 0) and
     its first recovery is absorbing (liquid for good).
     """
     seed = _validate_seed(seed)
-    _check_paths(n_paths, antithetic)
+    if (not isinstance(n_paths, (int, np.integer)) or isinstance(n_paths, bool)
+            or n_paths < _MIN_PATHS):
+        raise ValueError(
+            f"n_paths must be an integer >= {_MIN_PATHS}, got {n_paths!r}")
     if start_regime not in (0, 1):
         raise ValueError(f"start_regime must be 0 or 1, got {start_regime}")
     absorbing = curve.measure == "MEMM_single_shock"
@@ -228,7 +207,7 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
         if not sparse:
             if u_s is None:
                 u_s, u_a = np.empty(n_paths), np.empty(n_paths)
-            _round_uniforms(seed, r, 0, antithetic, u_s)
+            _round_uniforms(seed, r, 0, u_s)
         # The acceptance vector is filled on the round's first block that
         # can reject a candidate (never when every candidate is certain).
         filled = False
@@ -237,7 +216,7 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
             hi = min(lo + _BLOCK, n_live)
             ix = idx[lo:hi]
             if sparse:
-                us, ua = _live_uniforms(seed, r, antithetic, n_paths, ix)
+                us, ua = _live_uniforms(seed, r, ix)
             else:
                 us = u_s[ix]
             st = state[lo:hi]
@@ -282,7 +261,7 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
                 acc = np.ones(ix.size, dtype=bool)
             else:
                 if not (sparse or filled):
-                    _round_uniforms(seed, r, 1, False, u_a)
+                    _round_uniforms(seed, r, 1, u_a)
                     filled = True
                 ua = ua.take(sel) if sparse else u_a[ix]
                 acc = ua * bnd < nu_c
@@ -317,33 +296,20 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
 
 
 def mc_linear_price(params: ModelParams, payoff: Payoff, measure: str,
-                    spot: float, n_paths: int, seed: int,
-                    start_regime: int = 0,
-                    antithetic: bool = False) -> MCEstimate:
+                    spot: float, n_paths: int, seed: int) -> MCEstimate:
     """Monte Carlo linear price E[P_BS(realized liquid time, spot)].
 
-    Per contract; ``measure`` is one of 'MMM', 'MEMM',
-    'MEMM_single_shock' (the last starts in regime 0 by construction).
-    The mean uses numpy's pairwise summation; the standard error is the
-    sample standard deviation (ddof=1) over sqrt(n_paths), computed over
-    antithetic pair averages when ``antithetic`` is set.
+    Per contract, with the chain started liquid (regime 0); ``measure`` is
+    one of 'MMM', 'MEMM', 'MEMM_single_shock'.  The mean uses numpy's
+    pairwise summation; the standard error is the sample standard
+    deviation (ddof=1) over sqrt(n_paths).
     """
     curve = intensity_curve(params, measure)
     if not (math.isfinite(spot) and spot > 0.0):
         raise ValueError(f"spot must be positive and finite, got {spot}")
-    ttm = sample_realized_ttm(curve, params.T, start_regime, seed, n_paths,
-                              antithetic)
+    ttm = sample_realized_ttm(curve, params.T, 0, seed, n_paths)
     vals = np.asarray(_bs.bs_price(payoff, ttm, spot, params.sigma0), dtype=float)
-    if antithetic:
-        # Paths i and i + n/2 share mirrored uniforms; the independent
-        # sampling units are the pair averages, so the standard error is
-        # computed over them (the mean is unchanged).
-        half = n_paths // 2
-        pairs = 0.5 * (vals[:half] + vals[half:])
-        mean = float(np.mean(pairs))
-        se = float(np.std(pairs, ddof=1) / math.sqrt(half))
-    else:
-        mean = float(np.mean(vals))
-        se = float(np.std(vals, ddof=1) / math.sqrt(n_paths))
-    return MCEstimate(mean=mean, std_error=se, n_paths=n_paths,
-                      seed=_validate_seed(seed))
+    # The sampler has validated the seed.
+    return MCEstimate(mean=float(np.mean(vals)),
+                      std_error=float(np.std(vals, ddof=1) / math.sqrt(n_paths)),
+                      n_paths=n_paths, seed=int(seed))

@@ -141,6 +141,20 @@ class TestBsGreeks:
                               bs_price(payoff, ttm, spot, SIGMA))
 
 
+@pytest.mark.parametrize("fn", [bs_price, bs_greeks])
+@pytest.mark.parametrize("name", ["ttm", "spot"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shape", [(), (2, 3)])
+def test_non_finite_input_refused_by_value(fn, name, bad, shape):
+    """A NaN or infinite ttm or spot raises ValueError naming the input
+    and its first offending value, whether it stands alone or sits inside
+    an array whose other entries are valid."""
+    args = {"ttm": np.full(shape, 0.5), "spot": np.full(shape, 10.0)}
+    args[name].flat[-1] = bad
+    with pytest.raises(ValueError, match=rf"{name} .*got {bad}$"):
+        fn(Payoff("vanilla_call", 10.0), args["ttm"], args["spot"], SIGMA)
+
+
 class TestAdjustedTtm:
     def make(self, **kw) -> ModelParams:
         base = dict(mu0=0.06, sigma0=0.3, nu01=1.0, nu10=12.0, gamma=1.0, T=1.0)

@@ -77,9 +77,11 @@ class TestSampleRealizedTtm:
             sample_realized_ttm(curve, 1.0, 0, seed=-1, n_paths=500)
         with pytest.raises(ValueError, match="seed"):
             sample_realized_ttm(curve, 1.0, 0, seed=True, n_paths=500)
-        with pytest.raises(ValueError, match="even"):
-            sample_realized_ttm(curve, 1.0, 0, seed=1, n_paths=501,
-                                antithetic=True)
+        with pytest.raises(ValueError, match="regime 0"):
+            sample_realized_ttm(intensity_curve(params, "MEMM_single_shock"),
+                                1.0, 1, seed=1, n_paths=500)
+        with pytest.raises(ValueError, match="n_paths"):
+            sample_realized_ttm(curve, 1.0, 0, seed=1, n_paths=500.0)
 
     def test_lying_bound_detected(self, params):
         """A curve whose stated bound is not a true upper bound must be
@@ -131,21 +133,9 @@ class TestMcLinearPrice:
         ref = single_shock_memm_price(params, payoff, 0.0, 12.0)
         assert z_score(est, ref) < 4.0
 
-    def test_antithetic_reduces_error_for_monotone_payoff(self, params):
-        """The vanilla price is monotone in realized liquid time, so the
-        antithetic estimator's standard error must not be larger."""
-        payoff = Payoff("vanilla_call", STRIKE)
-        plain = mc_linear_price(params, payoff, "MMM", 10.0, 100_000, seed=37)
-        anti = mc_linear_price(params, payoff, "MMM", 10.0, 100_000, seed=37,
-                               antithetic=True)
-        assert anti.std_error < plain.std_error
-
     def test_inputs_validated(self, params):
         payoff = Payoff("vanilla_call", STRIKE)
         with pytest.raises(ValueError, match="measure"):
             mc_linear_price(params, payoff, "physical?", 10.0, 1000, seed=1)
         with pytest.raises(ValueError, match="spot"):
             mc_linear_price(params, payoff, "MMM", -1.0, 1000, seed=1)
-        with pytest.raises(ValueError, match="regime 0"):
-            mc_linear_price(params, payoff, "MEMM_single_shock", 10.0, 1000,
-                            seed=1, start_regime=1)

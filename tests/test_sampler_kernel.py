@@ -11,7 +11,8 @@ entry is a constant-flagged curve whose nu01 equals its bound on [0, T/2]
 and falls below it after, so acceptance is certain for some candidates
 and not for others; those digests were written before dense rounds
 learned to skip the acceptance fill.  (Like the march goldens, the digests
-pin this platform's floating point.)
+pin this platform's floating point.)  Keys keep the ``anti0`` suffix they
+were stored with, when the sampler also had an antithetic mode.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def digest(a: np.ndarray) -> str:
 
 def draw_digests(name: str) -> dict[str, str]:
     """Digests of MMM and MEMM (both start regimes) and single-shock MEMM
-    draws, with and without antithetic pairs, for one stored set."""
+    draws for one stored set."""
     spec = GOLDENS["sets"][name]
     params = ModelParams(**spec["params"])
     seed, n = spec["seed"], GOLDENS["n_paths"]
@@ -55,13 +56,11 @@ def draw_digests(name: str) -> dict[str, str]:
     for measure in ("MMM", "MEMM"):
         curve = intensity_curve(params, measure)
         for regime in (0, 1):
-            for anti in (False, True):
-                out[f"{measure}_r{regime}_anti{int(anti)}"] = digest(
-                    sample_realized_ttm(curve, params.T, regime, seed, n, anti))
+            out[f"{measure}_r{regime}_anti0"] = digest(
+                sample_realized_ttm(curve, params.T, regime, seed, n))
     curve = intensity_curve(params, "MEMM_single_shock")
-    for anti in (False, True):
-        out[f"MEMM_single_shock_anti{int(anti)}"] = digest(
-            sample_realized_ttm(curve, params.T, 0, seed, n, anti))
+    out["MEMM_single_shock_anti0"] = digest(
+        sample_realized_ttm(curve, params.T, 0, seed, n))
     return out
 
 
@@ -78,10 +77,10 @@ def kinked_curve() -> tuple[IntensityCurve, dict]:
 
 def kinked_digests() -> dict[str, str]:
     curve, spec = kinked_curve()
-    return {f"r{regime}_anti{int(anti)}": digest(sample_realized_ttm(
+    return {f"r{regime}_anti0": digest(sample_realized_ttm(
                 curve, curve.params.T, regime, spec["seed"],
-                GOLDENS["n_paths"], anti))
-            for regime in (0, 1) for anti in (False, True)}
+                GOLDENS["n_paths"]))
+            for regime in (0, 1)}
 
 
 def count_fills(monkeypatch) -> list[int]:
@@ -89,9 +88,9 @@ def count_fills(monkeypatch) -> list[int]:
     purposes = []
     real = mc._round_uniforms
 
-    def spy(seed, round_idx, purpose, antithetic, out):
+    def spy(seed, round_idx, purpose, out):
         purposes.append(purpose)
-        return real(seed, round_idx, purpose, antithetic, out)
+        return real(seed, round_idx, purpose, out)
 
     monkeypatch.setattr(mc, "_round_uniforms", spy)
     return purposes
@@ -103,9 +102,9 @@ def test_goldens_reach_sparse_rounds_and_several_blocks(monkeypatch):
     rounds = []
     real = mc._live_uniforms
 
-    def spy(seed, round_idx, antithetic, n_paths, idx):
+    def spy(seed, round_idx, idx):
         rounds.append(round_idx)
-        return real(seed, round_idx, antithetic, n_paths, idx)
+        return real(seed, round_idx, idx)
 
     monkeypatch.setattr(mc, "_live_uniforms", spy)
     assert GOLDENS["n_paths"] > 4 * mc._BLOCK
@@ -162,13 +161,12 @@ def test_acceptance_fills_only_where_a_candidate_can_be_rejected(
                                 ("MEMM", 0.0, False)):
         curve = intensity_curve(replace(params, mu0=mu0), measure)
         for regime in (0, 1):
-            for anti in (False, True):
-                purposes.clear()
-                sample_realized_ttm(curve, params.T, regime, spec["seed"],
-                                    GOLDENS["n_paths"], anti)
-                dense = purposes.count(0)
-                assert dense >= 3
-                assert purposes.count(1) == (dense if fills else 0)
+            purposes.clear()
+            sample_realized_ttm(curve, params.T, regime, spec["seed"],
+                                GOLDENS["n_paths"])
+            dense = purposes.count(0)
+            assert dense >= 3
+            assert purposes.count(1) == (dense if fills else 0)
 
 
 def test_kinked_curve_fills_some_dense_rounds(monkeypatch):
@@ -190,29 +188,20 @@ CAP = mc._round_cap(1.0, 200.0)
 @pytest.mark.parametrize("n_paths", [100, 1001, 40_000])
 def test_live_uniforms_match_the_filled_vectors(seed, round_idx, n_paths):
     """Both rows of the Philox gather equal numpy's own fills at random
-    ascending index sets, with and without the antithetic mirror (sets
-    then straddle n/2)."""
+    ascending index sets."""
     rng = np.random.default_rng([seed % 2 ** 32, round_idx, n_paths])
-    accept = mc._round_uniforms(seed, round_idx, 1, False, np.empty(n_paths))
-    for anti in (False, True) if n_paths % 2 == 0 else (False,):
-        thin = mc._round_uniforms(seed, round_idx, 0, anti, np.empty(n_paths))
-        for size in (1, 5, min(257, n_paths), n_paths):
-            idx = np.sort(rng.choice(n_paths, size=size, replace=False))
-            u = mc._live_uniforms(seed, round_idx, anti, n_paths, idx)
-            assert u.shape == (2, size)
-            assert np.array_equal(u[0], thin[idx])
-            assert np.array_equal(u[1], accept[idx])
-        if anti:
-            half = n_paths // 2
-            idx = np.arange(half - 3, half + 3)
-            u = mc._live_uniforms(seed, round_idx, anti, n_paths, idx)
-            assert np.array_equal(u[0], thin[idx])
+    accept = mc._round_uniforms(seed, round_idx, 1, np.empty(n_paths))
+    thin = mc._round_uniforms(seed, round_idx, 0, np.empty(n_paths))
+    for size in (1, 5, min(257, n_paths), n_paths):
+        idx = np.sort(rng.choice(n_paths, size=size, replace=False))
+        u = mc._live_uniforms(seed, round_idx, idx)
+        assert u.shape == (2, size)
+        assert np.array_equal(u[0], thin[idx])
+        assert np.array_equal(u[1], accept[idx])
 
 
-@pytest.mark.parametrize("measure,antithetic", [
-    ("MMM", False), ("MEMM", False), ("MEMM", True),
-    ("MEMM_single_shock", False)])
-def test_memory_stays_below_twelve_doubles_per_path(params, measure, antithetic):
+@pytest.mark.parametrize("measure", ["MMM", "MEMM", "MEMM_single_shock"])
+def test_memory_stays_below_twelve_doubles_per_path(params, measure):
     """The sampler keeps compact live-path state and blocks its
     temporaries, and bs_price evaluates the sampled clocks in blocks, so
     the whole price peaks below 12 float64 per path."""
@@ -220,7 +209,7 @@ def test_memory_stays_below_twelve_doubles_per_path(params, measure, antithetic)
     tracemalloc.start()
     try:
         mc_linear_price(params, Payoff("vanilla_call", 10.0), measure, 10.0,
-                        n, seed=41, antithetic=antithetic)
+                        n, seed=41)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

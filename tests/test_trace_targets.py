@@ -8,6 +8,7 @@ modified."""
 from __future__ import annotations
 
 import importlib
+import inspect
 import types
 from pathlib import Path
 
@@ -62,3 +63,21 @@ def test_clock_commands_call_traced_names(monkeypatch, capsys, command,
     assert main([command, "--nsteps", "200", "--out", "-"]) == 0
     capsys.readouterr()
     assert calls
+
+
+def test_work_indices_name_the_grid_or_path_count():
+    """A target with a work index reads its march grid (``MARCHES`` spans)
+    or its path count from that positional argument.  A signature edit
+    that shifted the parameter would leave the step or path counts
+    silently at 0."""
+    spans = load_spans()
+    shifted = []
+    for module_name, attr, span, work_index in spans.TARGETS:
+        if work_index is None:
+            continue
+        fn = getattr(importlib.import_module(module_name), attr)
+        names = list(inspect.signature(fn).parameters)
+        want = "grid" if span in spans.MARCHES else "n_paths"
+        if work_index >= len(names) or names[work_index] != want:
+            shifted.append((module_name, attr, work_index, want))
+    assert shifted == []
