@@ -11,7 +11,7 @@ surfaces are converted by the caller.
 one ``bs_price`` call on the elements still bracketing, and each element
 stops on its own tolerance test.  Element by element the iterates and the
 ``bs_price`` arithmetic are those of a one-element call, so an array result
-is bit-identical to the scalar calls it replaces.
+is bit-identical, element by element, to one-element calls.
 """
 
 from __future__ import annotations
@@ -62,16 +62,16 @@ class BSQuote:
 class ImpliedTTM:
     """Result of inverting a vanilla price in the maturity variable.
 
-    A scalar call holds floats and a bool.  An array call holds arrays of
-    the broadcast shape, and ``failure`` names, per element, why no
+    Every field is an array of the broadcast shape of the inputs (0-d for
+    scalar inputs).  ``failure`` names, per element, why no
     positive-maturity solution exists ("" where one does); such elements
     carry ttm = price_error = nan and low_confidence = False.
     """
 
-    ttm: np.ndarray | float
-    price_error: np.ndarray | float
-    low_confidence: np.ndarray | bool
-    failure: np.ndarray | None = None
+    ttm: np.ndarray
+    price_error: np.ndarray
+    low_confidence: np.ndarray
+    failure: np.ndarray
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
@@ -194,13 +194,14 @@ def adjusted_ttm(params: ModelParams, horizon, regime: int):
 
     Closed form from the two-regime occupation time started in ``regime``.
     Vectorized over ``horizon``; 0 <= result <= horizon, with equality at
-    horizon only when nu01 = 0 and regime = 0.
+    horizon only when nu01 = 0 and regime = 0.  A negative or non-finite
+    horizon raises ValueError naming the first such value.
     """
     if regime not in (0, 1):
         raise ValueError(f"regime must be 0 or 1, got {regime}")
     h = np.asarray(horizon, dtype=float)
-    if np.any(h < 0.0):
-        raise ValueError("horizon must be >= 0")
+    _first_bad(h.ravel(), (h >= 0.0) & (h < math.inf),
+               "horizon must be finite and >= 0")
     n01, n10 = params.nu01, params.nu10
     nu = n01 + n10
     decay = np.exp(-nu * h)
@@ -230,17 +231,16 @@ def implied_ttm(payoff: Payoff, spot, target_price, sigma: float,
     price is within tolerance.  Every element therefore follows the
     iterates of its own one-element bisection (``mid = 0.5 * (lo + hi)``,
     the same ``bs_price`` arithmetic element by element), so its result is
-    bit-identical to a scalar call.  A scalar call is the one-element case
-    and raises ValueError where no positive-maturity solution exists (a
+    bit-identical to a one-element call.  Every result field has the
+    broadcast shape; an element without a positive-maturity solution (a
     target below intrinsic value or above the price at the bracket's upper
-    end); an array call reports that outcome per element in ``failure``.
-    An element still unresolved after the iteration cap raises
-    NumericalError for the whole call.
+    end) gets its cause in ``failure`` and raises nothing.  An element
+    still unresolved after the iteration cap raises NumericalError for the
+    whole call.
     """
     if payoff.is_digital:
         raise ValueError("implied ttm is defined for vanilla payoffs only")
     _validate_sigma(sigma)
-    scalar = np.ndim(spot) == np.ndim(target_price) == np.ndim(horizon) == 0
     s, target, h = np.broadcast_arrays(np.asarray(spot, dtype=float),
                                        np.asarray(target_price, dtype=float),
                                        np.asarray(horizon, dtype=float))
@@ -297,11 +297,6 @@ def implied_ttm(payoff: Payoff, spot, target_price, sigma: float,
             f"{_IMPLIED_MAX_ITER} iterations "
             f"(spot={float(s[i])}, target={float(target[i])})")
 
-    if scalar:
-        if failure[0]:
-            raise ValueError(failure[0])
-        return ImpliedTTM(ttm=float(ttm[0]), price_error=float(price_error[0]),
-                          low_confidence=bool(low_confidence[0]))
     return ImpliedTTM(ttm=ttm.reshape(shape), price_error=price_error.reshape(shape),
                       low_confidence=low_confidence.reshape(shape),
                       failure=failure.reshape(shape))

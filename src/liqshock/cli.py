@@ -87,8 +87,9 @@ def _fmt(x: float) -> str:
     return format(float(x) + 0.0, _FLOAT_FORMAT)
 
 
-def _fmt_opt(x: float | None) -> str:
-    return "" if x is None else _fmt(x)
+def _fmt_opt(x: float) -> str:
+    """A term that may not exist: NaN prints as an empty field."""
+    return "" if math.isnan(x) else _fmt(x)
 
 
 def _flag(b: bool) -> str:
@@ -318,8 +319,8 @@ def cmd_price(cfg: RunConfig) -> Report:
     t_adj = float(_bs.adjusted_ttm(params, params.T, 0))
     linear_rows("AdjBS", _bs.bs_price(unit, t_adj, spot_arr, params.sigma0))
     mmm, bundle = mmm_and_expansion(params, unit, grid, _FIRST_ROW)
-    linear_rows("MMM", [mmm.quote(s) for s in spots])
-    linear_rows("MEMM", [bundle.p0.quote(s) for s in spots])
+    linear_rows("MMM", mmm.quote(spot_arr))
+    linear_rows("MEMM", bundle.p0.quote(spot_arr))
 
     buyers = [n for n in cfg.contracts if n > 0.0]
     writers = [n for n in cfg.contracts if n < 0.0]
@@ -327,15 +328,14 @@ def cmd_price(cfg: RunConfig) -> Report:
     pairs = solve_indifference(params, unit, grid, quantities, _FIRST_ROW)
     for n, (p, _) in zip(quantities, pairs):
         contract_rows("IndiffBuyer" if n > 0.0 else "IndiffWriter", n,
-                      [p.quote(s) for s in spots])
+                      p.quote(spot_arr))
     if buyers:
         surfaces = solve_single_shock(params, unit, grid, buyers, _FIRST_ROW)
         for n, surf in zip(buyers, surfaces):
-            contract_rows("SingleShock", n, [surf.quote(s) for s in spots])
+            contract_rows("SingleShock", n, surf.quote(spot_arr))
     for n in cfg.contracts:
-        g_eff = n * params.gamma
         contract_rows("Asympt1", n,
-                      [bundle.first_order_quote(s, gamma_eff=g_eff) for s in spots])
+                      bundle.first_order_quote(spot_arr, n * params.gamma))
     return header, rows
 
 
@@ -417,23 +417,21 @@ def cmd_hedge(cfg: RunConfig) -> Report:
         surf, _ = solve_buyer(params, pay_n, grid, _FIRST_ROW)
     else:
         surf, _ = solve_writer(params, pay_n, grid, _FIRST_ROW)
-    unit = cfg.make_payoff(1.0)
-    t_adj = float(_bs.adjusted_ttm(params, params.T, 0))
     header = ["spot", "n", "delta_indiff", "delta_bs", "delta_bs_adjusted",
               "base_delta", "adjusted_ttm_spread", "implied_ttm_spread",
               "smile_correction", "implied_ttm", "merton_dollar_position",
               "low_confidence"]
+    rep = hedge_report(params, pay_n, surf, 0.0, spots)
+    n_s, merton = _fmt(quantity), _fmt(rep.merton_dollar_position)
     rows: list[list[str]] = []
-    n_s = _fmt(quantity)
-    reports = hedge_report(params, pay_n, surf, 0.0, spots)
-    deltas_adj = _bs.bs_greeks(unit, t_adj, spots, params.sigma0).delta
-    for s, rep, delta_adj in zip(spots, reports, deltas_adj):
+    for k, s in enumerate(spots):
         rows.append([
-            _fmt(s), n_s, _fmt(rep.indiff_delta), _fmt(rep.base_delta),
-            _fmt(delta_adj), _fmt(rep.base_delta),
-            _fmt_opt(rep.adjusted_ttm_spread), _fmt_opt(rep.implied_ttm_spread),
-            _fmt(rep.smile_correction), _fmt_opt(rep.implied_ttm_value),
-            _fmt(rep.merton_dollar_position), _flag(rep.low_confidence)])
+            _fmt(s), n_s, _fmt(rep.indiff_delta[k]), _fmt(rep.base_delta[k]),
+            _fmt_opt(rep.adjusted_delta[k]), _fmt(rep.base_delta[k]),
+            _fmt_opt(rep.adjusted_ttm_spread[k]),
+            _fmt_opt(rep.implied_ttm_spread[k]), _fmt(rep.smile_correction[k]),
+            _fmt_opt(rep.implied_ttm_value[k]), merton,
+            _flag(rep.low_confidence[k])])
     return header, rows
 
 

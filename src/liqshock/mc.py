@@ -77,8 +77,6 @@ class MCEstimate:
 
     mean: float
     std_error: float
-    n_paths: int
-    seed: int
 
 
 def _validate_seed(seed: int) -> int:
@@ -309,7 +307,5 @@ def mc_linear_price(params: ModelParams, payoff: Payoff, measure: str,
         raise ValueError(f"spot must be positive and finite, got {spot}")
     ttm = sample_realized_ttm(curve, params.T, 0, seed, n_paths)
     vals = np.asarray(_bs.bs_price(payoff, ttm, spot, params.sigma0), dtype=float)
-    # The sampler has validated the seed.
     return MCEstimate(mean=float(np.mean(vals)),
-                      std_error=float(np.std(vals, ddof=1) / math.sqrt(n_paths)),
-                      n_paths=n_paths, seed=int(seed))
+                      std_error=float(np.std(vals, ddof=1) / math.sqrt(n_paths)))

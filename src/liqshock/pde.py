@@ -144,6 +144,12 @@ _ROW_CHUNK = 32
 _DEFAULT_N_TIME = 2000
 _DEFAULT_WIDTH = 6.0
 
+# Smallest |gamma_eff| a semi-linear march accepts.  Each step subtracts two
+# 1/gamma_eff terms that cancel, leaving about 1e-17 / |gamma_eff| of
+# rounding: on the default grid 2e-12 at 1e-6, 2.4e-8 at 1e-10 and 3.9e-5
+# at 1e-12 against p0 + gamma_eff * p1.
+_GAMMA_EFF_FLOOR = 1e-6
+
 
 def _check_exponent(x: np.ndarray | float, what: str,
                     gamma_eff: np.ndarray) -> None:
@@ -170,6 +176,14 @@ def _guard_exponent(x: np.ndarray, buf: np.ndarray, what: str,
     message and block."""
     if not np.maximum.reduce(np.abs(x, out=buf), None) <= _EXP_CAP:
         _check_exponent(x, what, gamma_eff)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a grid count that is not an integer of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _cumulative_simpson_chunks(f, n: int, dx: float, chunk: int):
@@ -244,10 +258,8 @@ class GridSpec:
     delta_z: float
 
     def __post_init__(self) -> None:
-        if self.n_time < 1:
-            raise ValueError(f"n_time must be >= 1, got {self.n_time}")
-        if self.n_space < 3:
-            raise ValueError(f"n_space must be >= 3, got {self.n_space}")
+        _check_count("n_time", self.n_time, 1)
+        _check_count("n_space", self.n_space, 3)
         if not (self.delta_t > 0.0 and self.delta_z > 0.0):
             raise ValueError("grid steps must be positive")
         if self.delta_z >= 2.0:
@@ -271,8 +283,7 @@ class GridSpec:
         """
         if not (math.isfinite(strike) and strike > 0.0):
             raise ValueError(f"strike must be positive, got {strike}")
-        if n_time < 1:
-            raise ValueError(f"n_time must be >= 1, got {n_time}")
+        _check_count("n_time", n_time, 1)
         if not width > 0.0:
             raise ValueError(f"width must be > 0, got {width}")
         dt = params.T / n_time
@@ -349,9 +360,7 @@ class PriceSurface:
 
     values: np.ndarray
     grid: GridSpec
-    payoff: Payoff
     regime: int
-    label: str = ""
     keep: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -553,13 +562,21 @@ def _march(grid: GridSpec, terminal: tuple[np.ndarray, ...], step,
 def _gamma_effs(params: ModelParams, quantities) -> tuple[list[float], np.ndarray]:
     """The signed quantities of a stacked solve as floats, and their
     gamma_eff = quantity * gamma; refuses an empty list and a gamma_eff
-    that is not finite or is zero."""
+    that is not finite or is zero (ValueError), and one below
+    _GAMMA_EFF_FLOOR in magnitude (NumericalError)."""
     ns = [float(n) for n in quantities]
     if not ns:
         raise ValueError("quantities must name at least one contract")
     gs = np.array([n * params.gamma for n in ns])
     if not np.all(np.isfinite(gs)) or np.any(gs == 0.0):
         raise ValueError(f"gamma_eff must be finite and nonzero, got {gs.tolist()}")
+    tiny = np.flatnonzero(np.abs(gs) < _GAMMA_EFF_FLOOR)
+    if tiny.size:
+        raise NumericalError(
+            f"gamma_eff = {gs[tiny[0]]:.6g} is below {_GAMMA_EFF_FLOOR:g} in "
+            "magnitude, where the march's two 1/gamma_eff terms cancel to "
+            "rounding of about 1e-17 / |gamma_eff|; mmm_and_expansion's "
+            "p0 + gamma_eff * p1 is accurate to O(gamma_eff^2) there")
     return ns, gs
 
 
@@ -584,14 +601,13 @@ def solve_indifference(params: ModelParams, payoff: Payoff, grid: GridSpec,
     quantity (positive: buyer, negative: writer), marched in one pass.
 
     Quantity scales risk aversion (gamma_eff = quantity * gamma), so
-    terminal data are exact; ``payoff`` supplies kind and strike, and each
-    surface carries the payoff at its own quantity.  The contracts are one
-    stack of blocks, one per quantity, and every pair is bit-identical to a
-    solve of that quantity alone.  ``keep`` lists the time-row indices to
-    store (default: all); the march holds 2 * len(quantities) surfaces of
-    that many rows.
+    terminal data are exact; ``payoff`` supplies kind and strike.  The
+    contracts are one stack of blocks, one per quantity, and every pair is
+    bit-identical to a solve of that quantity alone.  ``keep`` lists the
+    time-row indices to store (default: all); the march holds
+    2 * len(quantities) surfaces of that many rows.
     """
-    ns, gs = _gamma_effs(params, quantities)
+    _, gs = _gamma_effs(params, quantities)
     keep = _kept_rows(grid, keep)
     curve = intensity_curve(params, "MEMM")
     times = grid.times()
@@ -632,13 +648,8 @@ def solve_indifference(params: ModelParams, payoff: Payoff, grid: GridSpec,
         return p, np.subtract(p, y, out=q_out)
 
     p, q = _march(grid, (h, h), step, keep)
-    out = []
-    for n, p_n, q_n in zip(ns, p, q):
-        pay = replace(payoff, quantity=n)
-        side = "buyer" if n > 0.0 else "writer"
-        out.append((PriceSurface(p_n, grid, pay, 0, f"{side}_p", keep),
-                    PriceSurface(q_n, grid, pay, 1, f"{side}_q", keep)))
-    return out
+    return [(PriceSurface(p_n, grid, 0, keep), PriceSurface(q_n, grid, 1, keep))
+            for p_n, q_n in zip(p, q)]
 
 
 def solve_buyer(params: ModelParams, payoff: Payoff, grid: GridSpec,
@@ -676,11 +687,10 @@ class LinearPriceResult:
 
 
 def _linear_result(measure: str, p: np.ndarray, q: np.ndarray, grid: GridSpec,
-                   payoff: Payoff, keep) -> LinearPriceResult:
-    return LinearPriceResult(
-        surface_p=PriceSurface(p, grid, payoff, 0, f"{measure}_p", keep),
-        surface_q=PriceSurface(q, grid, payoff, 1, f"{measure}_q", keep),
-        measure=measure, grid=grid)
+                   keep) -> LinearPriceResult:
+    return LinearPriceResult(surface_p=PriceSurface(p, grid, 0, keep),
+                             surface_q=PriceSurface(q, grid, 1, keep),
+                             measure=measure, grid=grid)
 
 
 def _linear_step(params: ModelParams, grid: GridSpec,
@@ -738,32 +748,25 @@ def linear_price(params: ModelParams, payoff: Payoff, measure: str,
                               _Stepper(grid, params.sigma0))
     h = _terminal(payoff, grid)
     p, q = _march(grid, (h, h), step, keep)
-    return _linear_result(measure, p, q, grid, payoff, keep)
+    return _linear_result(measure, p, q, grid, keep)
 
 
 @dataclass(frozen=True)
 class AsymptoticBundle:
     """Zeroth- and first-order coefficient surfaces of the small-gamma
     expansion p = p0 + gamma_eff * p1 + O(gamma_eff^2) (per contract, unit
-    payoff coefficients; quantity folds into gamma_eff)."""
+    payoff coefficients).  The surfaces do not depend on the quantity or on
+    gamma: ``first_order_quote`` takes gamma_eff = quantity * gamma, whose
+    sign picks the buyer (positive) or writer (negative) expansion."""
 
     p0: PriceSurface
     q0: PriceSurface
     p1: PriceSurface
     q1: PriceSurface
-    params: ModelParams
-    payoff: Payoff
 
-    @property
-    def gamma_eff(self) -> float:
-        return self.payoff.quantity * self.params.gamma
-
-    def first_order_quote(self, spot, gamma_eff: float | None = None,
-                          t: float = 0.0):
-        """p0 + gamma_eff * p1 at (t, spot).  gamma_eff defaults to
-        quantity * gamma (negative quantity gives the writer expansion)."""
-        g = self.gamma_eff if gamma_eff is None else gamma_eff
-        return self.p0.quote(spot, t) + g * self.p1.quote(spot, t)
+    def first_order_quote(self, spot, gamma_eff: float, t: float = 0.0):
+        """p0 + gamma_eff * p1 at (t, spot); vectorized over spot."""
+        return self.p0.quote(spot, t) + gamma_eff * self.p1.quote(spot, t)
 
 
 def mmm_and_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
@@ -839,11 +842,9 @@ def mmm_and_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
     h = np.tile(h, (2, 1))
     p_lin, q_lin, p1, q1 = _march(grid, (h, h, zero, zero), step, keep)
     bundle = AsymptoticBundle(
-        *(PriceSurface(v, grid, payoff, regime, label, keep)
-          for v, regime, label in zip((p_lin[1], q_lin[1], p1, q1), (0, 1, 0, 1),
-                                      ("p0", "q0", "p1", "q1"))),
-        params, payoff)
-    return _linear_result("MMM", p_lin[0], q_lin[0], grid, payoff, keep), bundle
+        *(PriceSurface(v, grid, regime, keep)
+          for v, regime in zip((p_lin[1], q_lin[1], p1, q1), (0, 1, 0, 1))))
+    return _linear_result("MMM", p_lin[0], q_lin[0], grid, keep), bundle
 
 
 def asymptotic_expansion(params: ModelParams, payoff: Payoff,
@@ -1041,8 +1042,7 @@ def solve_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
             "outside the range the source table resolves on this grid")
 
     p = _march(grid, (h.reshape(blocks, m),), step, keep)[0]
-    return [PriceSurface(p_q, grid, replace(payoff, quantity=qty), 0,
-                         "single_shock_p", keep) for qty, p_q in zip(ns, p)]
+    return [PriceSurface(p_q, grid, 0, keep) for p_q in p]
 
 
 def solve_single_shock_buyer(params: ModelParams, payoff: Payoff,
@@ -1092,81 +1092,83 @@ def single_shock_zero_order(params: ModelParams, payoff: Payoff,
         np.divide(rhs, f0[i], out=rhs)
         return (stepper.solve(dt_k_hat[i], np.add(p, rhs, out=rhs)),)
 
-    return PriceSurface(_march(grid, (h,), step)[0], grid, payoff, 0,
-                        "single_shock_p0")
+    return PriceSurface(_march(grid, (h,), step)[0], grid, 0)
 
 
 @dataclass(frozen=True)
 class HedgeReport:
-    """Hedge quantities at one (t, spot) point, per contract.
+    """Hedge quantities of a spot sweep at one time t, per contract.
 
-    ``merton_dollar_position`` is the option-independent investment demand
-    mu0 / (sigma0^2 gamma); the stock offset of the option position is
-    quantity * spot * indiff_delta.  The decomposition splits indiff_delta
-    into a plain Black-Scholes delta at calendar time-to-maturity, the shift
-    from moving to the expected-liquid-time clock, the shift from moving to
-    the price-implied clock, and the residual; the terms sum to
-    indiff_delta exactly.  For digitals (no implied clock) only base delta
-    and the total residual are reported.
+    ``merton_dollar_position`` is one float, the option-independent
+    investment demand mu0 / (sigma0^2 gamma); every other field is an
+    array of the shape of the spot argument (0-d for a scalar spot).  The
+    stock offset of the option position is quantity * spot * indiff_delta.
+    ``adjusted_delta`` is the Black-Scholes delta on the expected-liquid
+    clock adjusted_ttm(T - t, regime), NaN where that clock is 0.
+
+    The decomposition splits indiff_delta into a plain Black-Scholes delta
+    at calendar time-to-maturity (base_delta), the shift from moving to the
+    expected-liquid clock, the shift from moving to the price-implied
+    clock, and the residual (smile_correction); the terms sum to
+    indiff_delta exactly.  A term that does not exist is NaN: both clock
+    spreads of a digital (no implied clock) or of a low-confidence spot,
+    where base_delta + smile_correction is the whole delta, and
+    implied_ttm_value where the quote has no implied clock.
     """
 
-    indiff_delta: float
     merton_dollar_position: float
-    base_delta: float
-    adjusted_ttm_spread: float | None
-    implied_ttm_spread: float | None
-    smile_correction: float
-    implied_ttm_value: float | None
-    low_confidence: bool
+    indiff_delta: np.ndarray
+    base_delta: np.ndarray
+    adjusted_delta: np.ndarray
+    adjusted_ttm_spread: np.ndarray
+    implied_ttm_spread: np.ndarray
+    smile_correction: np.ndarray
+    implied_ttm_value: np.ndarray
+    low_confidence: np.ndarray
 
 
 def hedge_report(params: ModelParams, payoff: Payoff, surface: PriceSurface,
-                 t: float, spot) -> HedgeReport | list[HedgeReport]:
+                 t: float, spot) -> HedgeReport:
     """Delta decomposition of an indifference surface at (t, spot), t < T.
 
-    ``spot`` is a scalar (one report) or a 1-D array (one report per spot).
-    The sweep is evaluated in one pass: one delta and one quote of the
-    surface, one Black-Scholes greeks call per clock and one implied-clock
-    inversion; every report equals the one its spot gets alone.
+    ``spot`` is a scalar or a 1-D array.  The sweep is evaluated in one
+    pass: one delta and one quote of the surface, one Black-Scholes greeks
+    call per clock and one implied-clock inversion; each element of the
+    report equals the one its spot gets alone.
     """
     if not (0.0 <= t < params.T):
         raise ValueError(f"need 0 <= t < T={params.T}, got t={t}")
     s = np.asarray(spot, dtype=float)
     if s.ndim > 1:
         raise ValueError(f"spot must be a scalar or a 1-D array, got shape {s.shape}")
-    s = s.reshape(-1)
+    shape, s = s.shape, s.reshape(-1)
     ttm = params.T - t
     sigma = params.sigma0
     indiff = surface.delta(s, t)
-    merton = params.mu0 / (sigma * sigma * params.gamma)
     base = _bs.bs_greeks(payoff, ttm, s, sigma).delta
-    reports = [HedgeReport(
-        indiff_delta=float(d), merton_dollar_position=merton, base_delta=float(b),
-        adjusted_ttm_spread=None, implied_ttm_spread=None,
-        smile_correction=float(d - b), implied_ttm_value=None,
-        low_confidence=False) for d, b in zip(indiff, base)]
+    t_adj = float(_bs.adjusted_ttm(params, ttm, surface.regime))
+    adjusted = np.full(s.shape, np.nan)
+    if t_adj > 0.0:
+        adjusted = _bs.bs_greeks(payoff, t_adj, s, sigma).delta
+    spread_adj, spread_imp, implied = np.full((3,) + s.shape, np.nan)
+    smile = indiff - base
+    low_confidence = np.zeros(s.shape, dtype=bool)
     if not payoff.is_digital:
-        t_adj = float(_bs.adjusted_ttm(params, ttm, surface.regime))
         imp = _bs.implied_ttm(payoff, s, surface.quote(s, t), sigma, params.T)
-        # A failed inversion is a quote below intrinsic value, which the
-        # indifference quote can reach deep in the money at high risk
-        # aversion: no implied clock exists there.
-        solved = imp.failure == ""
-        usable = solved & ~imp.low_confidence & (imp.ttm > 0.0) & (t_adj > 0.0)
-        for i in np.flatnonzero(~usable):
-            # No usable intermediate clocks; collapse to base + residual.
-            reports[i] = replace(
-                reports[i], low_confidence=True,
-                implied_ttm_value=float(imp.ttm[i]) if solved[i] else None)
-        if usable.any():
-            delta_adj = _bs.bs_greeks(payoff, t_adj, s[usable], sigma).delta
-            delta_imp = _bs.bs_greeks(payoff, imp.ttm[usable], s[usable], sigma).delta
-            for i, d_adj, d_imp in zip(np.flatnonzero(usable), delta_adj, delta_imp):
-                rep = reports[i]
-                reports[i] = replace(
-                    rep, adjusted_ttm_spread=float(d_adj - rep.base_delta),
-                    implied_ttm_spread=float(d_imp - d_adj),
-                    smile_correction=float(rep.indiff_delta - d_imp),
-                    implied_ttm_value=float(imp.ttm[i]))
-    return reports if np.ndim(spot) else reports[0]
-
+        # A failed inversion (ttm NaN) is a quote below intrinsic value,
+        # which the indifference quote can reach deep in the money at high
+        # risk aversion: no implied clock exists there.
+        implied = imp.ttm
+        usable = ~imp.low_confidence & (imp.ttm > 0.0) & (t_adj > 0.0)
+        # Without usable intermediate clocks a spot keeps base + residual.
+        low_confidence = ~usable
+        u = np.flatnonzero(usable)
+        if u.size:
+            delta_imp = _bs.bs_greeks(payoff, imp.ttm[u], s[u], sigma).delta
+            spread_adj[u] = adjusted[u] - base[u]
+            spread_imp[u] = delta_imp - adjusted[u]
+            smile[u] = indiff[u] - delta_imp
+    return HedgeReport(
+        params.mu0 / (sigma * sigma * params.gamma),
+        *(x.reshape(shape) for x in (indiff, base, adjusted, spread_adj,
+                                     spread_imp, smile, implied, low_confidence)))

@@ -182,6 +182,16 @@ class TestAdjustedTtm:
         p = self.make(nu01=0.0)
         assert adjusted_ttm(p, 0.7, 0) == pytest.approx(0.7, rel=1e-14)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.5])
+    @pytest.mark.parametrize("shape", [(), (2, 3)])
+    def test_bad_horizon_refused_by_value(self, bad, shape):
+        """A NaN, infinite or negative horizon raises ValueError naming its
+        first offending value (NaN and inf used to return nan and inf)."""
+        horizon = np.full(shape, 0.5)
+        horizon.flat[-1] = bad
+        with pytest.raises(ValueError, match=rf"horizon .*got {bad}$"):
+            adjusted_ttm(self.make(), horizon, 1)
+
     @settings(max_examples=60, deadline=None)
     @given(nu01=st.floats(0.05, 5.0), nu10=st.floats(0.5, 20.0),
            horizon=st.floats(0.05, 3.0))
@@ -208,9 +218,14 @@ class TestImpliedTtm:
             implied_ttm(Payoff("digital_call", 10.0), 10.0, 0.4, SIGMA, 1.0)
 
     def test_below_intrinsic_rejected(self):
+        """No maturity reproduces a price below intrinsic value: the
+        element carries the cause and no clock, and nothing is raised."""
         payoff = Payoff("vanilla_call", 10.0)
-        with pytest.raises(ValueError):
-            implied_ttm(payoff, 12.0, 1.99, SIGMA, 1.0)
+        out = implied_ttm(payoff, 12.0, 1.99, SIGMA, 1.0)
+        assert out.ttm.shape == out.failure.shape == ()
+        assert out.failure[()] == "target price 1.99 is below intrinsic value 2.0"
+        assert math.isnan(out.ttm) and math.isnan(out.price_error)
+        assert not out.low_confidence
 
     def test_pinned_at_intrinsic_flags_low_confidence(self):
         """An ITM price exactly at intrinsic has TTM 0 but no resolution:
@@ -222,10 +237,10 @@ class TestImpliedTtm:
 
     @pytest.mark.parametrize("kind", ["vanilla_call", "vanilla_put"])
     def test_array_equals_scalar_calls(self, kind):
-        """One array call reproduces each element's scalar call exactly:
-        the same ttm, price error and flag under ==, and for an element
-        without a positive-maturity solution the scalar call's ValueError
-        text, with ttm = nan."""
+        """One array call reproduces each element's scalar (0-d) call
+        exactly: the same ttm, price error, flag and failure text under ==,
+        and ttm = nan for an element without a positive-maturity
+        solution."""
         payoff = Payoff(kind, 10.0)
         spots, targets, horizons = [], [], []
         for spot in (6.0, 9.5, 10.0, 10.5, 14.0):
@@ -245,15 +260,16 @@ class TestImpliedTtm:
         assert out.ttm.shape == (len(spots),)
         outcomes = set()
         for k, (spot, target, horizon) in enumerate(zip(spots, targets, horizons)):
-            try:
-                ref = implied_ttm(payoff, spot, target, SIGMA, horizon)
-            except ValueError as exc:
-                outcomes.add("below" if "below intrinsic" in str(exc) else "exceeds")
-                assert out.failure[k] == str(exc)
-                assert math.isnan(out.ttm[k]) and not out.low_confidence[k]
+            ref = implied_ttm(payoff, spot, target, SIGMA, horizon)
+            assert ref.ttm.shape == ref.failure.shape == ()
+            failure = ref.failure[()]
+            assert out.failure[k] == failure
+            if failure:
+                outcomes.add("below" if "below intrinsic" in failure else "exceeds")
+                assert math.isnan(out.ttm[k]) and math.isnan(ref.ttm)
+                assert not out.low_confidence[k] and not ref.low_confidence
                 continue
             outcomes.add("pinned" if ref.ttm == 0.0 else "solved")
-            assert out.failure[k] == ""
             assert out.ttm[k] == ref.ttm
             assert out.price_error[k] == ref.price_error
             assert out.low_confidence[k] == ref.low_confidence

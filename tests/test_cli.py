@@ -302,6 +302,20 @@ class TestExitCodes:
         assert main(["price", "--config", path, "--out", "-"]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, shown", [
+        (["price", "--gamma", "1e-12", "--contracts", "1"], "1e-12"),
+        (["price", "--contracts", "1e-200"], "1e-200"),
+        (["hedge", "--gamma", "1e-9"], "1e-08")],       # 10 contracts
+        ids=["price-gamma", "price-contracts", "hedge-gamma"])
+    def test_tiny_gamma_eff_exits_3(self, argv, shown, capsys):
+        """A gamma_eff the march cannot resolve is refused by value instead
+        of priced (1e-12 printed a buyer price above MEMM, 1e-200 a
+        single-shock price of 1e+181)."""
+        assert main(argv + ["--spots", "10", "--nsteps", "100", "--out", "-"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"gamma_eff = {shown} is below 1e-06" in captured.err
+
     # Sizes numpy refuses up front (tens of TiB per array), so no memory is
     # ever touched; never test with a size that could be allocated.
     @pytest.mark.parametrize("argv", [["converge", "--paths", "100000000000000"],

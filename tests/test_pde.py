@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,13 +21,17 @@ from scipy.linalg import solve_banded
 
 from liqshock import (
     GridSpec,
+    HedgeReport,
     ModelParams,
     NumericalError,
     Payoff,
     PriceSurface,
     asymptotic_expansion,
+    adjusted_ttm,
+    bs_greeks,
     bs_price,
     hedge_report,
+    mmm_and_expansion,
     linear_price,
     single_shock_memm_price,
     solve_buyer,
@@ -73,6 +77,18 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec.build(params, STRIKE, width=0.0)
 
+    @pytest.mark.parametrize("count", [200.5, 200.0, "200", True])
+    def test_non_integer_counts_refused_by_name(self, params, count):
+        """A count that is not an integer is refused where the grid is
+        made; 200.5 used to build a grid whose march then failed in
+        ``range``."""
+        with pytest.raises(ValueError, match=rf"n_time must be an integer, got {count!r}"):
+            GridSpec.build(params, STRIKE, n_time=count)
+        grid = GridSpec.build(params, STRIKE, n_time=200)
+        for name in ("n_time", "n_space"):
+            with pytest.raises(ValueError, match=rf"{name} must be an integer"):
+                replace(grid, **{name: count})
+
     @pytest.mark.parametrize("width", [float("nan"), -1.0, 1e300, 1e308,
                                        float("inf")])
     def test_unbuildable_width_is_named(self, params, width):
@@ -97,7 +113,10 @@ class TestPriceSurface:
     def test_shape_and_regime_validated(self, params, grid_default):
         bad = np.zeros((3, 3))
         with pytest.raises(ValueError, match="shape"):
-            PriceSurface(bad, grid_default, Payoff("vanilla_call", STRIKE), 0)
+            PriceSurface(bad, grid_default, 0)
+        rows = np.zeros((grid_default.n_time + 1, grid_default.n_space))
+        with pytest.raises(ValueError, match="regime must be 0 or 1"):
+            PriceSurface(rows, grid_default, 2)
 
     def test_row_requires_grid_time(self, indiff_solved):
         p, _ = indiff_solved("vanilla_call", 1.0)
@@ -220,8 +239,7 @@ class TestStackedIndifference:
             p_one, q_one = solver(params, Payoff(kind, STRIKE, n), grid)
             assert np.array_equal(p.values, p_one.values)
             assert np.array_equal(q.values, q_one.values)
-            assert (p.label, q.label) == (p_one.label, q_one.label)
-            assert p.payoff == p_one.payoff
+            assert (p.regime, q.regime) == (p_one.regime, q_one.regime) == (0, 1)
 
     def test_step_matches_banded_reference(self, params):
         """Each block of a stacked step equals a banded solve of that block
@@ -295,13 +313,19 @@ class TestAsymptoticExpansion:
         for spot in SPOTS:
             target = exact_p.quote(spot)
             err0 = abs(bund.p0.quote(spot) - target)
-            err1 = abs(bund.first_order_quote(spot) - target)
+            err1 = abs(bund.first_order_quote(spot, params.gamma) - target)
             assert err1 < err0
 
     def test_custom_gamma_eff(self, bundles):
+        """gamma_eff is an argument: 0 gives p0, its sign picks the side,
+        and an array of spots quotes each spot as a call of its own."""
         bund = bundles("vanilla_call")
-        assert bund.first_order_quote(10.0, gamma_eff=0.0) == bund.p0.quote(10.0)
-        assert bund.gamma_eff == 1.0
+        assert bund.first_order_quote(10.0, 0.0) == bund.p0.quote(10.0)
+        assert bund.first_order_quote(10.0, -2.0) == (
+            bund.p0.quote(10.0) - 2.0 * bund.p1.quote(10.0))
+        spots = np.array(SPOTS)
+        assert bund.first_order_quote(spots, 3.0).tolist() == [
+            bund.first_order_quote(s, 3.0) for s in SPOTS]
 
 
 class TestSingleShock:
@@ -389,9 +413,9 @@ class TestHedgeReport:
         payoff = Payoff("digital_call", STRIKE, 1.0)
         p, _ = indiff_solved("digital_call", 1.0)
         rep = hedge_report(params, payoff, p, 0.0, 10.0)
-        assert rep.adjusted_ttm_spread is None
-        assert rep.implied_ttm_spread is None
-        assert rep.implied_ttm_value is None
+        assert math.isnan(rep.adjusted_ttm_spread)
+        assert math.isnan(rep.implied_ttm_spread)
+        assert math.isnan(rep.implied_ttm_value)
         assert rep.smile_correction == pytest.approx(
             rep.indiff_delta - rep.base_delta, abs=1e-14)
 
@@ -405,8 +429,8 @@ class TestHedgeReport:
         assert p.quote(58.0) < 48.0  # below intrinsic: the trigger
         rep = hedge_report(params, payoff, p, 0.0, 58.0)
         assert rep.low_confidence
-        assert rep.adjusted_ttm_spread is None
-        assert rep.implied_ttm_value is None
+        assert math.isnan(rep.adjusted_ttm_spread)
+        assert math.isnan(rep.implied_ttm_value)
 
     def test_no_shock_clock_spreads_vanish(self):
         quiet = make_params(nu01=0.0)
@@ -422,11 +446,12 @@ class TestHedgeReport:
     @pytest.mark.parametrize("case", ["buyer_n10", "payoff_call", "payoff_put",
                                       "digital"])
     def test_array_equals_per_spot_reports(self, params, indiff_solved, case):
-        """One sweep call returns, field by field, the reports of one call
-        per spot.  The n = 10 buyer dips below intrinsic deep in the money
-        (no implied clock: implied_ttm_value None); a surface equal to the
-        payoff quotes exactly intrinsic out of the money (clock pinned at
-        0, low confidence); the digital carries base + residual only."""
+        """One sweep call returns, field by field, the 0-d reports of one
+        call per spot, and NaN exactly where they hold NaN.  The n = 10
+        buyer dips below intrinsic deep in the money (no implied clock:
+        implied_ttm_value NaN); a surface equal to the payoff quotes exactly
+        intrinsic out of the money (clock pinned at 0, low confidence); the
+        digital carries base + residual only."""
         spots = np.array([2.0, 5.0, 8.0, 9.9, 10.0, 12.0, 20.0, 40.0, 58.0])
         if case == "buyer_n10":
             payoff = Payoff("vanilla_call", STRIKE, 10.0)
@@ -438,12 +463,26 @@ class TestHedgeReport:
             payoff = Payoff("vanilla_" + case[7:], STRIKE, 1.0)
             grid = GridSpec.build(params, STRIKE, n_time=200)
             values = np.tile(payoff.value(grid.spot_nodes()), (grid.n_time + 1, 1))
-            surface = PriceSurface(values, grid, payoff, regime=0)
-        reports = hedge_report(params, payoff, surface, 0.0, spots)
+            surface = PriceSurface(values, grid, regime=0)
+        sweep = hedge_report(params, payoff, surface, 0.0, spots)
         singles = [hedge_report(params, payoff, surface, 0.0, float(s))
                    for s in spots]
-        assert reports == singles
-        branches = {(r.low_confidence, r.implied_ttm_value is None) for r in singles}
+        for name in (f.name for f in fields(HedgeReport)):
+            column = getattr(sweep, name)
+            if name == "merton_dollar_position":
+                assert all(column == getattr(r, name) for r in singles)
+                continue
+            assert column.shape == spots.shape
+            assert all(getattr(r, name).shape == () for r in singles)
+            assert np.array_equal(column, [getattr(r, name) for r in singles],
+                                  equal_nan=column.dtype != bool), name
+        assert not np.isnan(sweep.adjusted_delta).any()
+        # The clock spreads exist exactly where both clocks are usable.
+        missing = sweep.low_confidence | payoff.is_digital
+        for spread in (sweep.adjusted_ttm_spread, sweep.implied_ttm_spread):
+            assert np.array_equal(np.isnan(spread), missing)
+        branches = set(zip(sweep.low_confidence.tolist(),
+                           np.isnan(sweep.implied_ttm_value).tolist()))
         expected = {
             "buyer_n10": {(False, False), (True, True)},
             "payoff_call": {(False, False), (True, False), (True, True)},
@@ -452,11 +491,62 @@ class TestHedgeReport:
         }[case]
         assert branches == expected
 
+    @pytest.mark.parametrize("kind", ["vanilla_put", "digital_call"])
+    def test_adjusted_delta_is_the_adjusted_clock_delta(self, params, kind):
+        """adjusted_delta is the Black-Scholes delta on the expected-liquid
+        clock of the surface's regime over T - t, at every spot."""
+        payoff = Payoff(kind, STRIKE, 1.0)
+        grid = GridSpec.build(params, STRIKE, n_time=200)
+        values = np.tile(payoff.value(grid.spot_nodes()), (grid.n_time + 1, 1))
+        spots = np.array([6.0, 10.0, 14.0])
+        t = 10 * grid.delta_t
+        for regime in (0, 1):
+            surface = PriceSurface(values, grid, regime)
+            rep = hedge_report(params, payoff, surface, t, spots)
+            clock = adjusted_ttm(params, params.T - t, regime)
+            expected = bs_greeks(payoff, clock, spots, params.sigma0).delta
+            assert np.array_equal(rep.adjusted_delta, expected)
+
+    def test_zero_adjusted_clock_leaves_base_and_residual(
+            self, params, indiff_solved, monkeypatch):
+        """Where the expected-liquid clock is 0 there is no adjusted delta
+        and no clock spread: every spot is low confidence."""
+        payoff = Payoff("vanilla_call", STRIKE, 1.0)
+        p, _ = indiff_solved("vanilla_call", 1.0)
+        monkeypatch.setattr("liqshock.bs.adjusted_ttm", lambda *args: 0.0)
+        rep = hedge_report(params, payoff, p, 0.0, np.array(SPOTS))
+        assert np.isnan(rep.adjusted_delta).all()
+        assert rep.low_confidence.all()
+        assert np.isnan(rep.adjusted_ttm_spread).all()
+        assert np.isnan(rep.implied_ttm_spread).all()
+        assert np.array_equal(rep.smile_correction,
+                              rep.indiff_delta - rep.base_delta)
+
     def test_time_validated(self, params, indiff_solved):
         payoff = Payoff("vanilla_call", STRIKE, 1.0)
         p, _ = indiff_solved("vanilla_call", 1.0)
         with pytest.raises(ValueError):
             hedge_report(params, payoff, p, params.T, 10.0)
+
+
+def test_sandwich_holds_at_the_gamma_eff_floor(params):
+    """At |gamma_eff| = 1e-6, the smallest a march accepts, buyer and writer
+    still bracket the MEMM price, and each matches p0 +- 1e-6 p1 far inside
+    the spread: the rounding of the 1/gamma_eff terms stays small."""
+    unit_gamma = replace(params, gamma=1.0)
+    grid = GridSpec.build(unit_gamma, STRIKE, n_time=300)
+    unit = Payoff("vanilla_call", STRIKE)
+    g = 1e-6
+    (buyer, _), (writer, _) = solve_indifference(unit_gamma, unit, grid,
+                                                 [g, -g], keep=(0,))
+    bundle = mmm_and_expansion(unit_gamma, unit, grid, keep=(0,))[1]
+    spots = np.array(SPOTS)
+    memm = bundle.p0.quote(spots)
+    assert np.all(buyer.quote(spots) < memm)
+    assert np.all(memm < writer.quote(spots))
+    for surf, g_eff in ((buyer, g), (writer, -g)):
+        err = np.abs(surf.quote(spots) - bundle.first_order_quote(spots, g_eff))
+        assert np.all(err < 1e-10)
 
 
 @settings(max_examples=15, deadline=None)

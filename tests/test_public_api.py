@@ -1,5 +1,5 @@
-"""Every exported name resolves, and the README's API table names only
-exported names.
+"""Every exported name resolves, the README's API table names only
+exported names, and the README's Python examples run.
 
 A name left in an ``__all__`` after its definition is deleted only fails on
 ``from liqshock import *`` (or ``from liqshock.<module> import *``), which
@@ -17,6 +17,8 @@ import pytest
 
 import liqshock
 
+README = Path(__file__).parent.parent / "README.md"
+
 MODULES = ["liqshock"] + [f"liqshock.{m.name}"
                           for m in pkgutil.iter_modules(liqshock.__path__)]
 
@@ -31,7 +33,7 @@ def test_all_entries_resolve(module_name):
 def test_readme_entry_points_are_exported():
     """Every name in the first column of README's table of main entry points
     is in ``liqshock.__all__``, so the table cannot outlive a deletion."""
-    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     table = readme.split("The main entry points:", 1)[1].split("\n\n")[1]
     rows = table.splitlines()[2:]
     assert rows and all(row.startswith("|") for row in rows)
@@ -39,3 +41,18 @@ def test_readme_entry_points_are_exported():
         names = re.findall(r"`([^`]+)`", row.split("|")[1])
         assert names, row
         assert [name for name in names if name not in liqshock.__all__] == []
+
+
+def test_readme_python_examples_run(capsys):
+    """Every ``python`` block of README's "Python API" section runs, in
+    order and in one namespace (a later block reuses an earlier one's
+    names), so an example cannot outlive the API it shows."""
+    readme = README.read_text(encoding="utf-8")
+    section = readme.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"^```python\n(.*?)^```$", section, flags=re.M | re.S)
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for k, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {k}", "exec"), namespace)
+    assert capsys.readouterr().out
+    assert namespace["report"].indiff_delta.shape == (3,)

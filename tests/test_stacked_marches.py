@@ -114,7 +114,7 @@ class TestKeptRowSurface:
         with pytest.raises(ValueError, match="at least one"):
             linear_price(params, unit, "MMM", grid, ())
         with pytest.raises(ValueError, match="values shape"):
-            PriceSurface(np.zeros((3, grid.n_space)), grid, unit, 0, keep=(0, 1))
+            PriceSurface(np.zeros((3, grid.n_space)), grid, 0, keep=(0, 1))
 
     def test_keep_is_sorted_and_deduplicated(self, params, grid):
         unit = Payoff("vanilla_call", STRIKE)
@@ -130,8 +130,8 @@ class TestKeptRowSurface:
         full = linear_price(params, unit, "MMM", grid).surface_p
         for keep in ((150, 0), (0, 0, 150)):
             with pytest.raises(ValueError, match="keep must list distinct"):
-                PriceSurface(full.values[list(keep)], grid, unit, 0, keep=keep)
-        kept = PriceSurface(full.values[[0, 150]], grid, unit, 0, keep=(0, 150))
+                PriceSurface(full.values[list(keep)], grid, 0, keep=keep)
+        kept = PriceSurface(full.values[[0, 150]], grid, 0, keep=(0, 150))
         assert kept.quote(10.0) == full.quote(10.0)
 
 
@@ -169,7 +169,7 @@ class TestSingleShockStack:
         for n, surf in zip(quantities, stacked):
             solo = solve_single_shock_buyer(params, Payoff(kind, STRIKE, n), grid)
             assert np.array_equal(surf.values, solo.values)
-            assert surf.payoff == solo.payoff and surf.label == solo.label
+            assert surf.regime == solo.regime == 0
 
     def test_buyer_only(self, params, grid):
         with pytest.raises(ValueError, match="quantity > 0"):
@@ -352,6 +352,20 @@ def test_nonfinite_quantities_are_refused_by_value(params, grid, solve,
                                                    quantity):
     with pytest.raises(ValueError, match="gamma_eff must be finite and nonzero"):
         solve(params, Payoff("vanilla_call", STRIKE), grid, [quantity])
+
+
+@pytest.mark.parametrize("quantity, shown", [(9.9e-7, "9.9e-07"),
+                                             (-9.9e-7, "-9.9e-07"),
+                                             (1e-200, "1e-200")])
+@pytest.mark.parametrize("solve", [solve_indifference, solve_single_shock])
+def test_tiny_gamma_eff_is_refused_by_value(params, grid, solve, quantity,
+                                            shown):
+    """Below |gamma_eff| = 1e-6 the march's two 1/gamma_eff terms cancel to
+    rounding of about 1e-17 / |gamma_eff|, which would swamp the price."""
+    with pytest.raises(NumericalError,
+                       match=f"gamma_eff = {shown} is below 1e-06 .* "
+                             "mmm_and_expansion"):
+        solve(params, Payoff("vanilla_call", STRIKE), grid, [1.0, quantity])
 
 
 @pytest.mark.parametrize("march", [
