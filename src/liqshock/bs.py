@@ -45,17 +45,15 @@ _BS_BLOCK = 8192
 
 @dataclass(frozen=True)
 class BSQuote:
-    """Price and maturity-sensitivities of a Black-Scholes value.
+    """Price, delta and maturity-sensitivity of a Black-Scholes value.
 
-    ``theta_ttm`` and ``charm_ttm`` are derivatives with respect to
-    time-to-maturity (not calendar time): theta_ttm = dP/dttm,
-    charm_ttm = d(delta)/dttm.
+    ``theta_ttm`` = dP/dttm is a derivative with respect to
+    time-to-maturity, not calendar time.
     """
 
     price: np.ndarray | float
     delta: np.ndarray | float
     theta_ttm: np.ndarray | float
-    charm_ttm: np.ndarray | float
 
 
 @dataclass(frozen=True)
@@ -65,11 +63,11 @@ class ImpliedTTM:
     Every field is an array of the broadcast shape of the inputs (0-d for
     scalar inputs).  ``failure`` names, per element, why no
     positive-maturity solution exists ("" where one does); such elements
-    carry ttm = price_error = nan and low_confidence = False.
+    carry ttm = nan and low_confidence = False.  A solved ttm reproduces
+    the target price within 1e-10.
     """
 
     ttm: np.ndarray
-    price_error: np.ndarray
     low_confidence: np.ndarray
     failure: np.ndarray
 
@@ -90,7 +88,10 @@ def _first_bad(values: np.ndarray, ok: np.ndarray, what: str) -> None:
         raise ValueError(f"{what}, got {float(values[bad[0]])}")
 
 
-def _check_spot(s: np.ndarray) -> None:
+def check_spot(spot) -> None:
+    """Refuse (ValueError) a spot that is not positive and finite, naming
+    the first such value; the one spot rule of the package."""
+    s = np.asarray(spot, dtype=float)
     # A NaN fails every comparison, so it is refused with the infinities.
     _first_bad(s.ravel(), (s > 0.0) & (s < math.inf),
                "spot must be positive and finite")
@@ -145,7 +146,7 @@ def bs_price(payoff: Payoff, ttm, spot, sigma: float):
     s = np.asarray(spot, dtype=float)
     _first_bad(tau.ravel(), (tau >= 0.0) & (tau < math.inf),
                "ttm must be finite and >= 0")
-    _check_spot(s)
+    check_spot(s)
     tau_b, s_b = np.broadcast_arrays(tau, s)
     out = np.empty(tau_b.shape, dtype=float)
     tau_r, s_r, out_r = np.atleast_1d(tau_b, s_b, out)
@@ -157,7 +158,7 @@ def bs_price(payoff: Payoff, ttm, spot, sigma: float):
 
 
 def bs_greeks(payoff: Payoff, ttm, spot, sigma: float) -> BSQuote:
-    """Price, delta and maturity-sensitivities at zero rates.
+    """Price, delta and theta_ttm at zero rates.
 
     Rejects ttm = 0, where delta and the maturity derivatives are not
     defined for digital payoffs, and refuses the other inputs
@@ -168,25 +169,23 @@ def bs_greeks(payoff: Payoff, ttm, spot, sigma: float) -> BSQuote:
     s = np.asarray(spot, dtype=float)
     _first_bad(tau.ravel(), (tau > 0.0) & (tau < math.inf),
                "bs_greeks requires a finite ttm > 0")
-    _check_spot(s)
+    check_spot(s)
     tau_b, s_b = np.broadcast_arrays(tau, s)
-    k = payoff.strike
     vol, d1, d2, price = _bs_formula(payoff, tau_b, s_b, sigma)
-    # d(d1)/dttm and d(d2)/dttm
-    dd1 = -np.log(s_b / k) / (2.0 * sigma * tau_b ** 1.5) + sigma / (4.0 * np.sqrt(tau_b))
-    dd2 = dd1 - sigma / (2.0 * np.sqrt(tau_b))
     if payoff.kind in ("vanilla_call", "vanilla_put"):
         delta = ndtr(d1) if payoff.kind == "vanilla_call" else ndtr(d1) - 1.0
         theta = s_b * _phi(d1) * sigma / (2.0 * np.sqrt(tau_b))
-        charm = _phi(d1) * dd1
     else:
+        # d(d1)/dttm and d(d2)/dttm
+        dd1 = (-np.log(s_b / payoff.strike) / (2.0 * sigma * tau_b ** 1.5)
+               + sigma / (4.0 * np.sqrt(tau_b)))
+        dd2 = dd1 - sigma / (2.0 * np.sqrt(tau_b))
         sign = 1.0 if payoff.kind == "digital_call" else -1.0
         delta = sign * _phi(d2) / (s_b * vol)
         theta = sign * _phi(d2) * dd2
-        charm = sign * _phi(d2) / (s_b * vol) * (-d2 * dd2 - 0.5 / tau_b)
     if tau_b.ndim == 0:
-        return BSQuote(float(price), float(delta), float(theta), float(charm))
-    return BSQuote(price, delta, theta, charm)
+        return BSQuote(float(price), float(delta), float(theta))
+    return BSQuote(price, delta, theta)
 
 
 def adjusted_ttm(params: ModelParams, horizon, regime: int):
@@ -246,13 +245,12 @@ def implied_ttm(payoff: Payoff, spot, target_price, sigma: float,
                                        np.asarray(horizon, dtype=float))
     shape = s.shape
     s, target, h = s.ravel(), target.ravel(), h.ravel()
-    _check_spot(s)
+    check_spot(s)
     _first_bad(target, np.isfinite(target), "target_price must be finite")
     _first_bad(h, np.isfinite(h) & (h > 0.0), "horizon must be positive and finite")
 
     intrinsic = np.asarray(payoff.value(s), dtype=float)
     ttm = np.full(s.shape, np.nan)
-    price_error = np.full(s.shape, np.nan)
     low_confidence = np.zeros(s.shape, dtype=bool)
     failure = np.full(s.shape, "", dtype=object)
     below = target < intrinsic - _IMPLIED_PRICE_TOL
@@ -265,7 +263,6 @@ def implied_ttm(payoff: Payoff, spot, target_price, sigma: float,
     # information; flag it.
     pinned = ~below & ((np.abs(f_lo) <= _IMPLIED_PRICE_TOL) | (target <= intrinsic))
     ttm[pinned] = 0.0
-    price_error[pinned] = f_lo[pinned]
     low_confidence[pinned] = intrinsic[pinned] > 0.0
 
     active = np.flatnonzero(~below & ~pinned)
@@ -285,7 +282,6 @@ def implied_ttm(payoff: Payoff, spot, target_price, sigma: float,
         f_mid = bs_price(payoff, mid, s[active], sigma) - target[active]
         done = np.abs(f_mid) <= _IMPLIED_PRICE_TOL
         ttm[active[done]] = mid[done]
-        price_error[active[done]] = f_mid[done]
         too_short = f_mid < 0.0
         lo = np.where(too_short, mid, lo)
         hi = np.where(too_short, hi, mid)
@@ -297,6 +293,6 @@ def implied_ttm(payoff: Payoff, spot, target_price, sigma: float,
             f"{_IMPLIED_MAX_ITER} iterations "
             f"(spot={float(s[i])}, target={float(target[i])})")
 
-    return ImpliedTTM(ttm=ttm.reshape(shape), price_error=price_error.reshape(shape),
+    return ImpliedTTM(ttm=ttm.reshape(shape),
                       low_confidence=low_confidence.reshape(shape),
                       failure=failure.reshape(shape))

@@ -303,8 +303,7 @@ def mc_linear_price(params: ModelParams, payoff: Payoff, measure: str,
     deviation (ddof=1) over sqrt(n_paths).
     """
     curve = intensity_curve(params, measure)
-    if not (math.isfinite(spot) and spot > 0.0):
-        raise ValueError(f"spot must be positive and finite, got {spot}")
+    _bs.check_spot(spot)
     ttm = sample_realized_ttm(curve, params.T, 0, seed, n_paths)
     vals = np.asarray(_bs.bs_price(payoff, ttm, spot, params.sigma0), dtype=float)
     return MCEstimate(mean=float(np.mean(vals)),

@@ -52,7 +52,8 @@ per-step update; the expansion step reuses the linear one for its zeroth
 order, and every march with switch intensities (linear, expansion and
 indifference) takes them from ``model.intensity_curve``.  A march stores
 only the time rows it is asked to ``keep`` (all of them by default), so a
-quote at t = 0 holds one row per surface instead of N + 1.
+quote at t = 0 holds one row per surface instead of N + 1; every surface
+names its stored rows, as the tuple ``PriceSurface.keep``.
 The two semi-linear marches, indifference and single-shock, take their
 linearized source step through one helper, ``_source_step``; each
 assembles its own slope kappa of the source.
@@ -178,10 +179,17 @@ def _guard_exponent(x: np.ndarray, buf: np.ndarray, what: str,
         _check_exponent(x, what, gamma_eff)
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Refuse a grid count that is not an integer of at least ``least``."""
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int; refuses (ValueError) a value that is not an
+    integer, a bool included."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _check_count(name: str, value, least: int) -> None:
+    """Refuse a grid count that is not an integer of at least ``least``."""
+    _check_integer(name, value)
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
@@ -230,46 +238,38 @@ def _cumulative_simpson_chunks(f, n: int, dx: float, chunk: int):
         yield sub
 
 
-def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative Simpson integral of ``y`` along axis 0 on a uniform step
-    ``dx``, starting from 0 (at least two rows), as one block of
-    ``_cumulative_simpson_chunks``."""
-    n = y.shape[0] - 1
-    out = np.empty(y.shape)
-    out[0] = 0.0
-    out[1:] = next(_cumulative_simpson_chunks(lambda lo, hi: y[lo:hi], n, dx,
-                                              n + n % 2))
-    return out
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform space-time grid in (t, z = ln S).
 
     n_time  : number of time steps N (the grid has N + 1 time rows)
-    n_space : number of space nodes M
+    n_space : number of space nodes M, at z_min + j * delta_z
+
+    ``z_max``, the last node, is derived from the other fields.
     """
 
     n_time: int
     n_space: int
     z_min: float
-    z_max: float
     delta_t: float
     delta_z: float
 
     def __post_init__(self) -> None:
         _check_count("n_time", self.n_time, 1)
         _check_count("n_space", self.n_space, 3)
+        if not math.isfinite(self.z_min):
+            raise ValueError(f"z_min must be finite, got {self.z_min}")
         if not (self.delta_t > 0.0 and self.delta_z > 0.0):
             raise ValueError("grid steps must be positive")
         if self.delta_z >= 2.0:
             # The upwind-free discretization of -p_z keeps both off-diagonal
             # signs only for dz < 2; coarser grids are rejected outright.
             raise ValueError(f"delta_z must be < 2, got {self.delta_z}")
-        span = self.z_max - self.z_min
-        if not math.isclose(span, (self.n_space - 1) * self.delta_z,
-                            rel_tol=1e-9, abs_tol=1e-12):
-            raise ValueError("z_max - z_min inconsistent with n_space * delta_z")
+
+    @property
+    def z_max(self) -> float:
+        """The last space node, the same sum as the last of ``z_nodes``."""
+        return self.z_min + (self.n_space - 1) * self.delta_z
 
     @staticmethod
     def build(params: ModelParams, strike: float, n_time: int = _DEFAULT_N_TIME,
@@ -298,12 +298,11 @@ class GridSpec:
                              "array can hold")
         m = max(1, math.ceil(m))
         z_min = zk - (m + 0.5) * dz
-        z_max = zk + (m + 0.5) * dz
-        if not z_max < math.log(sys.float_info.max):
+        if not z_min + (2 * m + 1) * dz < math.log(sys.float_info.max):
             raise ValueError(f"strike = {strike} puts the grid's largest spot "
                              "beyond the largest double")
         return GridSpec(n_time=n_time, n_space=2 * m + 2, z_min=z_min,
-                        z_max=z_max, delta_t=dt, delta_z=dz)
+                        delta_t=dt, delta_z=dz)
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_time + 1) * self.delta_t
@@ -318,10 +317,7 @@ class GridSpec:
         """ln S of each spot; refuses (ValueError) a spot that is not
         positive and finite or lies outside the grid domain."""
         s = np.asarray(spot, dtype=float)
-        bad = ~(np.isfinite(s) & (s > 0.0))
-        if np.any(bad):
-            raise ValueError(
-                f"spot must be positive and finite, got {float(s[bad][0])}")
+        _bs.check_spot(s)
         z = np.log(s)
         outside = (z < self.z_min) | (z > self.z_max)
         if np.any(outside):
@@ -331,12 +327,13 @@ class GridSpec:
         return z
 
 
-def _kept_rows(grid: GridSpec, keep) -> tuple[int, ...] | None:
+def _kept_rows(grid: GridSpec, keep) -> tuple[int, ...]:
     """Sorted distinct time-row indices from a sequence of them; ``None``
-    (every row) stays ``None``."""
+    names every row.  An entry that is not an integer (a bool included) is
+    refused by value."""
     if keep is None:
-        return None
-    rows = sorted({operator.index(i) for i in keep})
+        return tuple(range(grid.n_time + 1))
+    rows = sorted({_check_integer("keep row", i) for i in keep})
     if not rows:
         raise ValueError("keep must name at least one time row")
     if rows[0] < 0 or rows[-1] > grid.n_time:
@@ -351,11 +348,12 @@ class PriceSurface:
     """Per-contract price surface on a GridSpec.
 
     ``values[k, j]`` is the price at the k-th stored time row and log-price
-    z_min + j * delta_z.  ``keep`` lists the grid time indices of the
-    stored rows (strictly ascending, in the order of ``values``; anything
-    else is refused); ``None`` means every row, so ``values[i]`` is
-    the row at calendar time i * delta_t.  ``regime`` tags which regime the
-    surface quotes (0: tradeable regime, 1: shock regime).
+    z_min + j * delta_z.  ``keep`` is the tuple of the grid time indices of
+    the stored rows, strictly ascending in the order of ``values`` (anything
+    else is refused).  Constructed with ``keep=None``, a surface stores every
+    row and ``keep`` becomes (0, 1, .., N), so ``values[i]`` is the row at
+    calendar time i * delta_t.  ``regime`` tags which regime the surface
+    quotes (0: tradeable regime, 1: shock regime).
     """
 
     values: np.ndarray
@@ -364,15 +362,13 @@ class PriceSurface:
     keep: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.keep is not None:
-            keep = _kept_rows(self.grid, self.keep)
-            if keep != tuple(self.keep):
-                raise ValueError(
-                    f"keep must list distinct time rows in ascending order, "
-                    f"got {self.keep!r}")
-            object.__setattr__(self, "keep", keep)
-        n_rows = self.grid.n_time + 1 if self.keep is None else len(self.keep)
-        expected = (n_rows, self.grid.n_space)
+        keep = _kept_rows(self.grid, self.keep)
+        if self.keep is not None and keep != tuple(self.keep):
+            raise ValueError(
+                f"keep must list distinct time rows in ascending order, "
+                f"got {self.keep!r}")
+        object.__setattr__(self, "keep", keep)
+        expected = (len(keep), self.grid.n_space)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
         if self.regime not in (0, 1):
@@ -385,8 +381,6 @@ class PriceSurface:
         if i < 0 or i > self.grid.n_time or abs(x - i) > 1e-6:
             raise ValueError(
                 f"t={t} is not a grid time (delta_t={self.grid.delta_t})")
-        if self.keep is None:
-            return i
         k = bisect_left(self.keep, i)
         if k == len(self.keep) or self.keep[k] != i:
             raise ValueError(
@@ -518,7 +512,7 @@ def _terminal(payoff: Payoff, grid: GridSpec) -> np.ndarray:
 
 
 def _march(grid: GridSpec, terminal: tuple[np.ndarray, ...], step,
-           keep=None) -> tuple[np.ndarray, ...]:
+           keep: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Backward march from the terminal rows; ``step(i, rows, out)``
     returns the rows at time i from those at time i + 1, written into
     ``out`` (one flat row per surface) or into rows of its own.
@@ -529,14 +523,13 @@ def _march(grid: GridSpec, terminal: tuple[np.ndarray, ...], step,
     i and i + 1 take in turn, so a step reads the rows it was given while
     it writes the new ones, and the rows it returns stay valid through the
     next step.  Only the time rows listed in ``keep``, a ``_kept_rows``
-    result, are stored (``None``: all).  Each surface is allocated once in
+    result, are stored.  Each surface is allocated once in
     its final layout: a terminal row of shape (..., M) gives a surface of
     shape (..., len(keep), M), so a (B, M) stack of contracts gives a
     (B, len(keep), M) stack, and every kept row is stored where it
     belongs, through a reshape, as soon as it is computed.
     """
     n = grid.n_time
-    keep = keep or range(n + 1)
     slot = [-1] * (n + 1)
     for k, i in enumerate(keep):
         slot[i] = k
@@ -676,7 +669,6 @@ class LinearPriceResult:
 
     surface_p: PriceSurface
     surface_q: PriceSurface
-    measure: str
     grid: GridSpec
 
     def quote(self, spot, regime: int = 0, t: float = 0.0):
@@ -686,11 +678,11 @@ class LinearPriceResult:
         return surf.quote(spot, t)
 
 
-def _linear_result(measure: str, p: np.ndarray, q: np.ndarray, grid: GridSpec,
+def _linear_result(p: np.ndarray, q: np.ndarray, grid: GridSpec,
                    keep) -> LinearPriceResult:
     return LinearPriceResult(surface_p=PriceSurface(p, grid, 0, keep),
                              surface_q=PriceSurface(q, grid, 1, keep),
-                             measure=measure, grid=grid)
+                             grid=grid)
 
 
 def _linear_step(params: ModelParams, grid: GridSpec,
@@ -748,7 +740,7 @@ def linear_price(params: ModelParams, payoff: Payoff, measure: str,
                               _Stepper(grid, params.sigma0))
     h = _terminal(payoff, grid)
     p, q = _march(grid, (h, h), step, keep)
-    return _linear_result(measure, p, q, grid, keep)
+    return _linear_result(p, q, grid, keep)
 
 
 @dataclass(frozen=True)
@@ -844,7 +836,7 @@ def mmm_and_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
     bundle = AsymptoticBundle(
         *(PriceSurface(v, grid, regime, keep)
           for v, regime in zip((p_lin[1], q_lin[1], p1, q1), (0, 1, 0, 1))))
-    return _linear_result("MMM", p_lin[0], q_lin[0], grid, keep), bundle
+    return _linear_result(p_lin[0], q_lin[0], grid, keep), bundle
 
 
 def asymptotic_expansion(params: ModelParams, payoff: Payoff,
@@ -889,7 +881,8 @@ def _single_shock_base(params: ModelParams, payoff: Payoff, grid: GridSpec):
     pbs = np.asarray(_bs.bs_price(payoff, m_grid[:, None], spots[None, :],
                                   params.sigma0), dtype=float)
     wgt = nu10 * np.exp((nu10 - d0) * m_grid)
-    cs0 = _cumulative_simpson(wgt, grid.delta_t)
+    cs0 = np.concatenate(([0.0], *_cumulative_simpson_chunks(
+        lambda lo, hi: wgt[lo:hi], grid.n_time, grid.delta_t, _SOURCE_CHUNK)))
     decay = [math.exp(-nu10 * (params.T - t)) for t in m_grid.tolist()]
     f0 = np.asarray(fac.F0(m_grid), dtype=float).tolist()
     return (pbs, wgt, decay, f0,
@@ -914,9 +907,8 @@ def _single_shock_source(pbs: np.ndarray, wgt: np.ndarray, grid: GridSpec,
     tv -= pbs[0].copy()
     # max |tv| without a second whole table; np.maximum keeps a NaN.
     tv_max = float(np.maximum(tv.max(), -tv.min()))
-    for b, g in enumerate(gamma_eff.tolist()):
-        # max |g * tv| is g * max |tv| exactly: rounding is monotone.
-        _check_exponent(g * tv_max, "gamma_eff * time value", gamma_eff[b:b + 1])
+    # max |g * tv| is g * max |tv| exactly: rounding is monotone.
+    _check_exponent(gamma_eff * tv_max, "gamma_eff * time value", gamma_eff)
     neg_g = -gamma_eff[None, :, None]
 
     def integrand(lo: int, hi: int) -> np.ndarray:
@@ -1068,6 +1060,7 @@ def single_shock_zero_order(params: ModelParams, payoff: Payoff,
     pure gamma-order quantity with no discretisation floor.
     """
     pbs, wgt, decay, f0, c_lin = _single_shock_base(params, payoff, grid)
+    keep = _kept_rows(grid, None)
     h = pbs[0].copy()
     n = grid.n_time
     dt = grid.delta_t
@@ -1092,7 +1085,7 @@ def single_shock_zero_order(params: ModelParams, payoff: Payoff,
         np.divide(rhs, f0[i], out=rhs)
         return (stepper.solve(dt_k_hat[i], np.add(p, rhs, out=rhs)),)
 
-    return PriceSurface(_march(grid, (h,), step)[0], grid, 0)
+    return PriceSurface(_march(grid, (h,), step, keep)[0], grid, 0, keep)
 
 
 @dataclass(frozen=True)

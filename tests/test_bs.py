@@ -118,12 +118,9 @@ class TestBsGreeks:
                 - float(bs_price(payoff, 1.0, spot - eps, SIGMA))) / (2 * eps)
         t_fd = (float(bs_price(payoff, 1.0 + eps, spot, SIGMA))
                 - float(bs_price(payoff, 1.0 - eps, spot, SIGMA))) / (2 * eps)
-        c_fd = (bs_greeks(payoff, 1.0, spot + eps, SIGMA).theta_ttm
-                - bs_greeks(payoff, 1.0, spot - eps, SIGMA).theta_ttm) / (2 * eps)
         assert q.price == pytest.approx(float(bs_price(payoff, 1.0, spot, SIGMA)))
         assert q.delta == pytest.approx(d_fd, abs=1e-8)
         assert q.theta_ttm == pytest.approx(t_fd, abs=1e-8)
-        assert q.charm_ttm == pytest.approx(c_fd, abs=1e-6)
 
     def test_nonpositive_ttm_rejected(self):
         with pytest.raises(ValueError):
@@ -224,7 +221,7 @@ class TestImpliedTtm:
         out = implied_ttm(payoff, 12.0, 1.99, SIGMA, 1.0)
         assert out.ttm.shape == out.failure.shape == ()
         assert out.failure[()] == "target price 1.99 is below intrinsic value 2.0"
-        assert math.isnan(out.ttm) and math.isnan(out.price_error)
+        assert math.isnan(out.ttm)
         assert not out.low_confidence
 
     def test_pinned_at_intrinsic_flags_low_confidence(self):
@@ -238,7 +235,7 @@ class TestImpliedTtm:
     @pytest.mark.parametrize("kind", ["vanilla_call", "vanilla_put"])
     def test_array_equals_scalar_calls(self, kind):
         """One array call reproduces each element's scalar (0-d) call
-        exactly: the same ttm, price error, flag and failure text under ==,
+        exactly: the same ttm, flag and failure text under ==,
         and ttm = nan for an element without a positive-maturity
         solution."""
         payoff = Payoff(kind, 10.0)
@@ -271,7 +268,6 @@ class TestImpliedTtm:
                 continue
             outcomes.add("pinned" if ref.ttm == 0.0 else "solved")
             assert out.ttm[k] == ref.ttm
-            assert out.price_error[k] == ref.price_error
             assert out.low_confidence[k] == ref.low_confidence
         assert outcomes == {"solved", "pinned", "below", "exceeds"}
 

@@ -1,12 +1,14 @@
-"""Each module of the package keeps its internals to itself, and imports
-only what it uses.
+"""Each module of the package keeps its internals to itself, imports only
+what it uses and reads every private name it defines.
 
 No module imports a ``_``-prefixed name from another one, or reads one
 through an imported module, so a private helper's layout is known to the
 one module that defines it.  Every module-level import is used,
 re-exported through ``__all__``, or bound because the benchmark's span
-tracer (``perfbench/spans.py``) patches it in that module by name.  The
-project configures no linter, so these checks are tests."""
+tracer (``perfbench/spans.py``) patches it in that module by name.  Every
+module-level ``_``-prefixed function, class or constant is read by name in
+the module that defines it.  The project configures no linter, so these
+checks are tests."""
 
 from __future__ import annotations
 
@@ -84,4 +86,29 @@ def test_every_module_level_import_is_used():
                    if module_name == module}
         if names := unused_imports(path, patched):
             found[path.name] = names
+    assert found == {}
+
+
+def dead_private_names(path: Path) -> list[str]:
+    """Module-level ``_``-prefixed functions, classes and constants of
+    ``path`` (dunder names aside) that the module never reads by name."""
+    tree = parse(path)
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, ast.Assign):
+            defined += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined.append(node.target.id)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in defined
+            if name.startswith("_") and not name.startswith("__")
+            and name not in read]
+
+
+def test_every_private_name_is_read_in_its_module():
+    found = {path.name: names for path in sorted(SRC.glob("*.py"))
+             if (names := dead_private_names(path))}
     assert found == {}

@@ -99,14 +99,17 @@ class TestGridSpec:
 
     def test_direct_construction_validation(self):
         with pytest.raises(ValueError, match="delta_z"):
-            GridSpec(n_time=10, n_space=3, z_min=0.0, z_max=4.2,
-                     delta_t=0.1, delta_z=2.1)
+            GridSpec(n_time=10, n_space=3, z_min=0.0, delta_t=0.1, delta_z=2.1)
         with pytest.raises(ValueError, match="n_space"):
-            GridSpec(n_time=10, n_space=2, z_min=0.0, z_max=0.1,
-                     delta_t=0.1, delta_z=0.1)
-        with pytest.raises(ValueError, match="inconsistent"):
-            GridSpec(n_time=10, n_space=5, z_min=0.0, z_max=1.0,
-                     delta_t=0.1, delta_z=0.1)
+            GridSpec(n_time=10, n_space=2, z_min=0.0, delta_t=0.1, delta_z=0.1)
+
+    @pytest.mark.parametrize("z_min", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_z_min_refused_by_value(self, z_min):
+        with pytest.raises(ValueError, match=f"z_min must be finite, got {z_min}"):
+            GridSpec(n_time=10, n_space=5, z_min=z_min, delta_t=0.1, delta_z=0.1)
+
+    def test_z_max_is_the_last_node(self, grid_default):
+        assert grid_default.z_max == grid_default.z_nodes()[-1]
 
 
 class TestPriceSurface:

@@ -11,6 +11,7 @@ does, without importing ``scipy.integrate`` at run time.
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -49,7 +50,7 @@ def grid(params) -> GridSpec:
 
 
 def same_rows(kept: PriceSurface, full: PriceSurface) -> bool:
-    assert kept.keep is not None and full.keep is None
+    assert full.keep == tuple(range(N_TIME + 1))
     return np.array_equal(kept.values, full.values[list(kept.keep)])
 
 
@@ -115,6 +116,17 @@ class TestKeptRowSurface:
             linear_price(params, unit, "MMM", grid, ())
         with pytest.raises(ValueError, match="values shape"):
             PriceSurface(np.zeros((3, grid.n_space)), grid, 0, keep=(0, 1))
+
+    @pytest.mark.parametrize("entry", [True, np.True_, 0.0, np.float64(1.0)])
+    def test_non_integer_keep_is_refused_by_value(self, params, grid, entry):
+        """A bool is not a row index (``operator.index(True)`` is 1), and a
+        float row is refused by value rather than by a bare TypeError."""
+        unit = Payoff("vanilla_call", STRIKE)
+        match = re.escape(f"keep row must be an integer, got {entry!r}")
+        with pytest.raises(ValueError, match=match):
+            linear_price(params, unit, "MMM", grid, [0, entry])
+        with pytest.raises(ValueError, match=match):
+            PriceSurface(np.zeros((2, grid.n_space)), grid, 0, keep=(0, entry))
 
     def test_keep_is_sorted_and_deduplicated(self, params, grid):
         unit = Payoff("vanilla_call", STRIKE)
@@ -449,7 +461,10 @@ def test_cumulative_simpson_rounds_as_scipy(n_rows):
     for shape in ((n_rows,), (n_rows, 538), (n_rows, 3, 5)):
         y = np.exp(3.0 * rng.standard_normal(shape))
         ref = cumulative_simpson(y, dx=dx, axis=0, initial=0.0)
-        assert np.array_equal(pde._cumulative_simpson(y, dx), ref)
+        n = n_rows - 1                      # one block of the whole table
+        table, = pde._cumulative_simpson_chunks(lambda lo, hi: y[lo:hi], n, dx,
+                                                n + n % 2)
+        assert np.array_equal(table, ref[1:])
 
 
 @pytest.mark.parametrize("chunk", [2, 4, 64])
@@ -461,7 +476,8 @@ def test_cumulative_simpson_chunks_equal_the_whole_table(chunk):
         blocks = list(pde._cumulative_simpson_chunks(
             lambda lo, hi: y[lo:hi], n_rows - 1, dx, chunk))
         assert all(len(block) <= chunk for block in blocks)
-        assert np.array_equal(np.concatenate(blocks), pde._cumulative_simpson(y, dx)[1:])
+        ref = cumulative_simpson(y, dx=dx, axis=0, initial=0.0)
+        assert np.array_equal(np.concatenate(blocks), ref[1:])
 
 
 def test_cli_import_leaves_out_scipy_integrate():
