@@ -23,6 +23,12 @@ The package provides
 * a Monte Carlo oracle on the realized-liquid-time representation
   (:mod:`liqshock.mc`);
 * a CSV-reporting command line, ``liqshock`` (:mod:`liqshock.cli`).
+
+Every numeric function follows one return rule, numpy in, numpy out: it
+is vectorized over its array arguments by numpy broadcasting and returns
+an array of the broadcast shape, 0-d (a 0-d array or a numpy float64) when
+every argument is a scalar.  Callers that need a Python float call
+``float()``.
 """
 
 from .bs import (BSQuote, ImpliedTTM, adjusted_ttm, bs_greeks, bs_price,

@@ -48,12 +48,13 @@ class BSQuote:
     """Price, delta and maturity-sensitivity of a Black-Scholes value.
 
     ``theta_ttm`` = dP/dttm is a derivative with respect to
-    time-to-maturity, not calendar time.
+    time-to-maturity, not calendar time.  Every field has the broadcast
+    shape of the inputs.
     """
 
-    price: np.ndarray | float
-    delta: np.ndarray | float
-    theta_ttm: np.ndarray | float
+    price: np.ndarray
+    delta: np.ndarray
+    theta_ttm: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def _bs_fill(payoff: Payoff, tau: np.ndarray, s: np.ndarray, sigma: float,
     """Write P_BS(tau, s) into ``out`` (all three of one shape)."""
     expired = tau == 0.0
     if np.any(expired):
-        out[expired] = np.asarray(payoff.value(s[expired]), dtype=float)
+        out[expired] = payoff.value(s[expired])
     live = ~expired
     if np.any(live):
         out[live] = _bs_formula(payoff, tau[live], s[live], sigma)[3]
@@ -136,10 +137,9 @@ def bs_price(payoff: Payoff, ttm, spot, sigma: float):
     written straight into the result, so the masks and intermediates stay
     cache-sized instead of scaling with the whole table.  Every value is an
     elementwise function of its own (ttm, spot), so the blocks are
-    bit-identical to one whole-array evaluation.  A 0-d broadcast returns a
-    float, any other an array of the broadcast shape.  A ttm or spot that
-    is not finite, a negative ttm or a non-positive spot raises
-    ValueError naming the first such value.
+    bit-identical to one whole-array evaluation.  A ttm or spot that is not
+    finite, a negative ttm or a non-positive spot raises ValueError naming
+    the first such value.
     """
     _validate_sigma(sigma)
     tau = np.asarray(ttm, dtype=float)
@@ -154,7 +154,7 @@ def bs_price(payoff: Payoff, ttm, spot, sigma: float):
     for lo in range(0, out_r.shape[0], rows):
         hi = lo + rows
         _bs_fill(payoff, tau_r[lo:hi], s_r[lo:hi], sigma, out_r[lo:hi])
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def bs_greeks(payoff: Payoff, ttm, spot, sigma: float) -> BSQuote:
@@ -183,8 +183,6 @@ def bs_greeks(payoff: Payoff, ttm, spot, sigma: float) -> BSQuote:
         sign = 1.0 if payoff.kind == "digital_call" else -1.0
         delta = sign * _phi(d2) / (s_b * vol)
         theta = sign * _phi(d2) * dd2
-    if tau_b.ndim == 0:
-        return BSQuote(float(price), float(delta), float(theta))
     return BSQuote(price, delta, theta)
 
 
@@ -208,8 +206,7 @@ def adjusted_ttm(params: ModelParams, horizon, regime: int):
         out = (n01 + n10 * nu * h - n01 * decay) / (nu * nu)
     else:
         out = (-n10 + n10 * nu * h + n10 * decay) / (nu * nu)
-    out = np.minimum(out, h)  # clip fp overshoot at nu01 = 0
-    return out if np.ndim(out) else float(out)
+    return np.minimum(out, h)  # clip fp overshoot at nu01 = 0
 
 
 def implied_ttm(payoff: Payoff, spot, target_price, sigma: float,
@@ -249,7 +246,7 @@ def implied_ttm(payoff: Payoff, spot, target_price, sigma: float,
     _first_bad(target, np.isfinite(target), "target_price must be finite")
     _first_bad(h, np.isfinite(h) & (h > 0.0), "horizon must be positive and finite")
 
-    intrinsic = np.asarray(payoff.value(s), dtype=float)
+    intrinsic = payoff.value(s)
     ttm = np.full(s.shape, np.nan)
     low_confidence = np.zeros(s.shape, dtype=bool)
     failure = np.full(s.shape, "", dtype=object)

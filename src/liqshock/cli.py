@@ -451,14 +451,22 @@ def cmd_converge(cfg: RunConfig) -> tuple[list[str], list[list[str]], bool]:
 
     base = max(1, cfg.nsteps // 4)
     ladder = [base, 2 * base, 4 * base, 8 * base]
+    # Refuse off-grid spots before any march or sampling: the anchor on
+    # each rung's grid in ladder order, then the spot list on the nsteps grid.
+    rungs = []
+    for n_time in ladder:
+        rung = cfg.grid(n_time=n_time)
+        rung.log_spots(cfg.spot)
+        rungs.append(rung)
+    grid = cfg.grid()
+    grid.log_spots(cfg.spots)
     quotes = []
     # The MEMM march on the nsteps grid, when a rung is that grid; the MC
     # block below reuses it.
     memm_at_nsteps = None
-    for n_time in ladder:
-        result = linear_price(params, unit, "MEMM", cfg.grid(n_time=n_time),
-                              _FIRST_ROW)
-        if n_time == cfg.nsteps:
+    for rung in rungs:
+        result = linear_price(params, unit, "MEMM", rung, _FIRST_ROW)
+        if rung.n_time == cfg.nsteps:
             memm_at_nsteps = result
         quotes.append(float(result.quote(cfg.spot)))
     diffs = [abs(b - a) for a, b in zip(quotes, quotes[1:])]
@@ -473,7 +481,6 @@ def cmd_converge(cfg: RunConfig) -> tuple[list[str], list[list[str]], bool]:
                      f"|change N={ladder[k]}->N={ladder[k + 1]}| shrinks",
                      _fmt(diffs[k]), _fmt(bound), "PASS" if ok else "FAIL"])
 
-    grid = cfg.grid()
     cell = 0
     for measure in ("MMM", "MEMM"):
         if measure == "MEMM" and memm_at_nsteps is not None:
@@ -494,8 +501,14 @@ def cmd_converge(cfg: RunConfig) -> tuple[list[str], list[list[str]], bool]:
 
 
 def _write_report(out: str, header: list[str], rows: list[list[str]]) -> None:
-    with (contextlib.nullcontext(sys.stdout) if out == "-"
-          else open(out, "w", encoding="utf-8", newline="")) as fh:
+    """Write the finished report; the file is opened only now, so a run
+    that fails earlier leaves an existing file untouched."""
+    try:
+        stream = (contextlib.nullcontext(sys.stdout) if out == "-"
+                  else open(out, "w", encoding="utf-8", newline=""))
+    except OSError as exc:
+        raise ValueError(f"cannot write output file {out!r}: {exc}") from None
+    with stream as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)

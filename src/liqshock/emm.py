@@ -62,7 +62,7 @@ def _single_shock_quadrature(params: ModelParams, payoff: Payoff, t: float,
     tau = np.linspace(t, T, n + 1)
     s = np.linspace(0.0, 1.0, n + 1)
     w = _simpson_weights(n)
-    f1_tau = np.asarray(fac.F1(tau), dtype=float)
+    f1_tau = fac.F1(tau)
     # Outer factor nu01_tilde(tau) B01(t, tau) = nu01 e^{-(d0+nu01)(tau-t)}
     # F1c(tau) / F0c(t).
     outer = nu01 * np.exp(-(d0 + nu01) * (tau - t)) * f1_tau / f0_t
@@ -74,14 +74,13 @@ def _single_shock_quadrature(params: ModelParams, payoff: Payoff, t: float,
         # nu10_tilde(zeta) B10(tau, zeta) = nu10 e^{-nu10 (zeta-tau)}
         # F2c(zeta) / F1c(tau).
         g_in = nu10 * np.exp(-nu10 * (zeta - tau_c)) \
-            * np.asarray(fac.F2(zeta), dtype=float) / f1_tau[a0:a1, None]
+            * fac.F2(zeta) / f1_tau[a0:a1, None]
         clock = (tau_c - t) + (T - tau_c) * (1.0 - s[None, :])
-        pb = np.asarray(_bs.bs_price(payoff, clock, spot, sigma), dtype=float)
+        pb = _bs.bs_price(payoff, clock, spot, sigma)
         integ = (g_in * pb) @ w / (3.0 * n) * (T - tau[a0:a1])
         # No recovery by T: B10(tau, T) = e^{-nu10 (T-tau)} / F1c(tau).
         tail = np.exp(-nu10 * (T - tau[a0:a1])) / f1_tau[a0:a1] \
-            * np.asarray(_bs.bs_price(payoff, tau[a0:a1] - t, spot, sigma),
-                         dtype=float)
+            * _bs.bs_price(payoff, tau[a0:a1] - t, spot, sigma)
         inner_vals[a0:a1] = integ + tail
     outer_int = float(np.dot(w, outer * inner_vals)) * (T - t) / (3.0 * n)
     return head + outer_int

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bs as _bs
-from .errors import NumericalError
+from .errors import NumericalError, check_count, check_integer
 from .model import IntensityCurve, ModelParams, Payoff, intensity_curve
 
 __all__ = [
@@ -80,9 +80,7 @@ class MCEstimate:
 
 
 def _validate_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
-    s = int(seed)
+    s = check_integer("seed", seed)
     if not (0 <= s < 2 ** 63):
         raise ValueError(f"seed must be in [0, 2**63), got {s}")
     return s
@@ -160,10 +158,7 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
     its first recovery is absorbing (liquid for good).
     """
     seed = _validate_seed(seed)
-    if (not isinstance(n_paths, (int, np.integer)) or isinstance(n_paths, bool)
-            or n_paths < _MIN_PATHS):
-        raise ValueError(
-            f"n_paths must be an integer >= {_MIN_PATHS}, got {n_paths!r}")
+    check_count("n_paths", n_paths, _MIN_PATHS)
     if start_regime not in (0, 1):
         raise ValueError(f"start_regime must be 0 or 1, got {start_regime}")
     absorbing = curve.measure == "MEMM_single_shock"
@@ -249,7 +244,7 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
             for ri, fn in ((np.flatnonzero(m0), curve.nu01),
                            (np.flatnonzero(~m0), curve.nu10)):
                 if ri.size:
-                    nu_c[ri] = np.asarray(fn(tc.take(ri)), dtype=float)
+                    nu_c[ri] = fn(tc.take(ri))
             bnd = np.where(m0, bounds[0], bounds[1])
             if np.any(nu_c > bnd * (1.0 + _BOUND_SLACK)):
                 raise NumericalError(
@@ -305,6 +300,6 @@ def mc_linear_price(params: ModelParams, payoff: Payoff, measure: str,
     curve = intensity_curve(params, measure)
     _bs.check_spot(spot)
     ttm = sample_realized_ttm(curve, params.T, 0, seed, n_paths)
-    vals = np.asarray(_bs.bs_price(payoff, ttm, spot, params.sigma0), dtype=float)
+    vals = _bs.bs_price(payoff, ttm, spot, params.sigma0)
     return MCEstimate(mean=float(np.mean(vals)),
                       std_error=float(np.std(vals, ddof=1) / math.sqrt(n_paths)))

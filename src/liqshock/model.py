@@ -131,21 +131,17 @@ class Payoff:
     def is_digital(self) -> bool:
         return self.kind in ("digital_call", "digital_put")
 
-    def value(self, spot: np.ndarray | float) -> np.ndarray | float:
+    def value(self, spot: np.ndarray) -> np.ndarray:
         """Per-contract payoff h(S), vectorized over ``spot``."""
         s = np.asarray(spot, dtype=float)
         k = self.strike
         if self.kind == "vanilla_call":
-            out = np.maximum(s - k, 0.0)
-        elif self.kind == "vanilla_put":
-            out = np.maximum(k - s, 0.0)
-        elif self.kind == "digital_call":
-            out = np.where(s > k, 1.0, 0.0)
-        else:  # digital_put
-            out = np.where(s < k, 1.0, 0.0)
-        if np.isscalar(spot) or (isinstance(spot, np.ndarray) and spot.ndim == 0):
-            return float(out)
-        return out
+            return np.maximum(s - k, 0.0)
+        if self.kind == "vanilla_put":
+            return np.maximum(k - s, 0.0)
+        if self.kind == "digital_call":
+            return np.where(s > k, 1.0, 0.0)
+        return np.where(s < k, 1.0, 0.0)  # digital_put
 
 
 def _stable_roots(s: float, p: float) -> tuple[float, float]:
@@ -191,11 +187,10 @@ class MertonFactors:
     def _a2(self) -> float:
         return (self.lambda1 - self.d0) / (self.lambda1 - self.lambda2)
 
-    def _tau(self, t: np.ndarray | float) -> np.ndarray:
-        tau = self.T - np.asarray(t, dtype=float)
-        return tau
+    def _tau(self, t: np.ndarray) -> np.ndarray:
+        return self.T - np.asarray(t, dtype=float)
 
-    def _factors(self, t: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    def _factors(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(F0(t), F1(t)), both from one pair of exponentials."""
         tau = self._tau(t)
         if self.nu01 == 0.0:
@@ -209,17 +204,14 @@ class MertonFactors:
         w2 = a2 * (k - self.lambda2) / self.nu01
         return a1 * e1 + a2 * e2, w1 * e1 + w2 * e2
 
-    def F0(self, t: np.ndarray | float) -> np.ndarray | float:
-        out = self._factors(t)[0]
-        return out if np.ndim(out) else float(out)
+    def F0(self, t: np.ndarray) -> np.ndarray:
+        return self._factors(t)[0]
 
-    def F1(self, t: np.ndarray | float) -> np.ndarray | float:
-        out = self._factors(t)[1]
-        return out if np.ndim(out) else float(out)
+    def F1(self, t: np.ndarray) -> np.ndarray:
+        return self._factors(t)[1]
 
-    def F2(self, t: np.ndarray | float) -> np.ndarray | float:
-        out = np.exp(-self.d0 * self._tau(t))
-        return out if np.ndim(out) else float(out)
+    def F2(self, t: np.ndarray) -> np.ndarray:
+        return np.exp(-self.d0 * self._tau(t))
 
 
 def _one_minus_exp_over(delta: float, tau: np.ndarray) -> np.ndarray:
@@ -259,25 +251,22 @@ class SingleShockFactors:
     nu10: float
     T: float
 
-    def _tau(self, t: np.ndarray | float) -> np.ndarray:
+    def _tau(self, t: np.ndarray) -> np.ndarray:
         return self.T - np.asarray(t, dtype=float)
 
-    def F2(self, t: np.ndarray | float) -> np.ndarray | float:
-        out = np.exp(-self.d0 * self._tau(t))
-        return out if np.ndim(out) else float(out)
+    def F2(self, t: np.ndarray) -> np.ndarray:
+        return np.exp(-self.d0 * self._tau(t))
 
-    def F1(self, t: np.ndarray | float) -> np.ndarray | float:
+    def F1(self, t: np.ndarray) -> np.ndarray:
         tau = self._tau(t)
         d0, nu10 = self.d0, self.nu10
-        out = (nu10 * np.exp(-d0 * tau) - d0 * np.exp(-nu10 * tau)) / (nu10 - d0)
-        return out if np.ndim(out) else float(out)
+        return (nu10 * np.exp(-d0 * tau) - d0 * np.exp(-nu10 * tau)) / (nu10 - d0)
 
-    def F0(self, t: np.ndarray | float) -> np.ndarray | float:
+    def F0(self, t: np.ndarray) -> np.ndarray:
         tau = self._tau(t)
         d0, nu01, nu10 = self.d0, self.nu01, self.nu10
         extra = d0 / (d0 + nu01 - nu10) * (np.exp(-(d0 + nu01) * tau) - np.exp(-nu10 * tau))
-        out = np.asarray(self.F1(t)) + extra
-        return out if np.ndim(out) else float(out)
+        return self.F1(t) + extra
 
 
 def single_shock_factors(params: ModelParams) -> SingleShockFactors:
@@ -298,20 +287,21 @@ def single_shock_factors(params: ModelParams) -> SingleShockFactors:
 class IntensityCurve:
     """Regime-switch intensities t -> (nu01(t), nu10(t)) under a measure.
 
-    MMM keeps the market intensities (it does not tilt the chain).  MEMM
-    multiplies by the discount-factor ratio of the target regime over the
-    current one; MEMM_single_shock does the same with the single-shock
-    factors.  ``bound01``/``bound10`` are upper bounds for the
+    ``nu01`` and ``nu10`` are the curve functions themselves, vectorized
+    over t.  MMM keeps the market intensities (it does not tilt the
+    chain).  MEMM multiplies by the discount-factor ratio of the target
+    regime over the current one; MEMM_single_shock does the same with the
+    single-shock factors.  ``bound01``/``bound10`` are upper bounds for the
     curves on [0, T], used by the thinning sampler and computed on first
     read (the marches never read them); a ``constant`` curve is bounded by
     its value at t = 0.
     """
 
-    def __init__(self, measure: str, params: ModelParams, fn01, fn10, constant: bool):
+    def __init__(self, measure: str, params: ModelParams, nu01, nu10, constant: bool):
         self.measure = measure
         self.params = params
-        self._fn01 = fn01
-        self._fn10 = fn10
+        self.nu01 = nu01
+        self.nu10 = nu10
         self._constant = constant
 
     def _bound(self, fn) -> float:
@@ -322,19 +312,11 @@ class IntensityCurve:
 
     @cached_property
     def bound01(self) -> float:
-        return self._bound(self._fn01)
+        return self._bound(self.nu01)
 
     @cached_property
     def bound10(self) -> float:
-        return self._bound(self._fn10)
-
-    def nu01(self, t: np.ndarray | float) -> np.ndarray | float:
-        out = self._fn01(np.asarray(t, dtype=float))
-        return out if np.ndim(out) else float(out)
-
-    def nu10(self, t: np.ndarray | float) -> np.ndarray | float:
-        out = self._fn10(np.asarray(t, dtype=float))
-        return out if np.ndim(out) else float(out)
+        return self._bound(self.nu10)
 
 
 def intensity_curve(params: ModelParams, measure: str) -> IntensityCurve:
@@ -365,9 +347,9 @@ def intensity_curve(params: ModelParams, measure: str) -> IntensityCurve:
     fac = single_shock_factors(params)
 
     def fn01(t, _f=fac, _v=params.nu01):
-        return _v * np.asarray(_f.F1(t)) / np.asarray(_f.F0(t))
+        return _v * _f.F1(t) / _f.F0(t)
 
     def fn10(t, _f=fac, _v=params.nu10):
-        return _v * np.asarray(_f.F2(t)) / np.asarray(_f.F1(t))
+        return _v * _f.F2(t) / _f.F1(t)
 
     return IntensityCurve(measure, params, fn01, fn10, constant=params.d0 == 0.0)

@@ -91,7 +91,6 @@ of the flat scratch.  What is left of a one-block step is about 12 us of
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, replace
@@ -100,7 +99,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from . import bs as _bs
-from .errors import NumericalError
+from .errors import NumericalError, check_count, check_integer
 from .model import ModelParams, Payoff, intensity_curve, single_shock_factors
 # Unused here; stays bound because perfbench/spans.py patches it by name.
 from .model import merton_factors  # noqa: F401
@@ -152,7 +151,7 @@ _DEFAULT_WIDTH = 6.0
 _GAMMA_EFF_FLOOR = 1e-6
 
 
-def _check_exponent(x: np.ndarray | float, what: str,
+def _check_exponent(x: np.ndarray, what: str,
                     gamma_eff: np.ndarray) -> None:
     """Refuse an exponent beyond _EXP_CAP in a stack of blocks, one entry
     of ``gamma_eff`` per block; the message names the first offending
@@ -177,21 +176,6 @@ def _guard_exponent(x: np.ndarray, buf: np.ndarray, what: str,
     message and block."""
     if not np.maximum.reduce(np.abs(x, out=buf), None) <= _EXP_CAP:
         _check_exponent(x, what, gamma_eff)
-
-
-def _check_integer(name: str, value) -> int:
-    """``value`` as an int; refuses (ValueError) a value that is not an
-    integer, a bool included."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
-
-
-def _check_count(name: str, value, least: int) -> None:
-    """Refuse a grid count that is not an integer of at least ``least``."""
-    _check_integer(name, value)
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _cumulative_simpson_chunks(f, n: int, dx: float, chunk: int):
@@ -255,12 +239,14 @@ class GridSpec:
     delta_z: float
 
     def __post_init__(self) -> None:
-        _check_count("n_time", self.n_time, 1)
-        _check_count("n_space", self.n_space, 3)
+        check_count("n_time", self.n_time, 1)
+        check_count("n_space", self.n_space, 3)
         if not math.isfinite(self.z_min):
             raise ValueError(f"z_min must be finite, got {self.z_min}")
         if not (self.delta_t > 0.0 and self.delta_z > 0.0):
             raise ValueError("grid steps must be positive")
+        if not self.delta_t < math.inf:
+            raise ValueError(f"delta_t must be finite, got {self.delta_t}")
         if self.delta_z >= 2.0:
             # The upwind-free discretization of -p_z keeps both off-diagonal
             # signs only for dz < 2; coarser grids are rejected outright.
@@ -283,7 +269,7 @@ class GridSpec:
         """
         if not (math.isfinite(strike) and strike > 0.0):
             raise ValueError(f"strike must be positive, got {strike}")
-        _check_count("n_time", n_time, 1)
+        check_count("n_time", n_time, 1)
         if not width > 0.0:
             raise ValueError(f"width must be > 0, got {width}")
         dt = params.T / n_time
@@ -333,7 +319,7 @@ def _kept_rows(grid: GridSpec, keep) -> tuple[int, ...]:
     refused by value."""
     if keep is None:
         return tuple(range(grid.n_time + 1))
-    rows = sorted({_check_integer("keep row", i) for i in keep})
+    rows = sorted({check_integer("keep row", i) for i in keep})
     if not rows:
         raise ValueError("keep must name at least one time row")
     if rows[0] < 0 or rows[-1] > grid.n_time:
@@ -410,15 +396,13 @@ class PriceSurface:
         nodes.  Vectorized over spot."""
         x, p0, d1, d2 = self._stencil(spot, t)
         dz = self.grid.delta_z
-        out = p0 + x * d1 / (2.0 * dz) + 0.5 * x * x * d2 / (dz * dz)
-        return out if np.ndim(out) else float(out)
+        return p0 + x * d1 / (2.0 * dz) + 0.5 * x * x * d2 / (dz * dz)
 
     def delta(self, spot, t: float = 0.0):
         """dP/dS at (t, spot) from the same local quadratic, divided by S."""
         x, _, d1, d2 = self._stencil(spot, t)
         dz = self.grid.delta_z
-        out = (d1 / (2.0 * dz) + x * d2 / (dz * dz)) / np.asarray(spot, dtype=float)
-        return out if np.ndim(out) else float(out)
+        return (d1 / (2.0 * dz) + x * d2 / (dz * dz)) / np.asarray(spot, dtype=float)
 
 
 def _block_rows(table: np.ndarray, m: int):
@@ -505,10 +489,6 @@ class _Stepper:
                 "the step coefficients are outside the range the scheme "
                 "supports")
         return x
-
-
-def _terminal(payoff: Payoff, grid: GridSpec) -> np.ndarray:
-    return np.asarray(payoff.value(grid.spot_nodes()), dtype=float)
 
 
 def _march(grid: GridSpec, terminal: tuple[np.ndarray, ...], step,
@@ -613,7 +593,7 @@ def solve_indifference(params: ModelParams, payoff: Payoff, grid: GridSpec,
     w_t = [math.exp(-v * grid.delta_t) for v in nu10_t.tolist()]
     nu01_t = nu01_t.tolist()
     # Scratch: two temporaries with (B, M) views for the guard.
-    h = np.tile(_terminal(payoff, grid), (blocks, 1))
+    h = np.tile(payoff.value(grid.spot_nodes()), (blocks, 1))
     a, b = np.empty((2, h.size))
     a_blocks, b_blocks = a.reshape(h.shape), b.reshape(h.shape)
 
@@ -738,7 +718,7 @@ def linear_price(params: ModelParams, payoff: Payoff, measure: str,
     keep = _kept_rows(grid, keep)
     step, _, _ = _linear_step(params, grid, (measure,),
                               _Stepper(grid, params.sigma0))
-    h = _terminal(payoff, grid)
+    h = payoff.value(grid.spot_nodes())
     p, q = _march(grid, (h, h), step, keep)
     return _linear_result(p, q, grid, keep)
 
@@ -785,7 +765,7 @@ def mmm_and_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
     (default: all).
     """
     keep = _kept_rows(grid, keep)
-    h = _terminal(payoff, grid)
+    h = payoff.value(grid.spot_nodes())
     span = float(np.max(h) - np.min(h))
     if not math.isfinite(span * span):
         raise NumericalError(
@@ -878,13 +858,12 @@ def _single_shock_base(params: ModelParams, payoff: Payoff, grid: GridSpec):
             "representable in double precision")
     m_grid = grid.times()
     spots = grid.spot_nodes()
-    pbs = np.asarray(_bs.bs_price(payoff, m_grid[:, None], spots[None, :],
-                                  params.sigma0), dtype=float)
+    pbs = _bs.bs_price(payoff, m_grid[:, None], spots[None, :], params.sigma0)
     wgt = nu10 * np.exp((nu10 - d0) * m_grid)
     cs0 = np.concatenate(([0.0], *_cumulative_simpson_chunks(
         lambda lo, hi: wgt[lo:hi], grid.n_time, grid.delta_t, _SOURCE_CHUNK)))
     decay = [math.exp(-nu10 * (params.T - t)) for t in m_grid.tolist()]
-    f0 = np.asarray(fac.F0(m_grid), dtype=float).tolist()
+    f0 = fac.F0(m_grid).tolist()
     return (pbs, wgt, decay, f0,
             params.nu01 * np.array(decay) * (cs0[::-1] + 1.0))
 

@@ -295,6 +295,22 @@ class TestExitCodes:
                      "--out", "-"]) == 2
         assert "cannot read config file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["missing/report.csv", "."])
+    def test_unwritable_output_path_exits_2(self, tmp_path, capsys, target):
+        """A path in a missing directory, or a directory, is named; the
+        report is not written anywhere."""
+        out = str(tmp_path / target)
+        assert main(["ttm", "--nsteps", "50", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write output file {out!r}" in captured.err
+
+    def test_failed_run_leaves_an_existing_output_untouched(self, tmp_path):
+        out = tmp_path / "report.csv"
+        out.write_text("kept\n")
+        assert main(["ttm", "--spots", "1,10", "--out", str(out)]) == 2
+        assert out.read_text() == "kept\n"
+
     def test_numerical_guard_exits_3(self, tmp_path, capsys):
         # nu10 = 800 trips the single-shock exponent cap during `price`
         path = write_config(tmp_path,
@@ -381,6 +397,8 @@ class TestExitCodes:
         ("ttm", "spot = 0.5\nspots = 100\n"),     # the anchor is named first
         ("hedge", "spots = 1, 10\n"),
         ("hedge", "spots = 10, 100\ncontracts = -1\n"),
+        ("converge", "spot = 0.5\n"),             # on the first rung's grid
+        ("converge", "spots = 10, 100\n"),        # on the nsteps grid
     ])
     def test_off_grid_spots_are_refused_before_the_march(
             self, tmp_path, monkeypatch, capsys, command, config):
@@ -393,7 +411,8 @@ class TestExitCodes:
         def no_march(*args, **kwargs):
             raise AssertionError("marched before the spots were checked")
 
-        for name in ("linear_price", "solve_buyer", "solve_writer"):
+        for name in ("linear_price", "solve_buyer", "solve_writer",
+                     "mc_linear_price"):
             monkeypatch.setattr(cli, name, no_march)
         assert main(argv) == 2
         captured = capsys.readouterr()

@@ -102,6 +102,10 @@ class TestGridSpec:
             GridSpec(n_time=10, n_space=3, z_min=0.0, delta_t=0.1, delta_z=2.1)
         with pytest.raises(ValueError, match="n_space"):
             GridSpec(n_time=10, n_space=2, z_min=0.0, delta_t=0.1, delta_z=0.1)
+        # An infinite step would make times() compute 0 * inf = NaN.
+        with pytest.raises(ValueError, match="delta_t must be finite, got inf"):
+            GridSpec(n_time=10, n_space=5, z_min=0.0, delta_t=math.inf,
+                     delta_z=0.1)
 
     @pytest.mark.parametrize("z_min", [float("nan"), float("inf"), -float("inf")])
     def test_nonfinite_z_min_refused_by_value(self, z_min):
