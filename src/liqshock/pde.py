@@ -46,8 +46,9 @@ gives both prices and their spread.
 One backward march, ``_march``, owns the time loop and the surfaces for
 every march: the indifference system, the linear prices, the first-order
 expansion in gamma, and the single-shock variant, whose source integral is
-a cumulative Simpson rule over a Black-Scholes table, integrated a block
-of rows at a time as the march reaches them.  Each solve hands it only its
+a cumulative Simpson rule over Black-Scholes rows, each block of rows
+computed once and integrated as the march reaches it, so no march of
+``price`` holds an (N + 1) x M table.  Each solve hands it only its
 per-step update; the expansion step reuses the linear one for its zeroth
 order, and every march with switch intensities (linear, expansion and
 indifference) takes them from ``model.intensity_curve``.  A march stores
@@ -133,9 +134,10 @@ _EXP_CAP = 700.0
 _FIRST_STEP_MAX_ITER = 1000
 _ROUNDING = 4.0 * np.finfo(float).eps
 
-# Time rows of the single-shock source tables integrated at a time (even):
-# large enough that the per-block numpy calls cost little against the
-# march, small enough that the tables stay O(B * M).
+# Time rows of the single-shock source tables integrated at a time (even),
+# and about as many Black-Scholes rows computed at a time: large enough
+# that the per-block calls cost little against the march, small enough
+# that the tables stay O(B * M).
 _SOURCE_CHUNK = 32
 
 # Time rows of a per-block factor spread to full rows at a time.
@@ -184,6 +186,12 @@ def _cumulative_simpson_chunks(f, n: int, dx: float, chunk: int):
     ``f(lo, hi)``: yields rows 1 .. n in ascending blocks of at most
     ``chunk`` rows (``chunk`` even).
 
+    ``f`` is asked for every row exactly once, in adjacent ascending
+    ranges, at most one call per block: a block reads the last three rows
+    of the one before again, and those are kept rather than asked for
+    twice.  So ``f`` may compute its rows as it is asked for them, and only
+    about ``chunk`` rows of the table are held at once.
+
     The same arithmetic as scipy's ``cumulative_simpson(y, dx=dx, axis=0,
     initial=0.0)`` (scipy 1.17, equal intervals): interval [j, j + 1]
     takes the h1 formula d/3 (5 f_j/4 + 2 f_{j+1} - f_{j+2}/4) at even j
@@ -192,29 +200,55 @@ def _cumulative_simpson_chunks(f, n: int, dx: float, chunk: int):
     sub-integrals are summed in order, each block continuing from the last
     row of the one before; two rows take the trapezoid rule, as in scipy.
     So every block is bit-identical to the same rows of the whole table,
-    whatever ``chunk`` is, and only about ``chunk`` rows are held at once.
+    whatever ``chunk`` is.
     """
     if n == 1:
         y = f(0, 2)
         yield (dx * (y[1] + y[0]) / 2.0)[None]
         return
     d = dx / 3
+
+    def simpson(out, y0, y1, y2):
+        """out = d * (5 * y0 / 4 + 2 * y1 - y2 / 4), rounded as written,
+        with ``tmp`` as scratch."""
+        t = tmp[:len(out)]
+        np.multiply(5, y0, out=out)
+        np.divide(out, 4, out=out)
+        np.add(out, np.multiply(2, y1, out=t), out=out)
+        np.subtract(out, np.divide(y2, 4, out=t), out=out)
+        np.multiply(d, out, out=out)
+
     acc = None
     for a in range(0, n, chunk):            # chunk is even, so a is even
         b = min(a + chunk, n)               # this block's intervals a .. b - 1
+        hi = min(b + 2, n + 1)              # this block reads rows lo .. hi - 1
+        if a == 0:
+            rows = f(0, hi)
+            # The rows a block reads, and scratch, allocated once: a block's
+            # large temporaries would make the allocator return and fault
+            # in the same pages again block after block.
+            buf = np.empty((chunk + 3,) + rows.shape[1:])
+            tmp = np.empty((chunk // 2 + 1,) + rows.shape[1:])
+            y = buf[:hi]
+            y[...] = rows
+        else:
+            # Rows a - 1 .. a + 1, the last three the block before read; a
+            # lone last interval needs no new row.
+            buf[:3] = y[-3:]
+            y = buf[:3 + hi - (a + 2)]
+            if hi > a + 2:
+                y[3:] = f(a + 2, hi)
         lo = max(a - 1, 0)                  # a lone last interval reads row a - 1
-        y = f(lo, min(b + 2, n + 1))
         o, m = a - lo, b - a
         # h1 on the even intervals but the table's last one, h2 on the rest.
         ne = (m + 1) // 2 - int(b == n and m % 2 == 1)
         sub = np.empty((m,) + y.shape[1:])
-        sub[0:2 * ne:2] = d * (5 * y[o:o + 2 * ne:2] / 4
-                               + 2 * y[o + 1:o + 2 * ne + 1:2]
-                               - y[o + 2:o + 2 * ne + 2:2] / 4)
-        sub[1::2] = d * (5 * y[o + 2:o + m + 1:2] / 4 + 2 * y[o + 1:o + m:2]
-                         - y[o:o + m - 1:2] / 4)
+        simpson(sub[0:2 * ne:2], y[o:o + 2 * ne:2], y[o + 1:o + 2 * ne + 1:2],
+                y[o + 2:o + 2 * ne + 2:2])
+        simpson(sub[1::2], y[o + 2:o + m + 1:2], y[o + 1:o + m:2],
+                y[o:o + m - 1:2])
         if b == n:
-            sub[-1] = d * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
+            simpson(sub[-1:], y[-1:], y[-2:-1], y[-3:-2])
         if acc is not None:
             sub[0] += acc
         np.cumsum(sub, axis=0, out=sub)
@@ -834,14 +868,17 @@ def asymptotic_expansion(params: ModelParams, payoff: Payoff,
 
 
 def _single_shock_base(params: ModelParams, payoff: Payoff, grid: GridSpec):
-    """Grid tables shared by every single-shock march of one payoff.
+    """Grid data shared by every single-shock march of one payoff.
 
-    Returns (pbs, wgt, decay, f0, c_lin): the Black-Scholes table
-    pbs[k, j] = P_BS(m_k, S_j) (row 0 is the payoff h), the weight
+    Returns (h, pbs_rows, wgt, decay, f0, c_lin): the payoff row h_j =
+    h(S_j), the Black-Scholes row source pbs_rows(lo, hi) giving rows
+    lo .. hi - 1 of the table P_BS(m_k, S_j) (its row 0 is h), the weight
     wgt[k] = nu10 e^{(nu10 - d0) m_k}, the per-step lists
     decay[i] = e^{-nu10 (T - t_i)} and f0[i] = F0(t_i) (single-shock
     factors), and the array c_lin[i] = nu01 decay[i] (CS0[N - i] + 1),
     where CS0[k] = int_0^{m_k} wgt dm is the payoff-free weight integral.
+    No (N + 1) x M table is built: a march asks ``pbs_rows`` for each
+    block of rows as its Simpson integral reaches it.
     CS0 matters because e^{-nu10 (T-t)} (CS0 + 1) is exactly the
     shock-regime discount factor F1 of this single-shock problem;
     assembling the 1/gamma constant from CS0 rather than the closed form
@@ -858,40 +895,51 @@ def _single_shock_base(params: ModelParams, payoff: Payoff, grid: GridSpec):
             "representable in double precision")
     m_grid = grid.times()
     spots = grid.spot_nodes()
-    pbs = _bs.bs_price(payoff, m_grid[:, None], spots[None, :], params.sigma0)
+
+    def pbs_rows(lo: int, hi: int) -> np.ndarray:
+        return _bs.bs_price(payoff, m_grid[lo:hi, None], spots[None, :],
+                            params.sigma0)
+
     wgt = nu10 * np.exp((nu10 - d0) * m_grid)
     cs0 = np.concatenate(([0.0], *_cumulative_simpson_chunks(
         lambda lo, hi: wgt[lo:hi], grid.n_time, grid.delta_t, _SOURCE_CHUNK)))
     decay = [math.exp(-nu10 * (params.T - t)) for t in m_grid.tolist()]
     f0 = fac.F0(m_grid).tolist()
-    return (pbs, wgt, decay, f0,
+    # bs_price returns the payoff itself at m = 0, so h is P_BS's row 0.
+    return (payoff.value(spots), pbs_rows, wgt, decay, f0,
             params.nu01 * np.array(decay) * (cs0[::-1] + 1.0))
 
 
-def _single_shock_source(pbs: np.ndarray, wgt: np.ndarray, grid: GridSpec,
-                         gamma_eff: np.ndarray):
+def _single_shock_source(h: np.ndarray, pbs_rows, wgt: np.ndarray,
+                         grid: GridSpec, gamma_eff: np.ndarray):
     """Rows k = 1 .. N, in ascending order, of the source tables CS[b, k, j]
     = int_0^{m_k} wgt(m) e^{-gamma_eff[b] (P_BS(m, S_j) - h_j)} dm, one
     block per entry of ``gamma_eff``, each with its own guards; block b is
-    bit-identical to a table built for gamma_eff[b] alone.  ``pbs`` is
-    overwritten by the time value P_BS - h.
+    bit-identical to a table built for gamma_eff[b] alone.
 
-    The exponent guard covers every block's whole table before the first
-    row.  The rows are integrated _SOURCE_CHUNK at a time as the march
-    reaches them, each block of rows checked for positivity before its
-    first row is yielded, so the stack holds O(B * M) of them rather than
-    B whole (N + 1) x M tables.
+    The rows are integrated _SOURCE_CHUNK at a time as the march reaches
+    them, so the stack holds O(B * M) of them rather than B whole
+    (N + 1) x M tables.  Each block of Black-Scholes rows is asked of
+    ``pbs_rows`` once, turned into time values P_BS - h and checked by the
+    exponent guard before its exponentials are taken, so a time value
+    beyond the cap is refused as the march reaches it, naming that block's
+    largest one.  Each block of integrated rows is checked for positivity
+    before its first row is yielded.
     """
-    tv = pbs
-    tv -= pbs[0].copy()
-    # max |tv| without a second whole table; np.maximum keeps a NaN.
-    tv_max = float(np.maximum(tv.max(), -tv.min()))
-    # max |g * tv| is g * max |tv| exactly: rounding is monotone.
-    _check_exponent(gamma_eff * tv_max, "gamma_eff * time value", gamma_eff)
     neg_g = -gamma_eff[None, :, None]
+    # The integrand rows of a block, allocated once for the reason the
+    # Simpson helper gives; it copies them out before the next call.
+    buf = np.empty((_SOURCE_CHUNK + 2, gamma_eff.size, grid.n_space))
 
     def integrand(lo: int, hi: int) -> np.ndarray:
-        y = np.exp(neg_g * tv[lo:hi, None, :])
+        tv = pbs_rows(lo, hi)
+        tv -= h
+        # max |tv| without a second block; np.maximum keeps a NaN.
+        tv_max = float(np.maximum(tv.max(), -tv.min()))
+        # max |g * tv| is g * max |tv| exactly: rounding is monotone.
+        _check_exponent(gamma_eff * tv_max, "gamma_eff * time value", gamma_eff)
+        y = np.multiply(neg_g, tv[:, None, :], out=buf[:hi - lo])
+        np.exp(y, out=y)
         y *= wgt[lo:hi, None, None]
         return y
 
@@ -918,13 +966,21 @@ def _single_shock_source(pbs: np.ndarray, wgt: np.ndarray, grid: GridSpec,
 def solve_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
                        quantities, keep=None) -> list[PriceSurface]:
     """Per-contract single-shock buyer surfaces, one per positive quantity,
-    marched in one pass on one Black-Scholes table.
+    marched in one pass over one stream of Black-Scholes rows.
 
     Each quantity gets its own block, utility scale gamma_eff = quantity *
     gamma, source table and guards (a guard names the block's gamma_eff),
     and its surface is bit-identical to ``solve_single_shock_buyer`` at
     that quantity.  ``keep`` lists the time-row indices to store (default:
-    all).
+    all); with one row kept the march holds O(B * M * _SOURCE_CHUNK)
+    doubles, no (N + 1) x M table.
+
+    The Black-Scholes rows are computed a Simpson block at a time as the
+    march reaches them, and the exponent guard checks each block's time
+    values before its exponentials are taken.  So a time value beyond the
+    cap is refused mid-march, at the first block of rows where any
+    quantity's passes it; the message names the first such quantity in
+    stack order and that block's largest gamma_eff * |P_BS - h|.
 
     The shock-regime value is an explicit functional of Black-Scholes
     prices (one recovery at most), entering the tradeable-regime equation
@@ -945,10 +1001,11 @@ def solve_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
         if qty <= 0.0:
             raise ValueError(f"buyer solve requires quantity > 0, got {qty}")
     keep = _kept_rows(grid, keep)
-    pbs, wgt, decay, f0, c_lin = _single_shock_base(params, payoff, grid)
+    h, pbs_rows, wgt, decay, f0, c_lin = _single_shock_base(params, payoff,
+                                                            grid)
     blocks, m = gs.size, grid.n_space
-    h = np.tile(pbs[0], blocks)
-    source = _single_shock_source(pbs, wgt, grid, gs)
+    source = _single_shock_source(h, pbs_rows, wgt, grid, gs)
+    h = np.tile(h, blocks)
     n = grid.n_time
     dt = _const(grid.delta_t)
     g = np.repeat(gs, m)                # each node's gamma_eff
@@ -1036,18 +1093,26 @@ def single_shock_zero_order(params: ModelParams, payoff: Payoff,
     coefficient is assembled from the same quadrature tables as the
     nonlinear single-shock march, making this the exact gamma -> 0 limit
     of that scheme: the difference p_check(gamma) - p_check0 is then a
-    pure gamma-order quantity with no discretisation floor.
+    pure gamma-order quantity with no discretisation floor.  The
+    Black-Scholes rows are computed a Simpson block at a time as the march
+    reaches them, so the surface, which keeps every row, is the one whole
+    (N + 1) x M table it holds.
     """
-    pbs, wgt, decay, f0, c_lin = _single_shock_base(params, payoff, grid)
+    h, pbs_rows, wgt, decay, f0, c_lin = _single_shock_base(params, payoff,
+                                                            grid)
     keep = _kept_rows(grid, None)
-    h = pbs[0].copy()
     n = grid.n_time
     dt = grid.delta_t
     # Rows k = 1 .. n of the source table CS1[k] = int_0^{m_k} wgt P_BS dm,
-    # integrated _SOURCE_CHUNK rows at a time as the march reaches them.
+    # integrated _SOURCE_CHUNK rows at a time as the march reaches them,
+    # each block of Black-Scholes rows computed once.
+    def integrand(lo: int, hi: int) -> np.ndarray:
+        y = pbs_rows(lo, hi)
+        y *= wgt[lo:hi, None]
+        return y
+
     cs1 = (row for rows in _cumulative_simpson_chunks(
-        lambda lo, hi: wgt[lo:hi, None] * pbs[lo:hi], n, dt, _SOURCE_CHUNK)
-        for row in rows)
+        integrand, n, dt, _SOURCE_CHUNK) for row in rows)
     stepper = _Stepper(grid, params.sigma0)
     # diag uses kappa(gamma -> 0) = nu01 decay (cs0 + 1) / F0 and the
     # coupling uses the same decay/F0 scaling, mirroring the nonlinear

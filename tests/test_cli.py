@@ -449,6 +449,18 @@ class TestExitCodes:
         assert "strike = 1e+308 puts the grid's largest spot beyond" \
             in captured.err
 
+    @pytest.mark.parametrize("contracts", ["1000", "1,1000"])
+    def test_late_time_value_guard_exits_3(self, contracts, capsys):
+        """At gamma_eff = 1000 on 300 steps only the later Black-Scholes
+        rows pass the exponent cap, so the single-shock guard trips during
+        the march, at the block of rows that first reaches it."""
+        assert main(["price", "--contracts", contracts, "--spots", "10",
+                     "--nsteps", "300", "--out", "-"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "gamma_eff * time value|" in captured.err
+        assert "at gamma_eff = 1000;" in captured.err
+
     def test_unresolved_single_shock_table_exits_3(self, tmp_path, capsys):
         # gamma_eff = 40 on 500 steps: the digital's Simpson source table
         # reaches -545 next to the strike, which would make the shock

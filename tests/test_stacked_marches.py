@@ -23,6 +23,7 @@ import pytest
 from scipy.integrate import cumulative_simpson
 
 import liqshock
+import liqshock.cli as cli
 from liqshock import (
     GridSpec,
     NumericalError,
@@ -163,6 +164,16 @@ def first_step_iterations(params, payoff, grid, monkeypatch) -> int:
     return len(calls) - (grid.n_time - 1)
 
 
+def traced_peak(fn) -> int:
+    """tracemalloc peak of a call of fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSingleShockStack:
     @pytest.mark.parametrize("kind, quantities", [
         ("vanilla_call", (1.0, 10.0, 3.0)),
@@ -205,13 +216,8 @@ class TestSingleShockStack:
     def extra_peak(params, grid) -> int:
         """tracemalloc peak of an eight-buyer stack over a one-buyer one."""
         def peak(quantities) -> int:
-            tracemalloc.start()
-            try:
-                solve_single_shock(params, Payoff("vanilla_call", STRIKE), grid,
-                                   quantities, (0,))
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: solve_single_shock(
+                params, Payoff("vanilla_call", STRIKE), grid, quantities, (0,)))
 
         return peak([float(n) for n in range(1, 9)]) - peak([1.0])
 
@@ -224,41 +230,108 @@ class TestSingleShockStack:
 
     def test_memory_per_extra_buyer_is_a_few_source_chunks(self, params, grid):
         """What a buyer adds is its source-chunk state: the integrand rows,
-        the exponent temporary and the integrated chunk, each _SOURCE_CHUNK
-        (+ 3) rows x M, about four such chunks in all.  A whole table per
-        buyer would be N / _SOURCE_CHUNK ~ 9.4 chunks at N = 300."""
+        the rows a Simpson block reads, half a chunk of scratch, and the
+        integrated chunk of this block and of the one before, each
+        _SOURCE_CHUNK (+ 3) rows x M, about five such chunks in all.  A
+        whole table per buyer would be N / _SOURCE_CHUNK ~ 9.4 chunks at
+        N = 300."""
         chunk = pde._SOURCE_CHUNK * grid.n_space * 8
         assert self.extra_peak(params, grid) / 7 <= 6 * chunk
 
-    def test_one_buyer_holds_about_one_table(self, params, grid_default):
-        """The Black-Scholes table is the one whole (N + 1) x M table of a
-        single-shock march: its time values overwrite it in place, and the
-        exponent guard takes their largest magnitude without a second
-        table."""
+    def test_one_buyer_holds_under_a_quarter_table(self, params, grid_default):
+        """No whole (N + 1) x M table is left in a single-shock march: the
+        Black-Scholes rows are computed a Simpson block at a time as the
+        march reaches them, turned into time values and guarded there."""
         table = (grid_default.n_time + 1) * grid_default.n_space * 8
-        tracemalloc.start()
-        try:
-            solve_single_shock(params, Payoff("vanilla_call", STRIKE),
-                               grid_default, [1.0], (0,))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * table
+        peak = traced_peak(lambda: solve_single_shock(
+            params, Payoff("vanilla_call", STRIKE), grid_default, [1.0], (0,)))
+        assert peak < table / 4
 
-    def test_zero_order_holds_the_table_and_its_surface(self, params,
-                                                        grid_default):
-        """The gamma -> 0 single-shock march keeps every row, so it holds its
-        surface next to the Black-Scholes table; its source rows are
-        integrated a chunk at a time, not as a third whole table."""
+    def test_zero_order_holds_its_surface_and_source_chunks(self, params,
+                                                            grid_default):
+        """The gamma -> 0 single-shock march keeps every row, so its surface
+        is one whole table; its Black-Scholes rows and source rows are
+        computed and integrated a chunk at a time, not as further tables."""
         table = (grid_default.n_time + 1) * grid_default.n_space * 8
-        tracemalloc.start()
-        try:
-            single_shock_zero_order(params, Payoff("vanilla_call", STRIKE),
-                                    grid_default)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * table
+        peak = traced_peak(lambda: single_shock_zero_order(
+            params, Payoff("vanilla_call", STRIKE), grid_default))
+        assert peak <= 1.25 * table
+
+    @pytest.mark.parametrize("argv", [
+        ["price"],
+        ["price", "--nsteps", "8000", "--contracts", "1"]],
+        ids=["default", "nsteps-8000"])
+    def test_price_holds_under_half_a_table(self, argv):
+        """`price` stores row 0 of each march and streams the single-shock
+        Black-Scholes rows, so it never holds an (N + 1) x M table; at
+        N = 8000 a table is about 69 MB."""
+        cfg = cli.load_config(cli.build_parser().parse_args(argv))
+        grid = cfg.grid()
+        table = (grid.n_time + 1) * grid.n_space * 8
+        assert traced_peak(lambda: cli.cmd_price(cfg)) < table / 2
+
+    @pytest.mark.parametrize("solve", ["stack", "zero_order"])
+    def test_every_black_scholes_row_is_computed_once(self, params, grid,
+                                                      monkeypatch, solve):
+        """Each time row of the Black-Scholes table is evaluated exactly
+        once, in ascending order, one bs_price call per Simpson block: the
+        rows that neighbouring blocks share are kept, not recomputed."""
+        ttms = []
+        bs_price = liqshock.bs.bs_price
+
+        def counted(payoff, ttm, spot, sigma):
+            ttms.append(np.array(ttm).ravel())
+            return bs_price(payoff, ttm, spot, sigma)
+
+        monkeypatch.setattr(liqshock.bs, "bs_price", counted)
+        payoff = Payoff("vanilla_call", STRIKE)
+        if solve == "stack":
+            solve_single_shock(params, payoff, grid, (1.0, 3.0), (0,))
+        else:
+            single_shock_zero_order(params, payoff, grid)
+        assert len(ttms) == len(range(0, grid.n_time, pde._SOURCE_CHUNK))
+        assert np.array_equal(np.concatenate(ttms), grid.times())
+
+    def test_exponent_guard_refuses_the_block_it_reaches(self, params, grid,
+                                                         monkeypatch):
+        """The time-value guard checks each block of Black-Scholes rows
+        before its exponentials: here a later block is the first whose
+        gamma_eff * |P_BS - h| passes the cap, and the message reports that
+        block's largest value, below the whole table's."""
+        payoff = Payoff("vanilla_call", STRIKE)
+        h = payoff.value(grid.spot_nodes())
+        blocks = []
+        bs_price = liqshock.bs.bs_price
+
+        def recorded(*args):
+            out = bs_price(*args)
+            blocks.append(np.max(np.abs(out - h)))
+            return out
+
+        monkeypatch.setattr(liqshock.bs, "bs_price", recorded)
+        with pytest.raises(NumericalError) as exc:
+            solve_single_shock(params, payoff, grid, (1.0, 1000.0), (0,))
+        assert len(blocks) > 1
+        assert all(1000.0 * v <= pde._EXP_CAP for v in blocks[:-1])
+        whole = np.max(np.abs(bs_price(payoff, grid.times()[:, None],
+                                       grid.spot_nodes(), params.sigma0) - h))
+        assert blocks[-1] < whole
+        assert (f"|gamma_eff * time value| reached {1000.0 * blocks[-1]:.6g} "
+                "> 700 at gamma_eff = 1000;") in str(exc.value)
+
+    @pytest.mark.parametrize("quantities, named", [
+        ((1.0, 2000.0, 1000.0), 2000.0),
+        ((1.0, 1000.0, 2000.0), 2000.0)])
+    def test_exponent_guard_names_the_first_block_to_trip(
+            self, params, grid, quantities, named):
+        """The guard trips at the first block of rows where any buyer's
+        time value passes the cap and names the first such buyer in stack
+        order; a larger gamma_eff reaches the cap in an earlier block."""
+        with pytest.raises(NumericalError,
+                           match=rf"time value\| reached .* at gamma_eff = "
+                                 rf"{named:g};"):
+            solve_single_shock(params, Payoff("vanilla_call", STRIKE), grid,
+                               quantities)
 
     def test_stacked_exponent_guard_names_the_first_offending_block(self):
         x = np.zeros((3, 4))
@@ -469,13 +542,25 @@ def test_cumulative_simpson_rounds_as_scipy(n_rows):
 
 @pytest.mark.parametrize("chunk", [2, 4, 64])
 def test_cumulative_simpson_chunks_equal_the_whole_table(chunk):
+    """Blocks of any size give the whole table's rows, and the row
+    function is asked for each row once: adjacent ascending ranges, at
+    most one per block."""
     rng = np.random.default_rng(chunk)
     for n_rows in (2, 3, 4, 5, 6, 7, 8, 9, 301):
         y = np.exp(3.0 * rng.standard_normal((n_rows, 3, 7)))
         dx = 1.0 / (n_rows - 1)
-        blocks = list(pde._cumulative_simpson_chunks(
-            lambda lo, hi: y[lo:hi], n_rows - 1, dx, chunk))
+        ranges = []
+
+        def rows(lo, hi):
+            ranges.append((lo, hi))
+            return y[lo:hi]
+
+        blocks = list(pde._cumulative_simpson_chunks(rows, n_rows - 1, dx,
+                                                     chunk))
         assert all(len(block) <= chunk for block in blocks)
+        assert len(ranges) <= len(blocks)
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+        assert ranges[-1][1] == n_rows
         ref = cumulative_simpson(y, dx=dx, axis=0, initial=0.0)
         assert np.array_equal(np.concatenate(blocks), ref[1:])
 
