@@ -28,7 +28,9 @@ Every numeric function follows one return rule, numpy in, numpy out: it
 is vectorized over its array arguments by numpy broadcasting and returns
 an array of the broadcast shape, 0-d (a 0-d array or a numpy float64) when
 every argument is a scalar.  Callers that need a Python float call
-``float()``.
+``float()``.  The two oracles are the exceptions: ``single_shock_memm_price``
+and ``mc_linear_price`` price one scalar spot per call and refuse an array
+spot (ValueError).
 """
 
 from .bs import (BSQuote, ImpliedTTM, adjusted_ttm, bs_greeks, bs_price,
@@ -40,10 +42,9 @@ from .model import (MEASURES, PAYOFF_KINDS, IntensityCurve, MertonFactors,
                     ModelParams, Payoff, SingleShockFactors, intensity_curve,
                     merton_factors, single_shock_factors)
 from .pde import (AsymptoticBundle, GridSpec, HedgeReport, LinearPriceResult,
-                  PriceSurface, asymptotic_expansion, hedge_report,
-                  linear_price, mmm_and_expansion, single_shock_zero_order,
-                  solve_buyer, solve_indifference, solve_single_shock,
-                  solve_single_shock_buyer, solve_writer)
+                  PriceSurface, hedge_report, linear_price, mmm_and_expansion,
+                  single_shock_zero_order, solve_buyer, solve_indifference,
+                  solve_single_shock, solve_writer)
 
 __version__ = "0.1.0"
 
@@ -83,9 +84,7 @@ __all__ = [
     "solve_buyer",
     "solve_writer",
     "solve_single_shock",
-    "solve_single_shock_buyer",
     "single_shock_zero_order",
-    "asymptotic_expansion",
     "hedge_report",
     # Monte Carlo oracle
     "MCEstimate",

@@ -97,7 +97,7 @@ def single_shock_memm_price(params: ModelParams, payoff: Payoff, t: float,
     """
     if not (0.0 <= t < params.T):
         raise ValueError(f"need 0 <= t < T={params.T}, got t={t}")
-    _bs.check_spot(spot)
+    _bs.check_spot(spot, scalar=True)
     if params.nu01 == 0.0:
         # No shock can arrive; the price is plain Black-Scholes.
         return float(_bs.bs_price(payoff, params.T - t, spot, params.sigma0))

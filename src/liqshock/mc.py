@@ -298,7 +298,7 @@ def mc_linear_price(params: ModelParams, payoff: Payoff, measure: str,
     deviation (ddof=1) over sqrt(n_paths).
     """
     curve = intensity_curve(params, measure)
-    _bs.check_spot(spot)
+    _bs.check_spot(spot, scalar=True)
     ttm = sample_realized_ttm(curve, params.T, 0, seed, n_paths)
     vals = _bs.bs_price(payoff, ttm, spot, params.sigma0)
     return MCEstimate(mean=float(np.mean(vals)),

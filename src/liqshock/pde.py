@@ -94,7 +94,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv
@@ -117,9 +117,7 @@ __all__ = [
     "solve_buyer",
     "solve_writer",
     "solve_single_shock",
-    "solve_single_shock_buyer",
     "single_shock_zero_order",
-    "asymptotic_expansion",
     "hedge_report",
 ]
 
@@ -853,20 +851,6 @@ def mmm_and_expansion(params: ModelParams, payoff: Payoff, grid: GridSpec,
     return _linear_result(p_lin[0], q_lin[0], grid, keep), bundle
 
 
-def asymptotic_expansion(params: ModelParams, payoff: Payoff,
-                         grid: GridSpec) -> AsymptoticBundle:
-    """March the small-gamma expansion system (MEMM intensities): p0/q0 are
-    the linear MEMM prices, p1/q1 carry source -(1/2) nu01(t) (q0 - p0)^2
-    and are nonpositive node by node.  The one expansion march also marches
-    the MMM price (see ``mmm_and_expansion``); it is dropped here."""
-    bundle = mmm_and_expansion(params, payoff, grid)[1]
-    # p0/q0 are views into the two-block stacks, so the bundle returned
-    # holds copies of them: no view of the stacks outlives this call, which
-    # frees their MMM blocks.
-    p0, q0 = (replace(s, values=s.values.copy()) for s in (bundle.p0, bundle.q0))
-    return replace(bundle, p0=p0, q0=q0)
-
-
 def _single_shock_base(params: ModelParams, payoff: Payoff, grid: GridSpec):
     """Grid data shared by every single-shock march of one payoff.
 
@@ -966,12 +950,15 @@ def _single_shock_source(h: np.ndarray, pbs_rows, wgt: np.ndarray,
 def solve_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
                        quantities, keep=None) -> list[PriceSurface]:
     """Per-contract single-shock buyer surfaces, one per positive quantity,
-    marched in one pass over one stream of Black-Scholes rows.
+    marched in one pass over one stream of Black-Scholes rows: the price
+    when only the first shock is priced (recovery is absorbing).
+    Buyer-only: the writer direction would need e^{+gamma h} inside the
+    source integral, which overflows for unbounded payoffs.
 
     Each quantity gets its own block, utility scale gamma_eff = quantity *
     gamma, source table and guards (a guard names the block's gamma_eff),
-    and its surface is bit-identical to ``solve_single_shock_buyer`` at
-    that quantity.  ``keep`` lists the time-row indices to store (default:
+    and its surface is bit-identical to a one-quantity call at that
+    quantity.  ``keep`` lists the time-row indices to store (default:
     all); with one row kept the march holds O(B * M * _SOURCE_CHUNK)
     doubles, no (N + 1) x M table.
 
@@ -1071,15 +1058,6 @@ def solve_single_shock(params: ModelParams, payoff: Payoff, grid: GridSpec,
 
     p = _march(grid, (h.reshape(blocks, m),), step, keep)[0]
     return [PriceSurface(p_q, grid, 0, keep) for p_q in p]
-
-
-def solve_single_shock_buyer(params: ModelParams, payoff: Payoff,
-                             grid: GridSpec) -> PriceSurface:
-    """Per-contract buyer price when only the first shock is priced
-    (recovery is absorbing).  Buyer-only: the writer direction would need
-    e^{+gamma h} inside the source integral, which overflows for unbounded
-    payoffs."""
-    return solve_single_shock(params, payoff, grid, [payoff.quantity])[0]
 
 
 def single_shock_zero_order(params: ModelParams, payoff: Payoff,

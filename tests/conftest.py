@@ -13,11 +13,11 @@ from liqshock import (
     GridSpec,
     ModelParams,
     Payoff,
-    asymptotic_expansion,
     linear_price,
+    mmm_and_expansion,
     single_shock_zero_order,
     solve_buyer,
-    solve_single_shock_buyer,
+    solve_single_shock,
     solve_writer,
 )
 
@@ -79,8 +79,8 @@ def bundles(params, grid_default):
 
     def get(kind: str):
         if kind not in cache:
-            cache[kind] = asymptotic_expansion(
-                params, Payoff(kind, STRIKE, 1.0), grid_default)
+            cache[kind] = mmm_and_expansion(
+                params, Payoff(kind, STRIKE, 1.0), grid_default)[1]
         return cache[kind]
 
     return get
@@ -99,8 +99,8 @@ def single_shock_solved(params, grid_default):
                 cache[key] = single_shock_zero_order(
                     params, Payoff(kind, STRIKE, 1.0), grid_default)
             else:
-                cache[key] = solve_single_shock_buyer(
-                    params, Payoff(kind, STRIKE, float(n)), grid_default)
+                cache[key] = solve_single_shock(
+                    params, Payoff(kind, STRIKE), grid_default, [n])[0]
         return cache[key]
 
     return get

@@ -290,6 +290,16 @@ class TestExitCodes:
         assert main(["price", "--config", path, "--out", "-"]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, argv, text", [
+        ("spots", ["--spots", ","], ""),
+        ("contracts", [], "contracts =\n"),
+    ])
+    def test_empty_list_exits_2_naming_the_key(self, tmp_path, capsys, key,
+                                               argv, text):
+        path = write_config(tmp_path, text)
+        assert main(["price", "--config", path, *argv, "--out", "-"]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["price", "--config", str(tmp_path / "nope.cfg"),
                      "--out", "-"]) == 2

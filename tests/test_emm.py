@@ -151,6 +151,13 @@ class TestSingleShockMemm:
         with pytest.raises(ValueError):
             single_shock_memm_price(params, payoff, 0.0, -1.0)
 
+    def test_array_spot_refused_by_name(self, params):
+        """The quadrature prices one scalar spot; an array is refused before
+        any quadrature, naming ``spot``."""
+        payoff = Payoff("vanilla_call", STRIKE)
+        with pytest.raises(ValueError, match=r"spot must be a scalar.*\(2,\)"):
+            single_shock_memm_price(params, payoff, 0.0, np.array([9.0, 10.0]))
+
 
 class TestSpread:
     def test_vanilla_call_spread_positive(self, linear_solved):

@@ -30,13 +30,13 @@ from liqshock import (
     GridSpec,
     ModelParams,
     Payoff,
-    asymptotic_expansion,
     intensity_curve,
     linear_price,
+    mmm_and_expansion,
     sample_realized_ttm,
     single_shock_zero_order,
     solve_indifference,
-    solve_single_shock_buyer,
+    solve_single_shock,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -68,12 +68,12 @@ def linear_surfaces(params: ModelParams, kind: str) -> dict[str, np.ndarray]:
         res = linear_price(params, unit, measure, grid)
         out[f"{measure}_p"] = res.surface_p.values
         out[f"{measure}_q"] = res.surface_q.values
-    bundle = asymptotic_expansion(params, unit, grid)
+    bundle = mmm_and_expansion(params, unit, grid)[1]
     for name in ("p0", "q0", "p1", "q1"):
         out[f"expansion_{name}"] = getattr(bundle, name).values
     for n in (1, 10):
-        out[f"single_shock_n{n}"] = solve_single_shock_buyer(
-            params, Payoff(kind, STRIKE, float(n)), grid).values
+        out[f"single_shock_n{n}"] = solve_single_shock(
+            params, unit, grid, [n])[0].values
     out["single_shock_zero_order"] = single_shock_zero_order(
         params, unit, grid).values
     return out

@@ -22,6 +22,7 @@ from liqshock import (
     single_shock_memm_price,
 )
 from conftest import STRIKE
+from liqshock import mc
 from oracle_occupation import constant_intensity_price, occupation_mean
 
 
@@ -138,3 +139,11 @@ class TestMcLinearPrice:
             mc_linear_price(params, payoff, "physical?", 10.0, 1000, seed=1)
         with pytest.raises(ValueError, match="spot"):
             mc_linear_price(params, payoff, "MMM", -1.0, 1000, seed=1)
+
+    def test_array_spot_refused_before_sampling(self, params, monkeypatch):
+        """The estimator prices one scalar spot; an array is refused by name
+        before any path is sampled."""
+        monkeypatch.setattr(mc, "sample_realized_ttm", None)
+        with pytest.raises(ValueError, match=r"spot must be a scalar.*\(2,\)"):
+            mc_linear_price(params, Payoff("vanilla_call", STRIKE), "MMM",
+                            np.array([10.0, 11.0]), 1000, seed=1)

@@ -5,10 +5,11 @@ No module imports a ``_``-prefixed name from another one, or reads one
 through an imported module, so a private helper's layout is known to the
 one module that defines it.  Every module-level import is used,
 re-exported through ``__all__``, or bound because the benchmark's span
-tracer (``perfbench/spans.py``) patches it in that module by name.  Every
-module-level ``_``-prefixed function, class or constant is read by name in
-the module that defines it.  The project configures no linter, so these
-checks are tests."""
+tracer (``perfbench/spans.py``) patches it in that module by name, and so
+is every module-level alias of a public name (``name = other_name``).
+Every module-level ``_``-prefixed function, class or constant is read by
+name in the module that defines it.  The project configures no linter, so
+these checks are tests."""
 
 from __future__ import annotations
 
@@ -54,10 +55,8 @@ def test_no_module_imports_private_names_of_another():
     assert found == {}
 
 
-def unused_imports(path: Path, patched: set[str]) -> list[str]:
-    """Names bound by the module-level imports of ``path`` that the module
-    never reads, lists in ``__all__`` or has patched by the tracer."""
-    tree = parse(path)
+def imported_names(tree: ast.Module) -> list[str]:
+    """Names bound by the module-level imports of ``tree``."""
     bound = []
     for node in tree.body:
         if isinstance(node, ast.Import):
@@ -65,6 +64,24 @@ def unused_imports(path: Path, patched: set[str]) -> list[str]:
                       for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             bound += [alias.asname or alias.name for alias in node.names]
+    return bound
+
+
+def aliased_names(tree: ast.Module) -> list[str]:
+    """Public names that a module-level assignment binds to another name
+    (``solve_x = solve_y``)."""
+    return [target.id for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name)
+            for target in node.targets
+            if isinstance(target, ast.Name) and not target.id.startswith("_")]
+
+
+def unused_bindings(path: Path, patched: set[str], binder) -> list[str]:
+    """Names that ``binder`` finds bound at module level in ``path`` and
+    that the module never reads, lists in ``__all__`` or has patched by
+    the tracer."""
+    tree = parse(path)
+    bound = binder(tree)
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     exported = set()
@@ -77,16 +94,39 @@ def unused_imports(path: Path, patched: set[str]) -> list[str]:
     return [name for name in bound if name not in kept]
 
 
-def test_every_module_level_import_is_used():
+def unused(binder) -> dict[str, list[str]]:
+    """Per module file, the names ``binder`` finds that are not kept."""
     targets = load_spans().TARGETS
     found = {}
     for path in sorted(SRC.glob("*.py")):
         module = f"liqshock.{path.stem}"
         patched = {attr for module_name, attr, _, _ in targets
                    if module_name == module}
-        if names := unused_imports(path, patched):
+        if names := unused_bindings(path, patched, binder):
             found[path.name] = names
-    assert found == {}
+    return found
+
+
+def test_every_module_level_import_is_used():
+    assert unused(imported_names) == {}
+
+
+def test_every_public_alias_is_used():
+    """An alias kept only for the tracer goes once no target patches it."""
+    assert unused(aliased_names) == {}
+
+
+def test_an_unkept_alias_is_found(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("__all__ = ['exported']\n"
+                      "def solve(): pass\n"
+                      "spare = solve\n"
+                      "exported = solve\n"
+                      "patched = solve\n"
+                      "read = solve\n"
+                      "_private = solve\n"
+                      "print(read)\n", encoding="utf-8")
+    assert unused_bindings(module, {"patched"}, aliased_names) == ["spare"]
 
 
 def dead_private_names(path: Path) -> list[str]:

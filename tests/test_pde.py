@@ -26,7 +26,6 @@ from liqshock import (
     NumericalError,
     Payoff,
     PriceSurface,
-    asymptotic_expansion,
     adjusted_ttm,
     bs_greeks,
     bs_price,
@@ -36,7 +35,7 @@ from liqshock import (
     single_shock_memm_price,
     solve_buyer,
     solve_indifference,
-    solve_single_shock_buyer,
+    solve_single_shock,
     solve_writer,
 )
 from conftest import SPOTS, STRIKE
@@ -191,7 +190,7 @@ class TestNoShockDegeneracy:
 
     def test_single_shock_is_black_scholes(self):
         payoff = Payoff("digital_call", STRIKE, 1.0)
-        p = solve_single_shock_buyer(self.quiet, payoff, self.grid)
+        p = solve_single_shock(self.quiet, payoff, self.grid, [1.0])[0]
         ref = float(bs_price(payoff, 1.0, 10.0, 0.3))
         assert p.quote(10.0) == pytest.approx(ref, abs=2e-4)
 
@@ -338,16 +337,16 @@ class TestAsymptoticExpansion:
 class TestSingleShock:
     def test_buyer_only(self, params, grid_default):
         with pytest.raises(ValueError, match="quantity > 0"):
-            solve_single_shock_buyer(params, Payoff("vanilla_call", STRIKE, -1.0),
-                                     grid_default)
+            solve_single_shock(params, Payoff("vanilla_call", STRIKE),
+                               grid_default, [-1.0])
 
     def test_small_gamma_matches_quadrature(self):
         """Dual route at small risk aversion: the nonlinear march must land
         on the independent linear quadrature to first order."""
         small = make_params(gamma=1e-3)
         grid = GridSpec.build(small, STRIKE)
-        surf = solve_single_shock_buyer(small, Payoff("digital_call", STRIKE, 1.0),
-                                        grid)
+        surf = solve_single_shock(small, Payoff("digital_call", STRIKE), grid,
+                                  [1.0])[0]
         for spot in SPOTS:
             ref = single_shock_memm_price(small, Payoff("digital_call", STRIKE),
                                           0.0, spot)
@@ -370,15 +369,15 @@ class TestSingleShock:
         fast = make_params(nu10=800.0)
         grid = GridSpec.build(fast, STRIKE, n_time=300)
         with pytest.raises(NumericalError, match="exponent cap"):
-            solve_single_shock_buyer(fast, Payoff("digital_call", STRIKE, 1.0),
-                                     grid)
+            solve_single_shock(fast, Payoff("digital_call", STRIKE), grid,
+                               [1.0])
 
     def test_risk_aversion_exponent_guard(self):
         hot = make_params(gamma=1e4)
         grid = GridSpec.build(hot, STRIKE, n_time=300)
         with pytest.raises(NumericalError, match="exponent guard"):
-            solve_single_shock_buyer(hot, Payoff("digital_call", STRIKE, 1.0),
-                                     grid)
+            solve_single_shock(hot, Payoff("digital_call", STRIKE), grid,
+                               [1.0])
 
 
 class TestRiskAversionSweep:

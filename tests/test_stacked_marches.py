@@ -29,13 +29,11 @@ from liqshock import (
     NumericalError,
     Payoff,
     PriceSurface,
-    asymptotic_expansion,
     linear_price,
     mmm_and_expansion,
     single_shock_zero_order,
     solve_indifference,
     solve_single_shock,
-    solve_single_shock_buyer,
 )
 from conftest import STRIKE
 from liqshock import pde
@@ -67,7 +65,7 @@ class TestKeptRowsEqualFullMarch:
 
     def test_expansion_and_two_block_linear_pass(self, params, grid, keep):
         unit = Payoff("digital_call", STRIKE)
-        full = asymptotic_expansion(params, unit, grid)
+        full = mmm_and_expansion(params, unit, grid)[1]
         full_mmm = linear_price(params, unit, "MMM", grid)
         mmm, bundle = mmm_and_expansion(params, unit, grid, keep)
         for name in ("p0", "q0", "p1", "q1"):
@@ -148,7 +146,7 @@ class TestKeptRowSurface:
         assert kept.quote(10.0) == full.quote(10.0)
 
 
-def first_step_iterations(params, payoff, grid, monkeypatch) -> int:
+def first_step_iterations(params, kind, n, grid, monkeypatch) -> int:
     """Newton iterations of a solo single-shock march's first step: every
     other step makes one tridiagonal solve."""
     calls = []
@@ -160,7 +158,7 @@ def first_step_iterations(params, payoff, grid, monkeypatch) -> int:
 
     with monkeypatch.context() as m:
         m.setattr(pde._Stepper, "solve", counted)
-        solve_single_shock_buyer(params, payoff, grid)
+        solve_single_shock(params, Payoff(kind, STRIKE), grid, [n])
     return len(calls) - (grid.n_time - 1)
 
 
@@ -183,14 +181,13 @@ class TestSingleShockStack:
                                       quantities):
         """Blocks whose first-step Newton converges in fewer iterations are
         frozen while the others iterate on, so each stays bit-identical."""
-        iterations = {first_step_iterations(params, Payoff(kind, STRIKE, n),
-                                             grid, monkeypatch)
+        iterations = {first_step_iterations(params, kind, n, grid, monkeypatch)
                       for n in quantities}
         assert len(iterations) > 1
         stacked = solve_single_shock(params, Payoff(kind, STRIKE), grid,
                                      quantities)
         for n, surf in zip(quantities, stacked):
-            solo = solve_single_shock_buyer(params, Payoff(kind, STRIKE, n), grid)
+            solo = solve_single_shock(params, Payoff(kind, STRIKE), grid, [n])[0]
             assert np.array_equal(surf.values, solo.values)
             assert surf.regime == solo.regime == 0
 
@@ -486,30 +483,9 @@ class TestLinearPass:
         ref_mmm = linear_price(params, unit, "MMM", grid)
         assert np.array_equal(mmm.surface_p.values, ref_mmm.surface_p.values)
         assert np.array_equal(mmm.surface_q.values, ref_mmm.surface_q.values)
-        ref = asymptotic_expansion(params, unit, grid)
+        ref = mmm_and_expansion(params, unit, grid)[1]
         assert np.array_equal(bundle.p1.values, ref.p1.values)
         assert np.array_equal(bundle.q1.values, ref.q1.values)
-
-
-    def test_standalone_bundle_owns_its_surfaces(self, params):
-        """``asymptotic_expansion`` keeps no view into the two-block march,
-        so the MMM block is freed: the bundle holds its four surfaces and
-        no more, bit-identical to ``mmm_and_expansion``'s."""
-        grid = GridSpec.build(params, STRIKE, n_time=N_TIME)
-        unit = Payoff("vanilla_put", STRIKE)
-        tracemalloc.start()
-        try:
-            bundle = asymptotic_expansion(params, unit, grid)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        surface_bytes = (N_TIME + 1) * grid.n_space * 8
-        assert held < 4.5 * surface_bytes
-        _, ref = mmm_and_expansion(params, unit, grid)
-        for name in ("p0", "q0", "p1", "q1"):
-            values = getattr(bundle, name).values
-            assert values.base is None
-            assert np.array_equal(values, getattr(ref, name).values)
 
 
 @pytest.mark.parametrize("quantity", [1.0, -5.0])
