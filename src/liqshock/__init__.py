@@ -30,7 +30,9 @@ an array of the broadcast shape, 0-d (a 0-d array or a numpy float64) when
 every argument is a scalar.  Callers that need a Python float call
 ``float()``.  The two oracles are the exceptions: ``single_shock_memm_price``
 and ``mc_linear_price`` price one scalar spot per call and refuse an array
-spot (ValueError).
+spot (ValueError).  A valuation time ``t`` is always a scalar:
+``single_shock_memm_price``, ``hedge_report`` and the ``PriceSurface``
+reads refuse an array ``t`` by name.
 """
 
 from .bs import (BSQuote, ImpliedTTM, adjusted_ttm, bs_greeks, bs_price,

@@ -89,14 +89,10 @@ def _first_bad(values: np.ndarray, ok: np.ndarray, what: str) -> None:
         raise ValueError(f"{what}, got {float(values[bad[0]])}")
 
 
-def check_spot(spot, scalar: bool = False) -> None:
+def check_spot(spot) -> None:
     """Refuse (ValueError) a spot that is not positive and finite, naming
-    the first such value, and with ``scalar`` one that is not a scalar;
-    the one spot rule of the package."""
+    the first such value; the one spot rule of the package."""
     s = np.asarray(spot, dtype=float)
-    if scalar and s.ndim:
-        raise ValueError(
-            f"spot must be a scalar, got an array of shape {s.shape}")
     # A NaN fails every comparison, so it is refused with the infinities.
     _first_bad(s.ravel(), (s > 0.0) & (s < math.inf),
                "spot must be positive and finite")

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import bs as _bs
-from .errors import NumericalError
+from .errors import NumericalError, check_scalar
 from .model import ModelParams, Payoff, single_shock_factors
 
 __all__ = ["single_shock_memm_price"]
@@ -95,9 +95,11 @@ def single_shock_memm_price(params: ModelParams, payoff: Payoff, t: float,
     1e-8; more than 12 doublings raises NumericalError.  Requires
     0 <= t < T and a spot within the model's support.
     """
+    check_scalar("t", t)
+    check_scalar("spot", spot)
     if not (0.0 <= t < params.T):
         raise ValueError(f"need 0 <= t < T={params.T}, got t={t}")
-    _bs.check_spot(spot, scalar=True)
+    _bs.check_spot(spot)
     if params.nu01 == 0.0:
         # No shock can arrive; the price is plain Black-Scholes.
         return float(_bs.bs_price(payoff, params.T - t, spot, params.sigma0))

@@ -1,4 +1,5 @@
-"""Exception types and the integer rule shared across the package."""
+"""Exception types and the integer and scalar rules shared across the
+package."""
 
 from __future__ import annotations
 
@@ -19,6 +20,14 @@ def check_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def check_scalar(name: str, value) -> None:
+    """Refuse (ValueError) an array of one or more dimensions, by name and
+    shape; a 0-d array passes."""
+    shape = np.shape(value)
+    if shape:
+        raise ValueError(f"{name} must be a scalar, got an array of shape {shape}")
 
 
 def check_count(name: str, value, least: int) -> None:

@@ -8,13 +8,18 @@ discretization is needed; only the chain is sampled, exactly.
 Sampling is counter-based: round r's draws are the uniform vectors of
 length n_paths that numpy's Philox4x64-10 generator keyed by (seed, r,
 purpose) fills, so path i's r-th draw is a pure function of (seed, r, i)
-and results do not depend on how many paths are still alive.  A round
-keeps the live paths' index, regime, clock and liquid time as compact
-arrays and works through them in blocks of ``_BLOCK`` paths, so its
-temporaries stay cache-sized.  A dense round takes its draws from the
-filled vectors; a sparse one (at most ``_SPARSE_FRACTION`` of the paths
-live) computes them only at the live indices, straight from the Philox
-counter (``_live_uniforms``), with the same bits.  One thinning kernel,
+and results depend neither on how many paths are still alive nor on the
+order the paths run in.  The sampler is chunk-major: it takes each chunk
+of ``_CHUNK`` consecutive paths through all of its rounds before it
+starts the next, so it holds O(``_CHUNK``) memory besides its n_paths
+result.  A round keeps its chunk's live paths' offset, regime, clock and
+liquid time as compact arrays and works through them in blocks of
+``_BLOCK`` paths, so its temporaries stay cache-sized.  A dense round
+fills the chunk's window of the round's vectors, with the Philox counter
+set to the chunk's first path (``_round_uniforms``); a sparse one (at
+most ``_SPARSE_FRACTION`` of the chunk live) computes the draws only at
+the live indices, straight from the counter (``_live_uniforms``).  Both
+give the bits of the whole vectors.  One thinning kernel,
 ``sample_realized_ttm``, serves all three measures: time-dependent
 intensities are sampled by thinning against a precomputed curve bound,
 constant intensities accept every candidate (which reduces thinning to
@@ -22,7 +27,7 @@ plain exponential sojourns), and the single-shock curve makes the first
 recovery absorbing.
 
 A candidate whose intensity reaches its bound is accepted whatever its
-acceptance draw, so a dense round fills the acceptance vector (purpose 1)
+acceptance draw, so a dense round fills its acceptance window (purpose 1)
 only when one of its blocks holds a candidate below its bound, once, at
 the first such block.  MMM, and MEMM at d0 = 0, never fill it; MEMM and
 single-shock curves fill it in every dense round.  This depends only on
@@ -39,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bs as _bs
-from .errors import NumericalError, check_count, check_integer
+from .errors import NumericalError, check_count, check_integer, check_scalar
 from .model import IntensityCurve, ModelParams, Payoff, intensity_curve
 
 __all__ = [
@@ -53,10 +58,13 @@ logger = logging.getLogger(__name__)
 _MIN_PATHS = 100
 # Relative headroom allowed before declaring the thinning bound violated.
 _BOUND_SLACK = 1e-12
+# Consecutive paths per chunk; a chunk runs through all its rounds before
+# the next starts, so the sampler's state is chunk-sized.  A multiple of 4.
+_CHUNK = 2 ** 17
 # Live paths per block of a thinning round (temporaries of 64 KB each).
 _BLOCK = 8192
-# A round with at most this fraction of the paths live computes its draws
-# at the live indices instead of filling two n_paths vectors.
+# A round with at most this fraction of its chunk's paths live computes
+# its draws at the live indices instead of filling the two chunk buffers.
 _SPARSE_FRACTION = 1.0 / 32.0
 
 # Philox4x64-10 (Salmon et al. 2011) as numpy's Philox bit generator runs
@@ -87,11 +95,19 @@ def _validate_seed(seed: int) -> int:
 
 
 def _round_uniforms(seed: int, round_idx: int, purpose: int,
-                    out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with uniforms in [0, 1) for one round; key = (seed,
-    round, purpose)."""
+                    out: np.ndarray, start: int = 0) -> np.ndarray:
+    """Fill ``out`` with entries start, start + 1, .. of one round's
+    uniform vector in [0, 1); key = (seed, round, purpose).
+
+    The generator's counter is set to ``start // 4``, the position of
+    entry ``start`` (see ``_live_uniforms``), so the fill equals the same
+    slice of a fill from entry 0; ``start`` must be a multiple of 4.
+    """
+    if start % 4:
+        raise ValueError(f"start must be a multiple of 4, got {start}")
     key = (seed << 64) | (round_idx * 8 + purpose)
-    np.random.Generator(np.random.Philox(key=key)).random(out=out)
+    np.random.Generator(np.random.Philox(key=key, counter=start // 4)).random(
+        out=out)
     return out
 
 
@@ -156,6 +172,14 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
     intensities are defined on [0, T]).  Under the 'MEMM_single_shock'
     curve at most one shock occurs: the chain starts liquid (regime 0) and
     its first recovery is absorbing (liquid for good).
+
+    The paths run chunk-major, ``_CHUNK`` consecutive indices at a time,
+    each chunk through all of its rounds.  Path i's draws are Philox
+    outputs at counter positions fixed by (seed, round, i), so the result
+    is bit-identical whatever the chunk size.  Besides the result the call
+    holds O(``_CHUNK``) memory: the chunk's live-path state and its two
+    uniform windows, allocated once.  One DEBUG record gives the whole
+    call's acceptance ratio and candidate count.
     """
     seed = _validate_seed(seed)
     check_count("n_paths", n_paths, _MIN_PATHS)
@@ -177,111 +201,121 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
     # A candidate whose intensity reaches a normal, finite bound b is
     # accepted whatever its draw: u * b < b for every u in [0, 1).
     exact_bounds = all(b == 0.0 or _TINY <= b < math.inf for b in bounds)
-    # The live paths' index (ascending), regime, clock and liquid time so
-    # far; a round compacts its survivors to the front, in order.  A path
-    # writes its result to ``liquid`` when it retires.
-    idx = np.arange(n_paths)
-    state = np.full(n_paths, start_regime, dtype=np.int8)
-    t_cur = np.zeros(n_paths)
-    acc_liq = np.zeros(n_paths)
+    # The result is allocated first, so an impossible n_paths fails at once.
     liquid = np.empty(n_paths)
-    u_s = u_a = None
-    n_live = n_paths
+    # The current chunk's live paths: offset in the chunk (ascending),
+    # regime, clock and liquid time so far; a round compacts its survivors
+    # to the front, in order.  A path writes its result to ``liquid`` when
+    # it retires.  These and the two uniform buffers are chunk-sized and
+    # serve every chunk.
+    size = min(_CHUNK, n_paths)
+    idx = np.empty(size, dtype=np.intp)
+    state = np.empty(size, dtype=np.int8)
+    t_cur = np.empty(size)
+    acc_liq = np.empty(size)
+    u_s, u_a = np.empty(size), np.empty(size)
     cap = _round_cap(horizon, max(bounds))
     n_cand = 0
     n_acc = 0
-    r = 0
-    while n_live:
-        if r >= cap:
-            raise NumericalError(
-                f"thinning did not terminate within {cap} rounds "
-                f"(bounds={bounds}, horizon={horizon})")
-        sparse = n_live <= _SPARSE_FRACTION * n_paths
-        if not sparse:
-            if u_s is None:
-                u_s, u_a = np.empty(n_paths), np.empty(n_paths)
-            _round_uniforms(seed, r, 0, u_s)
-        # The acceptance vector is filled on the round's first block that
-        # can reject a candidate (never when every candidate is certain).
-        filled = False
-        kept = 0
-        for lo in range(0, n_live, _BLOCK):
-            hi = min(lo + _BLOCK, n_live)
-            ix = idx[lo:hi]
-            if sparse:
-                us, ua = _live_uniforms(seed, r, ix)
-            else:
-                us = u_s[ix]
-            st = state[lo:hi]
-            t_old = t_cur[lo:hi]
-            liq = acc_liq[lo:hi]
-            m0 = st == 0
-            neg_rate = np.where(m0, neg_rates[0], neg_rates[1])
-            # us is a copy: the exponential waits are computed in place.
-            w = np.log1p(np.negative(us, out=us), out=us)
-            if all_positive:
-                w /= neg_rate
-            else:
-                with np.errstate(divide="ignore"):
-                    w = np.where(neg_rate < 0.0, w / neg_rate, np.inf)
-            # Liquid time accrues along regime-0 stretches up to the
-            # horizon, whether or not the candidate switch is accepted.
-            # Adding 0.0 leaves every other entry (all >= 0) unchanged.
-            liq += np.where(m0, np.minimum(w, horizon - t_old), 0.0)
-            t_new = t_old + w
-            going = ~(t_new >= horizon)
-            past = np.flatnonzero(~going)
-            liquid[ix.take(past)] = np.minimum(liq.take(past), horizon)
-            # Integer takes: boolean-mask indexing costs several times more
-            # on these irregular masks.
-            sel = np.flatnonzero(going)
-            if not sel.size:
-                continue
-            ix, tc, st, liq = (ix.take(sel), t_new.take(sel), st.take(sel),
-                               liq.take(sel))
-            m0 = st == 0
-            nu_c = np.empty(ix.size)
-            for ri, fn in ((np.flatnonzero(m0), curve.nu01),
-                           (np.flatnonzero(~m0), curve.nu10)):
-                if ri.size:
-                    nu_c[ri] = fn(tc.take(ri))
-            bnd = np.where(m0, bounds[0], bounds[1])
-            if np.any(nu_c > bnd * (1.0 + _BOUND_SLACK)):
+    for c0 in range(0, n_paths, _CHUNK):
+        m = min(_CHUNK, n_paths - c0)
+        res = liquid[c0:c0 + m]
+        idx[:m] = np.arange(m)
+        state[:m] = start_regime
+        t_cur[:m] = 0.0
+        acc_liq[:m] = 0.0
+        n_live = m
+        r = 0
+        while n_live:
+            if r >= cap:
                 raise NumericalError(
-                    "intensity exceeded its thinning bound; the curve bound "
-                    "is not a true upper bound")
-            if exact_bounds and np.all(nu_c >= bnd):
-                acc = np.ones(ix.size, dtype=bool)
-            else:
-                if not (sparse or filled):
-                    _round_uniforms(seed, r, 1, u_a)
-                    filled = True
-                ua = ua.take(sel) if sparse else u_a[ix]
-                acc = ua * bnd < nu_c
-            n_cand += ix.size
-            n_acc += int(np.count_nonzero(acc))
-            if absorbing:
-                # An absorbing recovery: the rest of the horizon accrues
-                # and the path retires.
-                retire = acc & ~m0
-                out = np.flatnonzero(retire)
-                liquid[ix.take(out)] = np.minimum(
-                    liq.take(out) + (horizon - tc.take(out)), horizon)
-                stay = np.flatnonzero(~retire)
-                ix, tc, st, liq, acc = (ix.take(stay), tc.take(stay),
-                                        st.take(stay), liq.take(stay),
-                                        acc.take(stay))
-            st ^= acc
-            # Survivors move to the front; kept <= lo, and the right-hand
-            # sides above are copies, so no unread entry is overwritten.
-            nxt = kept + ix.size
-            idx[kept:nxt] = ix
-            state[kept:nxt] = st
-            t_cur[kept:nxt] = tc
-            acc_liq[kept:nxt] = liq
-            kept = nxt
-        n_live = kept
-        r += 1
+                    f"thinning did not terminate within {cap} rounds "
+                    f"(bounds={bounds}, horizon={horizon})")
+            sparse = n_live <= _SPARSE_FRACTION * m
+            if not sparse:
+                _round_uniforms(seed, r, 0, u_s[:m], start=c0)
+            # The acceptance buffer is filled on the round's first block
+            # that can reject a candidate (never when every candidate is
+            # certain).
+            filled = False
+            kept = 0
+            for lo in range(0, n_live, _BLOCK):
+                hi = min(lo + _BLOCK, n_live)
+                ix = idx[lo:hi]
+                if sparse:
+                    us, ua = _live_uniforms(seed, r, ix + c0)
+                else:
+                    us = u_s[ix]
+                st = state[lo:hi]
+                t_old = t_cur[lo:hi]
+                liq = acc_liq[lo:hi]
+                m0 = st == 0
+                neg_rate = np.where(m0, neg_rates[0], neg_rates[1])
+                # us is a copy: the exponential waits are computed in place.
+                w = np.log1p(np.negative(us, out=us), out=us)
+                if all_positive:
+                    w /= neg_rate
+                else:
+                    with np.errstate(divide="ignore"):
+                        w = np.where(neg_rate < 0.0, w / neg_rate, np.inf)
+                # Liquid time accrues along regime-0 stretches up to the
+                # horizon, whether or not the candidate switch is accepted.
+                # Adding 0.0 leaves every other entry (all >= 0) unchanged.
+                liq += np.where(m0, np.minimum(w, horizon - t_old), 0.0)
+                t_new = t_old + w
+                going = ~(t_new >= horizon)
+                past = np.flatnonzero(~going)
+                res[ix.take(past)] = np.minimum(liq.take(past), horizon)
+                # Integer takes: boolean-mask indexing costs several times
+                # more on these irregular masks.
+                sel = np.flatnonzero(going)
+                if not sel.size:
+                    continue
+                ix, tc, st, liq = (ix.take(sel), t_new.take(sel),
+                                   st.take(sel), liq.take(sel))
+                m0 = st == 0
+                nu_c = np.empty(ix.size)
+                for ri, fn in ((np.flatnonzero(m0), curve.nu01),
+                               (np.flatnonzero(~m0), curve.nu10)):
+                    if ri.size:
+                        nu_c[ri] = fn(tc.take(ri))
+                bnd = np.where(m0, bounds[0], bounds[1])
+                if np.any(nu_c > bnd * (1.0 + _BOUND_SLACK)):
+                    raise NumericalError(
+                        "intensity exceeded its thinning bound; the curve "
+                        "bound is not a true upper bound")
+                if exact_bounds and np.all(nu_c >= bnd):
+                    acc = np.ones(ix.size, dtype=bool)
+                else:
+                    if not (sparse or filled):
+                        _round_uniforms(seed, r, 1, u_a[:m], start=c0)
+                        filled = True
+                    ua = ua.take(sel) if sparse else u_a[ix]
+                    acc = ua * bnd < nu_c
+                n_cand += ix.size
+                n_acc += int(np.count_nonzero(acc))
+                if absorbing:
+                    # An absorbing recovery: the rest of the horizon
+                    # accrues and the path retires.
+                    retire = acc & ~m0
+                    out = np.flatnonzero(retire)
+                    res[ix.take(out)] = np.minimum(
+                        liq.take(out) + (horizon - tc.take(out)), horizon)
+                    stay = np.flatnonzero(~retire)
+                    ix, tc, st, liq, acc = (ix.take(stay), tc.take(stay),
+                                            st.take(stay), liq.take(stay),
+                                            acc.take(stay))
+                st ^= acc
+                # Survivors move to the front; kept <= lo, and the right-hand
+                # sides above are copies, so no unread entry is overwritten.
+                nxt = kept + ix.size
+                idx[kept:nxt] = ix
+                state[kept:nxt] = st
+                t_cur[kept:nxt] = tc
+                acc_liq[kept:nxt] = liq
+                kept = nxt
+            n_live = kept
+            r += 1
     if n_cand:
         logger.debug("thinning acceptance ratio %.4f over %d candidates "
                      "(measure=%s)", n_acc / n_cand, n_cand, curve.measure)
@@ -298,8 +332,12 @@ def mc_linear_price(params: ModelParams, payoff: Payoff, measure: str,
     deviation (ddof=1) over sqrt(n_paths).
     """
     curve = intensity_curve(params, measure)
-    _bs.check_spot(spot, scalar=True)
-    ttm = sample_realized_ttm(curve, params.T, 0, seed, n_paths)
-    vals = _bs.bs_price(payoff, ttm, spot, params.sigma0)
+    check_scalar("spot", spot)
+    _bs.check_spot(spot)
+    # Passed straight on, the clocks are freed once bs_price returns,
+    # before np.std allocates.
+    vals = _bs.bs_price(
+        payoff, sample_realized_ttm(curve, params.T, 0, seed, n_paths), spot,
+        params.sigma0)
     return MCEstimate(mean=float(np.mean(vals)),
                       std_error=float(np.std(vals, ddof=1) / math.sqrt(n_paths)))

@@ -100,7 +100,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from . import bs as _bs
-from .errors import NumericalError, check_count, check_integer
+from .errors import NumericalError, check_count, check_integer, check_scalar
 from .model import ModelParams, Payoff, intensity_curve, single_shock_factors
 # Unused here; stays bound because perfbench/spans.py patches it by name.
 from .model import merton_factors  # noqa: F401
@@ -393,6 +393,7 @@ class PriceSurface:
             raise ValueError(f"regime must be 0 or 1, got {self.regime}")
 
     def _row_index(self, t: float) -> int:
+        check_scalar("t", t)
         x = t / self.grid.delta_t
         # A non-finite x has no nearest integer; -1 is refused below.
         i = round(x) if math.isfinite(x) else -1
@@ -1151,6 +1152,7 @@ def hedge_report(params: ModelParams, payoff: Payoff, surface: PriceSurface,
     call per clock and one implied-clock inversion; each element of the
     report equals the one its spot gets alone.
     """
+    check_scalar("t", t)
     if not (0.0 <= t < params.T):
         raise ValueError(f"need 0 <= t < T={params.T}, got t={t}")
     s = np.asarray(spot, dtype=float)

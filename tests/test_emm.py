@@ -158,6 +158,13 @@ class TestSingleShockMemm:
         with pytest.raises(ValueError, match=r"spot must be a scalar.*\(2,\)"):
             single_shock_memm_price(params, payoff, 0.0, np.array([9.0, 10.0]))
 
+    def test_array_t_refused_by_name(self, params):
+        """One valuation time per call: an array t is refused naming t,
+        not with numpy's ambiguous-truth-value error."""
+        payoff = Payoff("vanilla_call", STRIKE)
+        with pytest.raises(ValueError, match=r"t must be a scalar.*\(2,\)"):
+            single_shock_memm_price(params, payoff, np.array([0.0, 0.5]), 10.0)
+
 
 class TestSpread:
     def test_vanilla_call_spread_positive(self, linear_solved):

@@ -140,6 +140,16 @@ class TestPriceSurface:
             with pytest.raises(ValueError, match=re.escape(f"t={t} is not a grid time")):
                 read(t)
 
+    @pytest.mark.parametrize("t", [np.array([0.0, 0.5]), [0.0, 0.5]])
+    def test_array_time_refused_by_name(self, indiff_solved, t):
+        """A surface reads one time row; an array t is refused naming t
+        and its shape, not with numpy's conversion error."""
+        p, _ = indiff_solved("vanilla_call", 1.0)
+        for read in (p.row, lambda t: p.quote(10.0, t), lambda t: p.delta(10.0, t)):
+            with pytest.raises(ValueError, match=re.escape(
+                    "t must be a scalar, got an array of shape (2,)")):
+                read(t)
+
     def test_quote_outside_domain_rejected(self, indiff_solved):
         p, _ = indiff_solved("vanilla_call", 1.0)
         with pytest.raises(ValueError, match="domain"):
@@ -533,6 +543,13 @@ class TestHedgeReport:
         p, _ = indiff_solved("vanilla_call", 1.0)
         with pytest.raises(ValueError):
             hedge_report(params, payoff, p, params.T, 10.0)
+
+    def test_array_time_refused_by_name(self, params, indiff_solved):
+        payoff = Payoff("vanilla_call", STRIKE, 1.0)
+        p, _ = indiff_solved("vanilla_call", 1.0)
+        with pytest.raises(ValueError, match=re.escape(
+                "t must be a scalar, got an array of shape (2,)")):
+            hedge_report(params, payoff, p, np.array([0.0, 0.5]), 10.0)
 
 
 def test_sandwich_holds_at_the_gamma_eff_floor(params):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -88,9 +89,9 @@ def count_fills(monkeypatch) -> list[int]:
     purposes = []
     real = mc._round_uniforms
 
-    def spy(seed, round_idx, purpose, out):
+    def spy(seed, round_idx, purpose, out, start=0):
         purposes.append(purpose)
-        return real(seed, round_idx, purpose, out)
+        return real(seed, round_idx, purpose, out, start)
 
     monkeypatch.setattr(mc, "_round_uniforms", spy)
     return purposes
@@ -198,6 +199,105 @@ def test_live_uniforms_match_the_filled_vectors(seed, round_idx, n_paths):
         assert u.shape == (2, size)
         assert np.array_equal(u[0], thin[idx])
         assert np.array_equal(u[1], accept[idx])
+
+
+# 50,000 paths in chunks of 12,004: five chunks, the last one short.
+SHORT_CHUNK = 12_004
+
+
+def test_goldens_fit_one_shipped_chunk():
+    """At the shipped chunk size every stored digest comes from one chunk,
+    so the patched-chunk tests below are what runs them across chunks."""
+    assert GOLDENS["n_paths"] <= mc._CHUNK
+    assert -(-GOLDENS["n_paths"] // SHORT_CHUNK) == 5
+    assert GOLDENS["n_paths"] % SHORT_CHUNK
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_draws_match_digests_across_chunks(monkeypatch, name):
+    monkeypatch.setattr(mc, "_CHUNK", SHORT_CHUNK)
+    assert draw_digests(name) == GOLDENS["sets"][name]["digests"]
+
+
+def test_kinked_curve_matches_digests_across_chunks(monkeypatch):
+    monkeypatch.setattr(mc, "_CHUNK", SHORT_CHUNK)
+    assert kinked_digests() == GOLDENS["curves"]["nu01_kinked_at_half"][
+        "digests"]
+
+
+@pytest.mark.parametrize("measure,regime", [("MMM", 0), ("MMM", 1),
+                                            ("MEMM", 0), ("MEMM", 1),
+                                            ("MEMM_single_shock", 0)])
+def test_draws_independent_of_chunking(monkeypatch, params, measure, regime):
+    """Three shipped chunks, the last of 12 paths, draw what one chunk
+    holding every path draws."""
+    curve = intensity_curve(params, measure)
+    n = 2 * mc._CHUNK + 12
+    chunked = sample_realized_ttm(curve, params.T, regime, 29, n)
+    monkeypatch.setattr(mc, "_CHUNK", n)
+    assert np.array_equal(
+        chunked, sample_realized_ttm(curve, params.T, regime, 29, n))
+
+
+@pytest.mark.parametrize("n_paths", [1000, 40_003])
+def test_window_fill_is_the_slice_of_a_full_fill(n_paths):
+    """A fill from entry ``start`` sets the Philox counter there and
+    equals that slice of the fill from entry 0, short windows included."""
+    seed, round_idx = 20121, 7
+    for purpose in (0, 1):
+        full = mc._round_uniforms(seed, round_idx, purpose,
+                                  np.empty(n_paths))
+        last = (n_paths - 1) // 4 * 4
+        for start in (0, 4, n_paths // 8 * 4, last):
+            for size in (n_paths - start, min(5, n_paths - start)):
+                window = mc._round_uniforms(seed, round_idx, purpose,
+                                            np.empty(size), start=start)
+                assert np.array_equal(window, full[start:start + size])
+
+
+@pytest.mark.parametrize("start", [1, 2, 3, 6, 4097])
+def test_window_fill_refuses_unaligned_start(start):
+    with pytest.raises(ValueError, match="multiple of 4"):
+        mc._round_uniforms(0, 0, 0, np.empty(8), start=start)
+
+
+def test_one_acceptance_record_per_call(monkeypatch, params, caplog):
+    """A call over three chunks logs one record with the whole call's
+    acceptance ratio and candidate count, those of a one-chunk call."""
+    curve = intensity_curve(params, "MEMM")
+    n = 50_000
+
+    def record_args():
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="liqshock.mc"):
+            sample_realized_ttm(curve, params.T, 0, 37, n)
+        records = [r for r in caplog.records if r.name == "liqshock.mc"]
+        assert len(records) == 1
+        return records[0].args
+
+    whole = record_args()
+    monkeypatch.setattr(mc, "_CHUNK", 20_000)
+    chunked = record_args()
+    assert chunked[:2] == whole[:2]
+    assert 0.0 < whole[0] < 1.0 and whole[1] > n
+
+
+def traced_peak(params, n: int) -> int:
+    tracemalloc.start()
+    try:
+        mc_linear_price(params, Payoff("vanilla_call", 10.0), "MEMM", 10.0,
+                        n, seed=41)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_grows_by_the_result_alone(params):
+    """The sampler's working set is chunk-sized, so from 200k to 400k
+    paths the traced peak of a price grows by at most 10 bytes per added
+    path: the 8-byte result, not the per-path state."""
+    small, large = traced_peak(params, 200_000), traced_peak(params, 400_000)
+    assert large - small <= 10 * 200_000
 
 
 @pytest.mark.parametrize("measure", ["MMM", "MEMM", "MEMM_single_shock"])
