@@ -159,9 +159,10 @@ def _parse_int(key: str, value: str) -> int:
 
 def _parse_float_list(key: str, value: str) -> tuple[float, ...]:
     items = [piece.strip() for piece in value.split(",")]
-    if not any(items):
-        raise ValueError(f"config key {key!r}: expected a comma-separated list")
-    return tuple(_parse_float(key, piece) for piece in items if piece)
+    if not all(items):
+        raise ValueError(f"config key {key!r}: expected a comma-separated "
+                         f"list with no empty item, got {value!r}")
+    return tuple(_parse_float(key, piece) for piece in items)
 
 
 def _parse_payoff_kind(key: str, value: str) -> str:

@@ -17,14 +17,13 @@ liquid time as compact arrays and works through them in blocks of
 ``_BLOCK`` paths, so its temporaries stay cache-sized.  A dense round
 fills the chunk's window of the round's vectors, with the Philox counter
 set to the chunk's first path (``_round_uniforms``); a sparse one (at
-most ``_SPARSE_FRACTION`` of the chunk live) computes the draws only at
-the live indices, straight from the counter (``_live_uniforms``).  Both
-give the bits of the whole vectors.  One thinning kernel,
-``sample_realized_ttm``, serves all three measures: time-dependent
-intensities are sampled by thinning against a precomputed curve bound,
-constant intensities accept every candidate (which reduces thinning to
-plain exponential sojourns), and the single-shock curve makes the first
-recovery absorbing.
+most ``_SPARSE_FRACTION`` of the chunk live) writes both draws into the
+windows at the live offsets alone, straight from the counter
+(``_live_uniforms``).  One thinning kernel, ``sample_realized_ttm``,
+serves all three measures: time-dependent intensities are sampled by
+thinning against a precomputed curve bound, constant intensities accept
+every candidate (plain exponential sojourns), and the single-shock
+curve's first recovery enters regime 2, liquid at rate 0.
 
 A candidate whose intensity reaches its bound is accepted whatever its
 acceptance draw, so a dense round fills its acceptance window (purpose 1)
@@ -171,7 +170,8 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
     ``horizon`` must not exceed the curve's parameter horizon T (the tilted
     intensities are defined on [0, T]).  Under the 'MEMM_single_shock'
     curve at most one shock occurs: the chain starts liquid (regime 0) and
-    its first recovery is absorbing (liquid for good).
+    its first recovery enters regime 2, liquid for good (rate 0).  Curve
+    bounds that are not finite and >= 0 are refused (NumericalError).
 
     The paths run chunk-major, ``_CHUNK`` consecutive indices at a time,
     each chunk through all of its rounds.  Path i's draws are Philox
@@ -194,19 +194,28 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
     if horizon == 0.0:
         return np.zeros(n_paths)
     bounds = (curve.bound01, curve.bound10)
-    # Waits are log1p(-u) / -rate, which is -log1p(-u) / rate bit for bit;
-    # only a zero bound needs a where, to draw w = inf (no candidate).
-    neg_rates = (-bounds[0], -bounds[1])
-    all_positive = bounds[0] > 0.0 and bounds[1] > 0.0
-    # A candidate whose intensity reaches a normal, finite bound b is
-    # accepted whatever its draw: u * b < b for every u in [0, 1).
-    exact_bounds = all(b == 0.0 or _TINY <= b < math.inf for b in bounds)
+    for name, b in zip(("bound01", "bound10"), bounds):
+        if not 0.0 <= b < math.inf:
+            raise NumericalError(f"{name} must be finite and >= 0, got {b}")
+    # Regime 2 is liquid for good: the single-shock measure's accepted
+    # recovery enters it (a switch adds 1) and, at rate 0, the path accrues
+    # the rest of the horizon and retires the next round.  Waits are
+    # log1p(-u) / -rate, which is -log1p(-u) / rate bit for bit; as
+    # |log1p(-u)| < 37, a rate of at least 1e-300 gives a finite wait.
+    # Smaller rates go through a where: a zero rate draws w = inf (no
+    # candidate) even at u = 0 (-0.0 / -0.0); a tiny one overflows to inf.
+    neg_rates = np.array([-bounds[0], -bounds[1]] + [-0.0] * absorbing)
+    switch = np.add if absorbing else np.bitwise_xor
+    finite_waits = bool(np.all(neg_rates <= -1e-300))
+    # A candidate whose intensity reaches a normal bound b is accepted
+    # whatever its draw: u * b < b for every u in [0, 1).
+    exact_bounds = all(b == 0.0 or _TINY <= b for b in bounds)
     # The result is allocated first, so an impossible n_paths fails at once.
     liquid = np.empty(n_paths)
     # The current chunk's live paths: offset in the chunk (ascending),
     # regime, clock and liquid time so far; a round compacts its survivors
     # to the front, in order.  A path writes its result to ``liquid`` when
-    # it retires.  These and the two uniform buffers are chunk-sized and
+    # it retires.  These and the two uniform windows are chunk-sized and
     # serve every chunk.
     size = min(_CHUNK, n_paths)
     idx = np.empty(size, dtype=np.intp)
@@ -231,37 +240,36 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
                 raise NumericalError(
                     f"thinning did not terminate within {cap} rounds "
                     f"(bounds={bounds}, horizon={horizon})")
-            sparse = n_live <= _SPARSE_FRACTION * m
-            if not sparse:
+            # A sparse round writes both draws at its live offsets alone; a
+            # dense one fills the thinning window, and the acceptance
+            # window on its first block that can reject a candidate (never
+            # when every candidate is certain).
+            filled = n_live <= _SPARSE_FRACTION * m
+            if filled:
+                live = idx[:n_live]
+                u_s[live], u_a[live] = _live_uniforms(seed, r, live + c0)
+            else:
                 _round_uniforms(seed, r, 0, u_s[:m], start=c0)
-            # The acceptance buffer is filled on the round's first block
-            # that can reject a candidate (never when every candidate is
-            # certain).
-            filled = False
             kept = 0
             for lo in range(0, n_live, _BLOCK):
                 hi = min(lo + _BLOCK, n_live)
                 ix = idx[lo:hi]
-                if sparse:
-                    us, ua = _live_uniforms(seed, r, ix + c0)
-                else:
-                    us = u_s[ix]
                 st = state[lo:hi]
                 t_old = t_cur[lo:hi]
                 liq = acc_liq[lo:hi]
-                m0 = st == 0
-                neg_rate = np.where(m0, neg_rates[0], neg_rates[1])
+                neg_rate = neg_rates.take(st)
                 # us is a copy: the exponential waits are computed in place.
+                us = u_s.take(ix)
                 w = np.log1p(np.negative(us, out=us), out=us)
-                if all_positive:
+                if finite_waits:
                     w /= neg_rate
                 else:
-                    with np.errstate(divide="ignore"):
+                    with np.errstate(all="ignore"):
                         w = np.where(neg_rate < 0.0, w / neg_rate, np.inf)
-                # Liquid time accrues along regime-0 stretches up to the
-                # horizon, whether or not the candidate switch is accepted.
-                # Adding 0.0 leaves every other entry (all >= 0) unchanged.
-                liq += np.where(m0, np.minimum(w, horizon - t_old), 0.0)
+                # Liquid time accrues along regime-0 and regime-2 stretches
+                # up to the horizon, whether or not the candidate switch is
+                # accepted.  Adding 0.0 leaves every other entry unchanged.
+                liq += np.where(st != 1, np.minimum(w, horizon - t_old), 0.0)
                 t_new = t_old + w
                 going = ~(t_new >= horizon)
                 past = np.flatnonzero(~going)
@@ -287,25 +295,13 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
                 if exact_bounds and np.all(nu_c >= bnd):
                     acc = np.ones(ix.size, dtype=bool)
                 else:
-                    if not (sparse or filled):
+                    if not filled:
                         _round_uniforms(seed, r, 1, u_a[:m], start=c0)
                         filled = True
-                    ua = ua.take(sel) if sparse else u_a[ix]
-                    acc = ua * bnd < nu_c
+                    acc = u_a.take(ix) * bnd < nu_c
                 n_cand += ix.size
                 n_acc += int(np.count_nonzero(acc))
-                if absorbing:
-                    # An absorbing recovery: the rest of the horizon
-                    # accrues and the path retires.
-                    retire = acc & ~m0
-                    out = np.flatnonzero(retire)
-                    res[ix.take(out)] = np.minimum(
-                        liq.take(out) + (horizon - tc.take(out)), horizon)
-                    stay = np.flatnonzero(~retire)
-                    ix, tc, st, liq, acc = (ix.take(stay), tc.take(stay),
-                                            st.take(stay), liq.take(stay),
-                                            acc.take(stay))
-                st ^= acc
+                switch(st, acc, out=st)
                 # Survivors move to the front; kept <= lo, and the right-hand
                 # sides above are copies, so no unread entry is overwritten.
                 nxt = kept + ix.size

@@ -30,6 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = [
     "ModelParams",
     "Payoff",
@@ -222,15 +224,27 @@ def _one_minus_exp_over(delta: float, tau: np.ndarray) -> np.ndarray:
 
 
 def merton_factors(params: ModelParams) -> MertonFactors:
-    """Build the two-regime discount factors for the given parameters."""
+    """Build the two-regime discount factors for the given parameters;
+    NumericalError where F0 or F1 is not finite and positive."""
     d0, nu01, nu10, T = params.d0, params.nu01, params.nu10, params.T
     if nu01 == 0.0:
         # Roots collapse to {d0, nu10}; F0 = F2 and F1 has its own closed form.
         l1, l2 = max(d0, nu10), min(d0, nu10)
     else:
         l1, l2 = _stable_roots(d0 + nu01 + nu10, d0 * nu10)
-    return MertonFactors(d0=d0, nu01=nu01, nu10=nu10, T=T,
-                         lambda1=l1, lambda2=l2)
+    fac = MertonFactors(d0=d0, nu01=nu01, nu10=nu10, T=T,
+                        lambda1=l1, lambda2=l2)
+    # Each factor is a sum of two exponentials, so one that is positive at
+    # t = 0 and t = T is positive on [0, T].  A repeated root (nu01 tiny
+    # beside d0 = nu10) leaves the weights undefined.
+    with np.errstate(all="ignore"):
+        ends = (np.array(fac._factors(np.array([0.0, T])))
+                if nu01 == 0.0 or l1 > l2 else np.nan)
+    if not np.all((ends > 0.0) & (ends < math.inf)):
+        raise NumericalError(
+            "the discount factors F0, F1 are not finite and positive in "
+            f"double precision at d0={d0}, nu01={nu01}, nu10={nu10}")
+    return fac
 
 
 @dataclass(frozen=True)

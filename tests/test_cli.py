@@ -293,12 +293,36 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, argv, text", [
         ("spots", ["--spots", ","], ""),
         ("contracts", [], "contracts =\n"),
+        ("spots", ["--spots", "8,,10"], ""),
+        ("contracts", [], "contracts = 1,\n"),
     ])
     def test_empty_list_exits_2_naming_the_key(self, tmp_path, capsys, key,
                                                argv, text):
         path = write_config(tmp_path, text)
         assert main(["price", "--config", path, *argv, "--out", "-"]) == 2
         assert f"config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        (key, value) for key, values in (
+            ("mu0", ("0", "1e-300", "1e8", "1e10")),
+            ("sigma0", ("0", "5e-324", "1e-300", "1e10")),
+            ("nu01", ("0", "5e-324", "1e-300", "1e10")),
+            ("nu10", ("0", "5e-324", "1e-300", "1e10")),
+            ("gamma", ("0", "1e-300", "1e10")),
+            ("maturity", ("0", "1e-300", "1e10")),
+            ("strike", ("0", "1e-300", "1e10")))
+        for value in values])
+    def test_edge_values_end_in_an_exit_code(self, tmp_path, capsys, key,
+                                             value):
+        """Every command ends an extreme single-key config with exit code
+        0, 2, 3 or 4: no exception, and (warnings being errors in this
+        suite) no warning, escapes main."""
+        path = write_config(tmp_path, f"{key} = {value}\n")
+        for command in ("price", "ttm", "hedge", "converge"):
+            code = main([command, "--config", path, "--nsteps", "20",
+                         "--paths", "1000", "--out", "-"])
+            assert code in (0, 2, 3, 4), command
+        capsys.readouterr()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         assert main(["price", "--config", str(tmp_path / "nope.cfg"),

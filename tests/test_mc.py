@@ -94,6 +94,18 @@ class TestSampleRealizedTtm:
         with pytest.raises(NumericalError, match="thinning bound"):
             sample_realized_ttm(liar, 1.0, 0, seed=2, n_paths=5000)
 
+    @pytest.mark.parametrize("regime", [0, 1])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -1.0])
+    def test_unusable_bound_refused_by_name(self, params, regime, bad):
+        """A hand-built curve whose bound is not finite and >= 0 is refused
+        by the bound's name before any round runs."""
+        rates = [lambda t: np.full_like(np.asarray(t, float), 1.0)] * 2
+        rates[regime] = lambda t: np.full_like(np.asarray(t, float), bad)
+        curve = IntensityCurve("MMM", params, *rates, constant=True)
+        name = ("bound01", "bound10")[regime]
+        with pytest.raises(NumericalError, match=f"{name} must be finite"):
+            sample_realized_ttm(curve, 1.0, 0, seed=2, n_paths=500)
+
 
 class TestSingleShockSampler:
     def test_reproducible_and_in_range(self, params):

@@ -8,6 +8,7 @@ characteristic roots against their defining quadratic.
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -20,6 +21,7 @@ from liqshock import (
     MEASURES,
     PAYOFF_KINDS,
     ModelParams,
+    NumericalError,
     Payoff,
     intensity_curve,
     merton_factors,
@@ -187,6 +189,22 @@ class TestMertonFactors:
         ref = expm(A * p.T) @ np.array([1.0, 1.0])
         assert fac.F0(0.0) == pytest.approx(ref[0], rel=1e-12)
         assert fac.F1(0.0) == pytest.approx(ref[1], rel=1e-12)
+
+    @pytest.mark.parametrize("kw", [
+        dict(nu01=1e-18), dict(nu01=1e-300), dict(nu01=5e-324),
+        dict(mu0=1e8), dict(mu0=1e10), dict(mu0=0.6, nu10=2.0, nu01=1e-300)],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_unrepresentable_factors_refused(self, kw):
+        """Where F0 or F1 is not finite and positive at t = 0 or T in
+        double precision, building the factors (and so the MEMM curve) is
+        a NumericalError naming d0, nu01 and nu10: F1's weights cancel to
+        0 at a tiny nu01, both factors reach 0 or turn negative at a huge
+        d0, and at d0 = nu10 a tiny nu01 leaves a repeated root."""
+        p = make_params(**kw)
+        for build in (merton_factors, lambda p: intensity_curve(p, "MEMM")):
+            with pytest.raises(NumericalError,
+                               match=re.escape(f"d0={p.d0}, nu01={p.nu01}, nu10=")):
+                build(p)
 
     @pytest.mark.parametrize("kw", BOX_CORNERS + [
         dict(nu01=0.0), dict(mu0=0.0), dict(nu01=0.0, mu0=0.0)],

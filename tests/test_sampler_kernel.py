@@ -21,6 +21,7 @@ import hashlib
 import json
 import logging
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -95,6 +96,45 @@ def count_fills(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(mc, "_round_uniforms", spy)
     return purposes
+
+
+def zero_first_draws(monkeypatch) -> list[int]:
+    """Make entry 0 of every dense fill exactly 0, and record the rounds
+    whose thinning window was so filled."""
+    rounds = []
+    real = mc._round_uniforms
+
+    def spy(seed, round_idx, purpose, out, start=0):
+        real(seed, round_idx, purpose, out, start)
+        if start == 0:
+            out[0] = 0.0
+            if purpose == 0:
+                rounds.append(round_idx)
+        return out
+
+    monkeypatch.setattr(mc, "_round_uniforms", spy)
+    return rounds
+
+
+@pytest.mark.parametrize("measure,overrides,zero_rate_round", [
+    ("MMM", dict(nu01=0.0), 0), ("MEMM_single_shock", {}, 2)])
+def test_zero_draw_at_zero_rate_draws_no_candidate(monkeypatch, params,
+                                                   measure, overrides,
+                                                   zero_rate_round):
+    """A thinning draw of exactly 0 at rate 0 gives -0.0 / -0.0, which the
+    wait discards: the path draws no candidate, stays liquid to the
+    horizon, and no warning escapes.  Under MMM at nu01 = 0 path 0 meets
+    rate 0 in round 0.  Under the single-shock measure its acceptance
+    draws are 0 too, so it takes a shock and recovers at t = 0 and meets
+    regime 2's rate 0 in round 2."""
+    rounds = zero_first_draws(monkeypatch)
+    p = replace(params, **overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sample_realized_ttm(intensity_curve(p, measure), p.T, 0,
+                                  seed=5, n_paths=1000)
+    assert out[0] == p.T
+    assert rounds[:zero_rate_round + 1] == list(range(zero_rate_round + 1))
 
 
 def test_goldens_reach_sparse_rounds_and_several_blocks(monkeypatch):
