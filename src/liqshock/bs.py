@@ -120,8 +120,10 @@ def _bs_fill(payoff: Payoff, tau: np.ndarray, s: np.ndarray, sigma: float,
              out: np.ndarray) -> None:
     """Write P_BS(tau, s) into ``out`` (all three of one shape)."""
     expired = tau == 0.0
-    if np.any(expired):
-        out[expired] = payoff.value(s[expired])
+    if not np.any(expired):
+        out[...] = _bs_formula(payoff, tau, s, sigma)[3]
+        return
+    out[expired] = payoff.value(s[expired])
     live = ~expired
     if np.any(live):
         out[live] = _bs_formula(payoff, tau[live], s[live], sigma)[3]

@@ -10,20 +10,26 @@ length n_paths that numpy's Philox4x64-10 generator keyed by (seed, r,
 purpose) fills, so path i's r-th draw is a pure function of (seed, r, i)
 and results depend neither on how many paths are still alive nor on the
 order the paths run in.  The sampler is chunk-major: it takes each chunk
-of ``_CHUNK`` consecutive paths through all of its rounds before it
-starts the next, so it holds O(``_CHUNK``) memory besides its n_paths
-result.  A round keeps its chunk's live paths' offset, regime, clock and
-liquid time as compact arrays and works through them in blocks of
-``_BLOCK`` paths, so its temporaries stay cache-sized.  A dense round
-fills the chunk's window of the round's vectors, with the Philox counter
-set to the chunk's first path (``_round_uniforms``); a sparse one (at
-most ``_SPARSE_FRACTION`` of the chunk live) writes both draws into the
-windows at the live offsets alone, straight from the counter
-(``_live_uniforms``).  One thinning kernel, ``sample_realized_ttm``,
-serves all three measures: time-dependent intensities are sampled by
-thinning against a precomputed curve bound, constant intensities accept
-every candidate (plain exponential sojourns), and the single-shock
-curve's first recovery enters regime 2, liquid at rate 0.
+of ``_CHUNK`` consecutive paths through its dense rounds before it
+starts the next, and a round keeps the chunk's live paths' offset,
+regime, clock and liquid time as compact arrays, working through them in
+blocks of ``_BLOCK`` paths so its temporaries stay cache-sized.  A dense
+round fills the chunk's window of the round's vectors, with the Philox
+counter set to the chunk's first path (``_round_uniforms``).  Once at
+most ``_SPARSE_FRACTION`` of a chunk is live, it parks its live paths as
+a cohort tagged with the round; after the last chunk one sparse tail
+runs every parked path, merging each cohort at its round, and computes
+each round's draws at the live paths alone, straight from the counter
+(``_live_uniforms``, one call per round).  Besides its n_paths result
+the sampler holds chunk-sized state plus the parked tail: at most
+n_paths / 32 paths of 25 bytes, about 0.8 bytes per path, and 32 bytes
+more per tail path while the tail runs, after the chunk state is freed.
+One thinning kernel, ``sample_realized_ttm``, serves all three measures:
+time-dependent intensities are sampled by thinning against a precomputed
+curve bound, constant intensities accept every candidate (plain
+exponential sojourns), and the single-shock curve's first recovery
+enters regime 2, liquid at rate 0.  A block reads its candidates'
+intensities in one ``IntensityCurve.by_regime`` call.
 
 A candidate whose intensity reaches its bound is accepted whatever its
 acceptance draw, so a dense round fills its acceptance window (purpose 1)
@@ -62,8 +68,9 @@ _BOUND_SLACK = 1e-12
 _CHUNK = 2 ** 17
 # Live paths per block of a thinning round (temporaries of 64 KB each).
 _BLOCK = 8192
-# A round with at most this fraction of its chunk's paths live computes
-# its draws at the live indices instead of filling the two chunk buffers.
+# A chunk with at most this fraction of its paths live parks them for the
+# sparse tail, whose rounds compute their draws at the live indices
+# instead of filling the two chunk buffers.
 _SPARSE_FRACTION = 1.0 / 32.0
 
 # Philox4x64-10 (Salmon et al. 2011) as numpy's Philox bit generator runs
@@ -132,26 +139,32 @@ def _live_uniforms(seed: int, round_idx: int, idx: np.ndarray) -> np.ndarray:
     words, so index i is word i % 4 of the block at counter (i // 4 + 1,
     0, 0, 0); the key words are (round * 8 + purpose, seed).  Both
     purposes run through the ten rounds in one pass of uint64 array
-    arithmetic, which wraps modulo 2**64 as the generator's C code does.
+    arithmetic, which wraps modulo 2**64 as the generator's C code does,
+    ``_BLOCK`` indices at a time, so the uint64 temporaries stay the size
+    of one block whatever ``idx.size`` is.
     """
-    pos = idx.astype(np.uint64)[None, :]
-    k0 = [round_idx * 8, round_idx * 8 + 1]
-    k1 = seed
+    # Key words of each Philox round: one per purpose, and the seed word.
+    keys = [(np.array([[(round_idx * 8 + purpose + r * _PHILOX_W[0]) & _MASK64]
+                       for purpose in (0, 1)], dtype=np.uint64),
+             np.full((1, 1), (seed + r * _PHILOX_W[1]) & _MASK64,
+                     dtype=np.uint64))
+            for r in range(_PHILOX_ROUNDS)]
     # Counter words 1..3 start at zero; shapes broadcast, so the first two
     # rounds run once for both purposes where their inputs agree.
     zero = np.zeros((1, 1), dtype=np.uint64)
-    x0, x1, x2, x3 = (pos >> np.uint64(2)) + np.uint64(1), zero, zero, zero
-    for r in range(_PHILOX_ROUNDS):
-        key0 = np.array([[(k + r * _PHILOX_W[0]) & _MASK64] for k in k0],
-                        dtype=np.uint64)
-        key1 = np.full((1, 1), (k1 + r * _PHILOX_W[1]) & _MASK64,
-                       dtype=np.uint64)
-        hi0, lo0 = _mulhilo(0, x0)
-        hi1, lo1 = _mulhilo(1, x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ key0, lo1, hi0 ^ x3 ^ key1, lo0
-    words = np.broadcast_arrays(x0, x1, x2, x3)
-    word = np.choose((pos & np.uint64(3)).astype(np.intp), words)
-    return (word >> np.uint64(11)).astype(float) * _TWO_M53
+    out = np.empty((2, idx.size))
+    for start in range(0, idx.size, _BLOCK):
+        pos = idx[start:start + _BLOCK].astype(np.uint64)[None, :]
+        x0, x1, x2, x3 = (pos >> np.uint64(2)) + np.uint64(1), zero, zero, zero
+        for key0, key1 in keys:
+            hi0, lo0 = _mulhilo(0, x0)
+            hi1, lo1 = _mulhilo(1, x2)
+            x0, x1, x2, x3 = hi1 ^ x1 ^ key0, lo1, hi0 ^ x3 ^ key1, lo0
+        words = np.broadcast_arrays(x0, x1, x2, x3)
+        word = np.choose((pos & np.uint64(3)).astype(np.intp), words)
+        out[:, start:start + _BLOCK] = (
+            (word >> np.uint64(11)).astype(float) * _TWO_M53)
+    return out
 
 
 def _round_cap(horizon: float, max_bound: float) -> int:
@@ -174,12 +187,17 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
     bounds that are not finite and >= 0 are refused (NumericalError).
 
     The paths run chunk-major, ``_CHUNK`` consecutive indices at a time,
-    each chunk through all of its rounds.  Path i's draws are Philox
-    outputs at counter positions fixed by (seed, round, i), so the result
-    is bit-identical whatever the chunk size.  Besides the result the call
-    holds O(``_CHUNK``) memory: the chunk's live-path state and its two
-    uniform windows, allocated once.  One DEBUG record gives the whole
-    call's acceptance ratio and candidate count.
+    each chunk through its dense rounds; once at most ``_SPARSE_FRACTION``
+    of a chunk is live, its live paths are parked, and after the last
+    chunk all parked paths run together, one round at a time.  Path i's
+    draws are Philox outputs at counter positions fixed by (seed, round,
+    i), so the result is bit-identical whatever the chunk size.  Besides
+    the result the call holds chunk-sized state (the chunk's live paths
+    and its two uniform windows, allocated once) plus the parked tail, at
+    most n_paths / 32 paths of 25 bytes, about 0.8 bytes per path; the
+    tail's rounds, with 32 more bytes per tail path (slots, two draw
+    buffers, results), run after the chunk state is freed.  One DEBUG
+    record gives the whole call's acceptance ratio and candidate count.
     """
     seed = _validate_seed(seed)
     check_count("n_paths", n_paths, _MIN_PATHS)
@@ -210,108 +228,142 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
     # A candidate whose intensity reaches a normal bound b is accepted
     # whatever its draw: u * b < b for every u in [0, 1).
     exact_bounds = all(b == 0.0 or _TINY <= b for b in bounds)
-    # The result is allocated first, so an impossible n_paths fails at once.
-    liquid = np.empty(n_paths)
-    # The current chunk's live paths: offset in the chunk (ascending),
-    # regime, clock and liquid time so far; a round compacts its survivors
-    # to the front, in order.  A path writes its result to ``liquid`` when
-    # it retires.  These and the two uniform windows are chunk-sized and
-    # serve every chunk.
-    size = min(_CHUNK, n_paths)
-    idx = np.empty(size, dtype=np.intp)
-    state = np.empty(size, dtype=np.int8)
-    t_cur = np.empty(size)
-    acc_liq = np.empty(size)
-    u_s, u_a = np.empty(size), np.empty(size)
     cap = _round_cap(horizon, max(bounds))
     n_cand = 0
     n_acc = 0
+
+    def thin_round(r, live, n_live, res, u_s, u_a, start):
+        """Run round r on the first ``n_live`` paths of ``live``: each
+        draws one candidate; a path past the horizon writes its liquid time
+        to ``res`` at its offset, and the survivors move to the front, in
+        order.  Returns their count.  Path i's draws are u_s[i] and u_a[i];
+        with ``start`` set, u_a is the acceptance window from entry
+        ``start`` of the round's vector, filled on the first block that
+        can reject a candidate (never when every candidate is certain)."""
+        nonlocal n_cand, n_acc
+        if r >= cap:
+            raise NumericalError(
+                f"thinning did not terminate within {cap} rounds "
+                f"(bounds={bounds}, horizon={horizon})")
+        idx, state, t_cur, acc_liq = live
+        kept = 0
+        for lo in range(0, n_live, _BLOCK):
+            hi = min(lo + _BLOCK, n_live)
+            ix = idx[lo:hi]
+            st = state[lo:hi]
+            t_old = t_cur[lo:hi]
+            liq = acc_liq[lo:hi]
+            neg_rate = neg_rates.take(st)
+            # us is a copy: the exponential waits are computed in place.
+            us = u_s.take(ix)
+            w = np.log1p(np.negative(us, out=us), out=us)
+            if finite_waits:
+                w /= neg_rate
+            else:
+                with np.errstate(all="ignore"):
+                    w = np.where(neg_rate < 0.0, w / neg_rate, np.inf)
+            # Liquid time accrues along regime-0 and regime-2 stretches up
+            # to the horizon, whether or not the candidate switch is
+            # accepted.  Adding 0.0 leaves every other entry unchanged.
+            liq += np.where(st != 1, np.minimum(w, horizon - t_old), 0.0)
+            t_new = t_old + w
+            going = ~(t_new >= horizon)
+            past = np.flatnonzero(~going)
+            res[ix.take(past)] = np.minimum(liq.take(past), horizon)
+            # Integer takes: boolean-mask indexing costs several times more
+            # on these irregular masks.
+            sel = np.flatnonzero(going)
+            if not sel.size:
+                continue
+            ix, tc, st, liq = (ix.take(sel), t_new.take(sel), st.take(sel),
+                               liq.take(sel))
+            nu_c = curve.by_regime(tc, st)
+            bnd = np.where(st == 0, bounds[0], bounds[1])
+            if np.any(nu_c > bnd * (1.0 + _BOUND_SLACK)):
+                raise NumericalError(
+                    "intensity exceeded its thinning bound; the curve "
+                    "bound is not a true upper bound")
+            if exact_bounds and np.all(nu_c >= bnd):
+                acc = np.ones(ix.size, dtype=bool)
+            else:
+                if start is not None:
+                    _round_uniforms(seed, r, 1, u_a, start=start)
+                    start = None
+                acc = u_a.take(ix) * bnd < nu_c
+            n_cand += ix.size
+            n_acc += int(np.count_nonzero(acc))
+            switch(st, acc, out=st)
+            # Survivors move to the front; kept <= lo, and the right-hand
+            # sides above are copies, so no unread entry is overwritten.
+            nxt = kept + ix.size
+            idx[kept:nxt] = ix
+            state[kept:nxt] = st
+            t_cur[kept:nxt] = tc
+            acc_liq[kept:nxt] = liq
+            kept = nxt
+        return kept
+
+    # The result is allocated first, so an impossible n_paths fails at once.
+    liquid = np.empty(n_paths)
+    # A chunk's live paths: offset in the chunk (ascending), regime, clock
+    # and liquid time; a path writes its result to ``liquid`` when it
+    # retires.  These and the two uniform windows are chunk-sized and
+    # serve every chunk.  A dense round fills the chunk's window of the
+    # thinning vector, and of the acceptance vector when thin_round needs
+    # it.  A chunk with at most _SPARSE_FRACTION of its paths live parks
+    # them, with their absolute indices, as a cohort tagged with its round.
+    size = min(_CHUNK, n_paths)
+    live = (np.empty(size, dtype=np.intp), np.empty(size, dtype=np.int8),
+            np.empty(size), np.empty(size))
+    u_s, u_a = np.empty(size), np.empty(size)
+    parked = []
     for c0 in range(0, n_paths, _CHUNK):
         m = min(_CHUNK, n_paths - c0)
-        res = liquid[c0:c0 + m]
-        idx[:m] = np.arange(m)
-        state[:m] = start_regime
-        t_cur[:m] = 0.0
-        acc_liq[:m] = 0.0
+        for a, first in zip(live, (np.arange(m), start_regime, 0.0, 0.0)):
+            a[:m] = first
         n_live = m
         r = 0
-        while n_live:
-            if r >= cap:
-                raise NumericalError(
-                    f"thinning did not terminate within {cap} rounds "
-                    f"(bounds={bounds}, horizon={horizon})")
-            # A sparse round writes both draws at its live offsets alone; a
-            # dense one fills the thinning window, and the acceptance
-            # window on its first block that can reject a candidate (never
-            # when every candidate is certain).
-            filled = n_live <= _SPARSE_FRACTION * m
-            if filled:
-                live = idx[:n_live]
-                u_s[live], u_a[live] = _live_uniforms(seed, r, live + c0)
-            else:
-                _round_uniforms(seed, r, 0, u_s[:m], start=c0)
-            kept = 0
-            for lo in range(0, n_live, _BLOCK):
-                hi = min(lo + _BLOCK, n_live)
-                ix = idx[lo:hi]
-                st = state[lo:hi]
-                t_old = t_cur[lo:hi]
-                liq = acc_liq[lo:hi]
-                neg_rate = neg_rates.take(st)
-                # us is a copy: the exponential waits are computed in place.
-                us = u_s.take(ix)
-                w = np.log1p(np.negative(us, out=us), out=us)
-                if finite_waits:
-                    w /= neg_rate
-                else:
-                    with np.errstate(all="ignore"):
-                        w = np.where(neg_rate < 0.0, w / neg_rate, np.inf)
-                # Liquid time accrues along regime-0 and regime-2 stretches
-                # up to the horizon, whether or not the candidate switch is
-                # accepted.  Adding 0.0 leaves every other entry unchanged.
-                liq += np.where(st != 1, np.minimum(w, horizon - t_old), 0.0)
-                t_new = t_old + w
-                going = ~(t_new >= horizon)
-                past = np.flatnonzero(~going)
-                res[ix.take(past)] = np.minimum(liq.take(past), horizon)
-                # Integer takes: boolean-mask indexing costs several times
-                # more on these irregular masks.
-                sel = np.flatnonzero(going)
-                if not sel.size:
-                    continue
-                ix, tc, st, liq = (ix.take(sel), t_new.take(sel),
-                                   st.take(sel), liq.take(sel))
-                m0 = st == 0
-                nu_c = np.empty(ix.size)
-                for ri, fn in ((np.flatnonzero(m0), curve.nu01),
-                               (np.flatnonzero(~m0), curve.nu10)):
-                    if ri.size:
-                        nu_c[ri] = fn(tc.take(ri))
-                bnd = np.where(m0, bounds[0], bounds[1])
-                if np.any(nu_c > bnd * (1.0 + _BOUND_SLACK)):
-                    raise NumericalError(
-                        "intensity exceeded its thinning bound; the curve "
-                        "bound is not a true upper bound")
-                if exact_bounds and np.all(nu_c >= bnd):
-                    acc = np.ones(ix.size, dtype=bool)
-                else:
-                    if not filled:
-                        _round_uniforms(seed, r, 1, u_a[:m], start=c0)
-                        filled = True
-                    acc = u_a.take(ix) * bnd < nu_c
-                n_cand += ix.size
-                n_acc += int(np.count_nonzero(acc))
-                switch(st, acc, out=st)
-                # Survivors move to the front; kept <= lo, and the right-hand
-                # sides above are copies, so no unread entry is overwritten.
-                nxt = kept + ix.size
-                idx[kept:nxt] = ix
-                state[kept:nxt] = st
-                t_cur[kept:nxt] = tc
-                acc_liq[kept:nxt] = liq
-                kept = nxt
-            n_live = kept
+        while n_live > _SPARSE_FRACTION * m:
+            _round_uniforms(seed, r, 0, u_s[:m], start=c0)
+            n_live = thin_round(r, live, n_live, liquid[c0:c0 + m], u_s,
+                                u_a[:m], c0)
             r += 1
+        if n_live:
+            parked.append((r, live[0][:n_live] + c0,
+                           *(a[:n_live].copy() for a in live[1:])))
+    # The tail, after the chunk arrays are freed: the cohorts are
+    # concatenated in round order, and a path's slot there is its offset.
+    # One loop counts up from the smallest parked round and merges each
+    # cohort, moving it next to the live paths, when it reaches that
+    # cohort's round, so every tail path is at the loop's round.  A round
+    # computes both draws at its live paths alone into two slot-indexed
+    # buffers; ``ids`` maps the slots to the paths for the draws and for
+    # the results.
+    del live, u_s, u_a
+    if parked:
+        parked.sort(key=lambda cohort: cohort[0])
+        rounds, *columns = zip(*parked)
+        sizes = [cohort.size for cohort in columns[0]]
+        ids, *rest = map(np.concatenate, columns)
+        del parked, columns
+        live = (np.arange(ids.size), *rest)
+        u_s, u_a, res = (np.empty(ids.size) for _ in range(3))
+        n_live = merged = k = 0
+        while k < len(rounds) or n_live:
+            if not n_live:
+                r = rounds[k]
+            while k < len(rounds) and rounds[k] == r:
+                n = sizes[k]
+                for a in live:
+                    a[n_live:n_live + n] = a[merged:merged + n]
+                n_live += n
+                merged += n
+                k += 1
+            here = live[0][:n_live]
+            u_s[here], u_a[here] = _live_uniforms(seed, r, ids.take(here))
+            n_live = thin_round(r, live, n_live, res, u_s, u_a, None)
+            r += 1
+        liquid[ids] = res
     if n_cand:
         logger.debug("thinning acceptance ratio %.4f over %d candidates "
                      "(measure=%s)", n_acc / n_cand, n_cand, curve.measure)

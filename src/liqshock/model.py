@@ -268,19 +268,24 @@ class SingleShockFactors:
     def _tau(self, t: np.ndarray) -> np.ndarray:
         return self.T - np.asarray(t, dtype=float)
 
+    def _factors(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(F0c(t), F1c(t), F2c(t)), sharing their exponentials."""
+        tau = self._tau(t)
+        d0, nu01, nu10 = self.d0, self.nu01, self.nu10
+        f2 = np.exp(-d0 * tau)
+        e10 = np.exp(-nu10 * tau)
+        f1 = (nu10 * f2 - d0 * e10) / (nu10 - d0)
+        extra = d0 / (d0 + nu01 - nu10) * (np.exp(-(d0 + nu01) * tau) - e10)
+        return f1 + extra, f1, f2
+
     def F2(self, t: np.ndarray) -> np.ndarray:
         return np.exp(-self.d0 * self._tau(t))
 
     def F1(self, t: np.ndarray) -> np.ndarray:
-        tau = self._tau(t)
-        d0, nu10 = self.d0, self.nu10
-        return (nu10 * np.exp(-d0 * tau) - d0 * np.exp(-nu10 * tau)) / (nu10 - d0)
+        return self._factors(t)[1]
 
     def F0(self, t: np.ndarray) -> np.ndarray:
-        tau = self._tau(t)
-        d0, nu01, nu10 = self.d0, self.nu01, self.nu10
-        extra = d0 / (d0 + nu01 - nu10) * (np.exp(-(d0 + nu01) * tau) - np.exp(-nu10 * tau))
-        return self.F1(t) + extra
+        return self._factors(t)[0]
 
 
 def single_shock_factors(params: ModelParams) -> SingleShockFactors:
@@ -308,15 +313,33 @@ class IntensityCurve:
     single-shock factors.  ``bound01``/``bound10`` are upper bounds for the
     curves on [0, T], used by the thinning sampler and computed on first
     read (the marches never read them); a ``constant`` curve is bounded by
-    its value at t = 0.
+    its value at t = 0.  ``by_regime`` evaluates the curve of each entry's
+    regime at its time; a curve built with a ``by_regime`` function of
+    (t, regime) serves it in one evaluation.
     """
 
-    def __init__(self, measure: str, params: ModelParams, nu01, nu10, constant: bool):
+    def __init__(self, measure: str, params: ModelParams, nu01, nu10,
+                 constant: bool, by_regime=None):
         self.measure = measure
         self.params = params
         self.nu01 = nu01
         self.nu10 = nu10
         self._constant = constant
+        self._by_regime = by_regime
+
+    def by_regime(self, t: np.ndarray, regime: np.ndarray) -> np.ndarray:
+        """nu01(t) where ``regime`` is 0 and nu10(t) elsewhere, elementwise,
+        for 1-D ``t`` and ``regime`` of one size.  Without a ``by_regime``
+        function each regime's entries go through their own curve."""
+        if self._by_regime is not None:
+            return self._by_regime(t, regime)
+        out = np.empty(t.shape)
+        m0 = regime == 0
+        for ri, fn in ((np.flatnonzero(m0), self.nu01),
+                       (np.flatnonzero(~m0), self.nu10)):
+            if ri.size:
+                out[ri] = fn(t.take(ri))
+        return out
 
     def _bound(self, fn) -> float:
         if self._constant:
@@ -334,36 +357,39 @@ class IntensityCurve:
 
 
 def intensity_curve(params: ModelParams, measure: str) -> IntensityCurve:
-    """Build the intensity curve of one of the supported measures."""
+    """Build the intensity curve of one of the supported measures.
+
+    Each curve's ``by_regime`` evaluates what its nu01 and nu10 evaluate,
+    bit for bit, from one table lookup (MMM) or one set of discount
+    factors (MEMM and the single-shock MEMM)."""
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
     if measure == "MMM":
+        rates = np.array([params.nu01, params.nu10])
+
         def flat(v):
             return lambda t: np.full_like(np.asarray(t, dtype=float), v, dtype=float)
 
         return IntensityCurve(measure, params, flat(params.nu01),
-                              flat(params.nu10), constant=True)
+                              flat(params.nu10), constant=True,
+                              by_regime=lambda t, regime: rates.take(regime))
     if measure == "MEMM":
         fac = merton_factors(params)
 
         # Each market intensity times the discount factor of the regime it
         # enters over that of the regime it leaves: nu01 F1/F0, nu10 F0/F1.
-        def fn01(t, _f=fac):
-            f0, f1 = _f._factors(t)
-            return _f.nu01 * f1 / f0
+        def tilt(t):
+            f0, f1 = fac._factors(t)
+            return fac.nu01 * f1 / f0, fac.nu10 * f0 / f1
+    else:
+        fac = single_shock_factors(params)
 
-        def fn10(t, _f=fac):
-            f0, f1 = _f._factors(t)
-            return _f.nu10 * f0 / f1
+        # The same tilt; recovery enters regime 2: nu01 F1/F0, nu10 F2/F1.
+        def tilt(t):
+            f0, f1, f2 = fac._factors(t)
+            return fac.nu01 * f1 / f0, fac.nu10 * f2 / f1
 
-        return IntensityCurve(measure, params, fn01, fn10, constant=params.d0 == 0.0)
-    # MEMM_single_shock
-    fac = single_shock_factors(params)
-
-    def fn01(t, _f=fac, _v=params.nu01):
-        return _v * _f.F1(t) / _f.F0(t)
-
-    def fn10(t, _f=fac, _v=params.nu10):
-        return _v * _f.F2(t) / _f.F1(t)
-
-    return IntensityCurve(measure, params, fn01, fn10, constant=params.d0 == 0.0)
+    return IntensityCurve(
+        measure, params, lambda t: tilt(t)[0], lambda t: tilt(t)[1],
+        constant=params.d0 == 0.0,
+        by_regime=lambda t, regime: np.where(regime == 0, *tilt(t)))

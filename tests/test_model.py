@@ -20,6 +20,7 @@ from scipy.linalg import expm
 from liqshock import (
     MEASURES,
     PAYOFF_KINDS,
+    IntensityCurve,
     ModelParams,
     NumericalError,
     Payoff,
@@ -265,6 +266,23 @@ class TestSingleShockFactors:
             assert fac.F1(t) == pytest.approx(ref[1], rel=1e-12)
             assert fac.F2(t) == pytest.approx(ref[2], rel=1e-12)
 
+    @pytest.mark.parametrize("kw", BOX_CORNERS + [dict(mu0=0.0)],
+                             ids=lambda kw: ",".join(f"{k}={v}"
+                                                     for k, v in kw.items()))
+    def test_shared_exponentials_match_the_closed_forms_exactly(self, kw):
+        """F0c and F1c from one set of exponentials equal the closed forms
+        of the class docstring, each evaluated alone, bit for bit."""
+        p = make_params(**kw)
+        fac = single_shock_factors(p)
+        d0, nu01, nu10 = p.d0, p.nu01, p.nu10
+        t = np.linspace(0.0, p.T, 2001)
+        tau = p.T - t
+        f1 = (nu10 * np.exp(-d0 * tau) - d0 * np.exp(-nu10 * tau)) / (nu10 - d0)
+        f0 = f1 + d0 / (d0 + nu01 - nu10) * (
+            np.exp(-(d0 + nu01) * tau) - np.exp(-nu10 * tau))
+        assert np.array_equal(fac.F1(t), f1)
+        assert np.array_equal(fac.F0(t), f0)
+
     def test_resonant_parameters_rejected(self):
         # nu10 == d0
         with pytest.raises(ValueError, match="resonant"):
@@ -311,3 +329,19 @@ class TestIntensityCurves:
         with pytest.raises(ValueError, match="measure"):
             intensity_curve(make_params(), "Q-forward")
 
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("kw", BOX_CORNERS + [
+        dict(nu01=0.0), dict(mu0=0.0)],
+        ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+    def test_by_regime_is_each_curve_exactly(self, measure, kw):
+        """One evaluation of both curves gives each entry the bits of its
+        regime's curve, as the default per-regime split does."""
+        p = make_params(**kw)
+        c = intensity_curve(p, measure)
+        rng = np.random.default_rng(7)
+        t = rng.uniform(0.0, p.T, 4001)
+        regime = (rng.random(t.size) < 0.3).astype(np.int8)
+        expect = np.where(regime == 0, c.nu01(t), c.nu10(t))
+        split = IntensityCurve(measure, p, c.nu01, c.nu10, constant=False)
+        assert np.array_equal(c.by_regime(t, regime), expect)
+        assert np.array_equal(split.by_regime(t, regime), expect)

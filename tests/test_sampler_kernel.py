@@ -301,6 +301,63 @@ def test_window_fill_refuses_unaligned_start(start):
         mc._round_uniforms(0, 0, 0, np.empty(8), start=start)
 
 
+def test_one_tail_gathers_once_per_round(monkeypatch, params):
+    """The chunks' sparse tails run as one: a 400k-path call over four
+    chunks gathers its draws at the live indices once per tail round, not
+    once per round of every chunk."""
+    rounds = []
+    real = mc._live_uniforms
+
+    def spy(seed, round_idx, idx):
+        rounds.append(round_idx)
+        return real(seed, round_idx, idx)
+
+    monkeypatch.setattr(mc, "_live_uniforms", spy)
+    sample_realized_ttm(intensity_curve(params, "MEMM"), params.T, 0, 3,
+                        400_000)
+    assert 400_000 > 3 * mc._CHUNK
+    assert 0 < len(rounds) <= 10
+    assert len(set(rounds)) == len(rounds)
+
+
+# 50,000 paths in chunks of 16,384: three full chunks and one of 848.
+# Under the first stored set's regime-1 curves the short chunk turns
+# sparse a round before the full ones.
+PARKING_CHUNK = 16_384
+
+
+def test_cohorts_parked_at_different_rounds_keep_draws(monkeypatch):
+    """Chunks that park at different rounds join the one tail at their own
+    round: the draws match the digests, and the tail gathers once per
+    round, counting up from the first parking round."""
+    calls = []
+    real_fill, real_live = mc._round_uniforms, mc._live_uniforms
+
+    def fill(seed, round_idx, purpose, out, start=0):
+        if purpose == 0:
+            if start == 0 and round_idx == 0:
+                calls.append(({}, []))
+            # A chunk parks after its last dense round.
+            calls[-1][0][start] = round_idx + 1
+        return real_fill(seed, round_idx, purpose, out, start)
+
+    def live(seed, round_idx, idx):
+        calls[-1][1].append(round_idx)
+        return real_live(seed, round_idx, idx)
+
+    monkeypatch.setattr(mc, "_CHUNK", PARKING_CHUNK)
+    monkeypatch.setattr(mc, "_round_uniforms", fill)
+    monkeypatch.setattr(mc, "_live_uniforms", live)
+    name = SETS[0]
+    assert draw_digests(name) == GOLDENS["sets"][name]["digests"]
+    assert len(calls) == 5
+    parking = [sorted(set(parked.values())) for parked, _ in calls]
+    assert max(len(p) for p in parking) >= 2
+    for p, (parked, rounds) in zip(parking, calls):
+        assert len(parked) == 4
+        assert rounds == list(range(p[0], p[0] + len(rounds)))
+
+
 def test_one_acceptance_record_per_call(monkeypatch, params, caplog):
     """A call over three chunks logs one record with the whole call's
     acceptance ratio and candidate count, those of a one-chunk call."""
