@@ -20,16 +20,19 @@ most ``_SPARSE_FRACTION`` of a chunk is live, it parks its live paths as
 a cohort tagged with the round; after the last chunk one sparse tail
 runs every parked path, merging each cohort at its round, and computes
 each round's draws at the live paths alone, straight from the counter
-(``_live_uniforms``, one call per round).  Besides its n_paths result
-the sampler holds chunk-sized state plus the parked tail: at most
-n_paths / 32 paths of 25 bytes, about 0.8 bytes per path, and 32 bytes
-more per tail path while the tail runs, after the chunk state is freed.
-One thinning kernel, ``sample_realized_ttm``, serves all three measures:
-time-dependent intensities are sampled by thinning against a precomputed
-curve bound, constant intensities accept every candidate (plain
-exponential sojourns), and the single-shock curve's first recovery
-enters regime 2, liquid at rate 0.  A block reads its candidates'
-intensities in one ``IntensityCurve.by_regime`` call.
+(``_live_uniforms``, one call per round).  One thinning kernel,
+``sample_realized_ttm``, serves all three measures: time-dependent
+intensities are sampled by thinning against a precomputed curve bound,
+constant intensities accept every candidate (plain exponential
+sojourns), and the single-shock curve's first recovery enters regime 2,
+liquid at rate 0.  A block reads its candidates' intensities in one
+``IntensityCurve.by_regime`` call.
+
+Memory: a price holds one float64 array of n_paths entries, the clocks,
+which ``mc_linear_price`` overwrites with their Black-Scholes values and
+then reduces in place.  Beside it the sampler holds the state of one
+chunk (live paths and two uniform windows) and the parked tail, at most
+n_paths / 32 paths, which runs after the chunk state is freed.
 
 A candidate whose intensity reaches its bound is accepted whatever its
 acceptance draw, so a dense round fills its acceptance window (purpose 1)
@@ -65,8 +68,9 @@ _MIN_PATHS = 100
 _BOUND_SLACK = 1e-12
 # Consecutive paths per chunk; a chunk runs through all its rounds before
 # the next starts, so the sampler's state is chunk-sized.  A multiple of 4.
-_CHUNK = 2 ** 17
-# Live paths per block of a thinning round (temporaries of 64 KB each).
+_CHUNK = 2 ** 16
+# Live paths per block of a thinning round, and clocks per bs_price call
+# of a price (temporaries of 64 KB each).
 _BLOCK = 8192
 # A chunk with at most this fraction of its paths live parks them for the
 # sparse tail, whose rounds compute their draws at the live indices
@@ -191,13 +195,9 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
     of a chunk is live, its live paths are parked, and after the last
     chunk all parked paths run together, one round at a time.  Path i's
     draws are Philox outputs at counter positions fixed by (seed, round,
-    i), so the result is bit-identical whatever the chunk size.  Besides
-    the result the call holds chunk-sized state (the chunk's live paths
-    and its two uniform windows, allocated once) plus the parked tail, at
-    most n_paths / 32 paths of 25 bytes, about 0.8 bytes per path; the
-    tail's rounds, with 32 more bytes per tail path (slots, two draw
-    buffers, results), run after the chunk state is freed.  One DEBUG
-    record gives the whole call's acceptance ratio and candidate count.
+    i), so the result is bit-identical whatever the chunk size.  One
+    DEBUG record gives the whole call's acceptance ratio and candidate
+    count.
     """
     seed = _validate_seed(seed)
     check_count("n_paths", n_paths, _MIN_PATHS)
@@ -377,15 +377,30 @@ def mc_linear_price(params: ModelParams, payoff: Payoff, measure: str,
     Per contract, with the chain started liquid (regime 0); ``measure`` is
     one of 'MMM', 'MEMM', 'MEMM_single_shock'.  The mean uses numpy's
     pairwise summation; the standard error is the sample standard
-    deviation (ddof=1) over sqrt(n_paths).
+    deviation (ddof=1) over sqrt(n_paths).  The clocks are priced in
+    place, ``_BLOCK`` at a time, and reduced in place; both are
+    bit-identical to ``np.mean`` and ``np.std`` over one whole-array
+    ``bs_price``.
     """
     curve = intensity_curve(params, measure)
     check_scalar("spot", spot)
     _bs.check_spot(spot)
-    # Passed straight on, the clocks are freed once bs_price returns,
-    # before np.std allocates.
-    vals = _bs.bs_price(
-        payoff, sample_realized_ttm(curve, params.T, 0, seed, n_paths), spot,
-        params.sigma0)
-    return MCEstimate(mean=float(np.mean(vals)),
-                      std_error=float(np.std(vals, ddof=1) / math.sqrt(n_paths)))
+    v = sample_realized_ttm(curve, params.T, 0, seed, n_paths)
+    for lo in range(0, n_paths, _BLOCK):
+        v[lo:lo + _BLOCK] = _bs.bs_price(payoff, v[lo:lo + _BLOCK], spot,
+                                         params.sigma0)
+    return _estimate_in_place(v)
+
+
+def _estimate_in_place(v: np.ndarray) -> MCEstimate:
+    """``np.mean(v)`` and ``np.std(v, ddof=1) / sqrt(v.size)``, bit for
+    bit, with no second array of v's size; v is overwritten."""
+    n = v.size
+    mean = float(np.mean(v))
+    # np.std(v, ddof=1)'s steps (numpy's _var), run in place on v.
+    m = np.add.reduce(v, axis=None, keepdims=True)
+    np.true_divide(m, n, out=m)
+    np.subtract(v, m, out=v)
+    np.square(v, out=v)
+    sd = np.sqrt(np.add.reduce(v, axis=None) / (n - 1))
+    return MCEstimate(mean=mean, std_error=float(sd / math.sqrt(n)))

@@ -1,21 +1,28 @@
 """Monte Carlo sampling of realized liquid time.
 
 The thinning sampler is checked against the closed-form occupation-time
-mean, the Bessel-density oracle, and the independent single-shock
-quadrature; determinism and the thinning-bound guard are exercised
+mean, the Bessel-density oracle (one payoff's mean, and the whole law of
+the clock), and the independent single-shock quadrature; determinism,
+the thinning-bound guard and the in-place estimator's bits are exercised
 directly.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from liqshock import (
+    MEASURES,
+    PAYOFF_KINDS,
     IntensityCurve,
     ModelParams,
     NumericalError,
     Payoff,
+    bs_price,
     intensity_curve,
     mc_linear_price,
     sample_realized_ttm,
@@ -23,7 +30,13 @@ from liqshock import (
 )
 from conftest import STRIKE
 from liqshock import mc
-from oracle_occupation import constant_intensity_price, occupation_mean
+from oracle_occupation import (
+    constant_intensity_price,
+    killed_occupation_mass,
+    no_shock_atom,
+    occupation_density,
+    occupation_mean,
+)
 
 
 def z_score(estimate, truth: float) -> float:
@@ -159,3 +172,110 @@ class TestMcLinearPrice:
         with pytest.raises(ValueError, match=r"spot must be a scalar.*\(2,\)"):
             mc_linear_price(params, Payoff("vanilla_call", STRIKE), "MMM",
                             np.array([10.0, 11.0]), 1000, seed=1)
+
+
+def bits(mean, std_error) -> tuple[str, str]:
+    return float(mean).hex(), float(std_error).hex()
+
+
+class TestInPlaceEstimate:
+    @pytest.mark.parametrize("n", [100, 1001, 2 * 2 ** 16 + 3])
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_price_is_the_whole_array_statistics(self, params, measure, n):
+        """Pricing the clocks in place, block by block, and taking the
+        standard error in place give the bits of np.mean and np.std over
+        one whole-array bs_price of the same clocks."""
+        clocks = sample_realized_ttm(intensity_curve(params, measure),
+                                     params.T, 0, 43, n)
+        for kind in PAYOFF_KINDS:
+            payoff = Payoff(kind, STRIKE)
+            v = bs_price(payoff, clocks, 10.0, params.sigma0)
+            est = mc_linear_price(params, payoff, measure, 10.0, n, seed=43)
+            assert bits(est.mean, est.std_error) == bits(
+                np.mean(v), np.std(v, ddof=1) / math.sqrt(n))
+
+    @pytest.mark.parametrize("n", [100, 127, 128, 129, 8191, 8193, 131_075])
+    def test_in_place_steps_are_numpys(self, n):
+        """The in-place steps reproduce np.mean and np.std(ddof=1) on both
+        sides of numpy's pairwise-summation block (128) and buffer (8192)
+        sizes, so a change in numpy's summation fails here."""
+        x = 7.0 + 3.0 * np.random.default_rng(n).standard_normal(n)
+        est = mc._estimate_in_place(x.copy())
+        assert bits(est.mean, est.std_error) == bits(
+            np.mean(x), np.std(x, ddof=1) / math.sqrt(n))
+
+
+# Each test of the clock's law fails a correct sampler with probability
+# LAW_LEVEL; its paths span several sampler chunks.
+LAW_LEVEL = 1e-3
+LAW_PATHS = 200_000
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def clock_law(params: ModelParams, measure: str):
+    """The exact law of the liquid-start clock under ``measure``: its CDF
+    on (0, T) and its no-shock atom at T.
+
+    MMM is the occupation law itself.  MEMM reweights it by
+    e^{-d0 tau} / E[e^{-d0 occ}] (see ``oracle_occupation``).  The CDF
+    integrates the density by 8-point Gauss-Legendre on 1,000 equal
+    panels, and on the part of a panel below each point."""
+    if measure == "MMM":
+        def weight(t):
+            return np.ones_like(t)
+    else:
+        mass = killed_occupation_mass(params)
+
+        def weight(t):
+            return np.exp(-params.d0 * t) / mass
+
+    def integral(a, b):
+        a, b = a[:, None], b[:, None]
+        half = 0.5 * (b - a)
+        t = a + half * (1.0 + _GL_NODES)
+        f = occupation_density(t, params.nu01, params.nu10, params.T)
+        return (half * f * weight(t)) @ _GL_WEIGHTS
+
+    panels = 1000
+    edges = np.linspace(0.0, params.T, panels + 1)
+    cum = np.concatenate(([0.0], np.cumsum(integral(edges[:-1], edges[1:]))))
+
+    def cdf(x):
+        j = np.minimum((x * (panels / params.T)).astype(np.intp), panels - 1)
+        return cum[j] + integral(edges[j], x)
+
+    atom = no_shock_atom(params.nu01, params.T) * float(
+        weight(np.array(params.T)))
+    assert cum[-1] + atom == pytest.approx(1.0, abs=1e-12)
+    return cdf, atom
+
+
+@pytest.fixture(scope="module", params=["MMM", "MEMM"])
+def clock_sample(request, params):
+    """A measure and its liquid-start clocks over LAW_PATHS paths."""
+    assert LAW_PATHS >= 2 * mc._CHUNK
+    curve = intensity_curve(params, request.param)
+    return request.param, sample_realized_ttm(curve, params.T, 0, 1,
+                                              LAW_PATHS)
+
+
+class TestClockLaw:
+    def test_no_shock_atom(self, params, clock_sample):
+        """The share of clocks equal to T, the paths with no shock, lies in
+        the two-sided binomial interval of level LAW_LEVEL."""
+        measure, clocks = clock_sample
+        _, atom = clock_law(params, measure)
+        lo, hi = stats.binom.interval(1.0 - LAW_LEVEL, LAW_PATHS, atom)
+        assert lo <= np.count_nonzero(clocks == params.T) <= hi
+
+    def test_clocks_below_t_follow_the_exact_density(self, params,
+                                                     clock_sample):
+        """The clocks below T, given that a shock occurred, pass a
+        Kolmogorov-Smirnov test against the exact conditional CDF at level
+        LAW_LEVEL (the bound is the exact Kolmogorov quantile)."""
+        measure, clocks = clock_sample
+        cdf, atom = clock_law(params, measure)
+        below = clocks[clocks < params.T]
+        assert np.all(below > 0.0)
+        d = stats.kstest(below, lambda x: cdf(x) / (1.0 - atom)).statistic
+        assert d <= stats.kstwo.isf(LAW_LEVEL, below.size)

@@ -411,3 +411,14 @@ def test_memory_stays_below_twelve_doubles_per_path(params, measure):
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 8 * n
+
+
+def test_memory_per_path_at_a_million_paths(params):
+    """The clocks are priced and reduced in place, so a 1M-path MEMM
+    price holds one path-length array plus chunk-sized sampler state and
+    the parked tail: its traced peak stays below 13 bytes per path.  It
+    read 11.9 bytes per path when written, 1.1 MB below the bound; a
+    second path-length array (8 bytes per path) or a 2**17-path chunk
+    (2.7 MB more state) breaks it."""
+    n = 1_000_000
+    assert traced_peak(params, n) < 13 * n
