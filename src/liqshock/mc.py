@@ -201,12 +201,14 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
     """
     seed = _validate_seed(seed)
     check_count("n_paths", n_paths, _MIN_PATHS)
+    start_regime = check_integer("start_regime", start_regime)
     if start_regime not in (0, 1):
         raise ValueError(f"start_regime must be 0 or 1, got {start_regime}")
     absorbing = curve.measure == "MEMM_single_shock"
     if absorbing and start_regime != 0:
         raise ValueError("the single-shock measure starts in regime 0")
     T = curve.params.T
+    check_scalar("horizon", horizon)
     if not (0.0 <= horizon <= T + 1e-12):
         raise ValueError(f"horizon must be in [0, T={T}], got {horizon}")
     if horizon == 0.0:

@@ -306,90 +306,70 @@ def single_shock_factors(params: ModelParams) -> SingleShockFactors:
 class IntensityCurve:
     """Regime-switch intensities t -> (nu01(t), nu10(t)) under a measure.
 
-    ``nu01`` and ``nu10`` are the curve functions themselves, vectorized
-    over t.  MMM keeps the market intensities (it does not tilt the
-    chain).  MEMM multiplies by the discount-factor ratio of the target
-    regime over the current one; MEMM_single_shock does the same with the
-    single-shock factors.  ``bound01``/``bound10`` are upper bounds for the
-    curves on [0, T], used by the thinning sampler and computed on first
-    read (the marches never read them); a ``constant`` curve is bounded by
-    its value at t = 0.  ``by_regime`` evaluates the curve of each entry's
-    regime at its time; a curve built with a ``by_regime`` function of
-    (t, regime) serves it in one evaluation.
+    ``rates(t)`` returns the pair (nu01(t), nu10(t)), vectorized over t,
+    and everything that reads the curve takes one evaluation of it.  MMM
+    keeps the market intensities (it does not tilt the chain).  MEMM
+    multiplies by the discount-factor ratio of the target regime over the
+    current one; MEMM_single_shock does the same with the single-shock
+    factors.  ``bound01``/``bound10`` are upper bounds for the curves on
+    [0, T], used by the thinning sampler and computed on first read (the
+    marches never read them); a ``constant`` curve is bounded by its value
+    at t = 0.  ``by_regime`` evaluates the curve of each entry's regime at
+    its time.
     """
 
-    def __init__(self, measure: str, params: ModelParams, nu01, nu10,
-                 constant: bool, by_regime=None):
+    def __init__(self, measure: str, params: ModelParams, rates,
+                 constant: bool):
         self.measure = measure
         self.params = params
-        self.nu01 = nu01
-        self.nu10 = nu10
+        self.rates = rates
         self._constant = constant
-        self._by_regime = by_regime
 
     def by_regime(self, t: np.ndarray, regime: np.ndarray) -> np.ndarray:
         """nu01(t) where ``regime`` is 0 and nu10(t) elsewhere, elementwise,
-        for 1-D ``t`` and ``regime`` of one size.  Without a ``by_regime``
-        function each regime's entries go through their own curve."""
-        if self._by_regime is not None:
-            return self._by_regime(t, regime)
-        out = np.empty(t.shape)
-        m0 = regime == 0
-        for ri, fn in ((np.flatnonzero(m0), self.nu01),
-                       (np.flatnonzero(~m0), self.nu10)):
-            if ri.size:
-                out[ri] = fn(t.take(ri))
-        return out
+        for 1-D ``t`` and ``regime`` of one size."""
+        return np.where(regime == 0, *self.rates(t))
 
-    def _bound(self, fn) -> float:
+    @cached_property
+    def _bounds(self) -> tuple[float, float]:
         if self._constant:
-            return float(fn(0.0))
+            return tuple(float(r) for r in self.rates(0.0))
         ts = np.linspace(0.0, self.params.T, _BOUND_SAMPLES)
-        return float(np.max(fn(ts))) * _BOUND_SAFETY
+        return tuple(float(np.max(r)) * _BOUND_SAFETY for r in self.rates(ts))
 
     @cached_property
     def bound01(self) -> float:
-        return self._bound(self.nu01)
+        return self._bounds[0]
 
     @cached_property
     def bound10(self) -> float:
-        return self._bound(self.nu10)
+        return self._bounds[1]
 
 
 def intensity_curve(params: ModelParams, measure: str) -> IntensityCurve:
-    """Build the intensity curve of one of the supported measures.
-
-    Each curve's ``by_regime`` evaluates what its nu01 and nu10 evaluate,
-    bit for bit, from one table lookup (MMM) or one set of discount
-    factors (MEMM and the single-shock MEMM)."""
+    """Build the intensity curve of one of the supported measures."""
     if measure not in MEASURES:
         raise ValueError(f"measure must be one of {MEASURES}, got {measure!r}")
     if measure == "MMM":
-        rates = np.array([params.nu01, params.nu10])
+        def rates(t):
+            t = np.asarray(t, dtype=float)
+            return (np.full_like(t, params.nu01), np.full_like(t, params.nu10))
 
-        def flat(v):
-            return lambda t: np.full_like(np.asarray(t, dtype=float), v, dtype=float)
-
-        return IntensityCurve(measure, params, flat(params.nu01),
-                              flat(params.nu10), constant=True,
-                              by_regime=lambda t, regime: rates.take(regime))
+        return IntensityCurve(measure, params, rates, constant=True)
     if measure == "MEMM":
         fac = merton_factors(params)
 
         # Each market intensity times the discount factor of the regime it
         # enters over that of the regime it leaves: nu01 F1/F0, nu10 F0/F1.
-        def tilt(t):
+        def rates(t):
             f0, f1 = fac._factors(t)
             return fac.nu01 * f1 / f0, fac.nu10 * f0 / f1
     else:
         fac = single_shock_factors(params)
 
         # The same tilt; recovery enters regime 2: nu01 F1/F0, nu10 F2/F1.
-        def tilt(t):
+        def rates(t):
             f0, f1, f2 = fac._factors(t)
             return fac.nu01 * f1 / f0, fac.nu10 * f2 / f1
 
-    return IntensityCurve(
-        measure, params, lambda t: tilt(t)[0], lambda t: tilt(t)[1],
-        constant=params.d0 == 0.0,
-        by_regime=lambda t, regime: np.where(regime == 0, *tilt(t)))
+    return IntensityCurve(measure, params, rates, constant=params.d0 == 0.0)

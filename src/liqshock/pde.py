@@ -71,22 +71,16 @@ allocated once per march and handed to steps i and i + 1 in turn.  Each
 march allocates its own scratch rows once, and its step writes into them
 and into its output rows with in-place ufuncs (``out=``), in the operand
 order of the plain expressions each step spells out in its comments, so
-every surface is bit-identical to an allocating step.  At 538 nodes a
-numpy call costs about as much in dispatch as in arithmetic, and the
-dispatch depends on the operands' layout.  Measured on a 2-core x86_64
-VM (numpy 2.4), one call on one block takes about 0.55 us with flat-row
-operands, 0.45 us with a 0-d array for the scalar, 0.7 us with a Python
-float and 0.9 us with a (1, 1) column broadcast over a (1, M) row; at
-B = 6 a (6, 1) column over a (6, M) view takes about 4 us, a flat row
-2.3 us.  So every operand a step takes is a full row or a scalar:
+every surface is bit-identical to an allocating step.  At grid sizes
+like the default a numpy call costs about as much in dispatch as in
+arithmetic, and a broadcast column costs more to dispatch than a flat
+row.  So every operand a step takes is a full row or a scalar:
 gamma_eff and the end-row folds as full rows built once per march, dt
 and the diagonal's base value as 0-d arrays, a per-step per-block factor
 as a full row spread from its table a chunk of steps at a time
-(``_block_rows``), and a per-step scalar as the Python float it is
-(making 0-d arrays of them costs what it saves).  Only the exponent
-guard and the single-shock source rows take (B, M) views, persistent ones
-of the flat scratch.  What is left of a one-block step is about 12 us of
-``dgtsv`` and about 20 calls of about 0.6 to 1.5 us each.
+(``_block_rows``), and a per-step scalar as the Python float it is.
+Only the exponent guard and the single-shock source rows take (B, M)
+views, persistent ones of the flat scratch.
 """
 
 from __future__ import annotations
@@ -389,6 +383,7 @@ class PriceSurface:
         expected = (len(keep), self.grid.n_space)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
+        check_integer("regime", self.regime)
         if self.regime not in (0, 1):
             raise ValueError(f"regime must be 0 or 1, got {self.regime}")
 
@@ -586,6 +581,17 @@ def _gamma_effs(params: ModelParams, quantities) -> tuple[list[float], np.ndarra
     return ns, gs
 
 
+def _switch_rates(params: ModelParams, measure: str,
+                  grid: GridSpec) -> tuple[np.ndarray, list[float]]:
+    """nu01(t_i) on the grid's time rows and the shock-exit weights
+    w_i = e^{-nu10(t_i) dt}, from one evaluation of the measure's
+    ``model.intensity_curve``."""
+    nu01_t, nu10_t = intensity_curve(params, measure).rates(grid.times())
+    dt = grid.delta_t
+    # math.exp, not np.exp: the weights must round as a scalar step's do.
+    return nu01_t, [math.exp(-v * dt) for v in nu10_t.tolist()]
+
+
 def _source_step(stepper: _Stepper, dt: np.ndarray, g: np.ndarray, c,
                  kappa: np.ndarray, p_old: np.ndarray, p_lin: np.ndarray,
                  out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -615,15 +621,12 @@ def solve_indifference(params: ModelParams, payoff: Payoff, grid: GridSpec,
     """
     _, gs = _gamma_effs(params, quantities)
     keep = _kept_rows(grid, keep)
-    curve = intensity_curve(params, "MEMM")
-    times = grid.times()
-    nu01_t, nu10_t = curve.nu01(times), curve.nu10(times)
+    nu01_t, w_t = _switch_rates(params, "MEMM", grid)
     blocks, m = gs.size, grid.n_space
     dt = _const(grid.delta_t)
     stepper = _Stepper(grid, params.sigma0, blocks)
     g = np.repeat(gs, m)                # each node's gamma_eff
     nu01_over_g = _block_rows(nu01_t[:, None, None] / gs[:, None], m)
-    w_t = [math.exp(-v * grid.delta_t) for v in nu10_t.tolist()]
     nu01_t = nu01_t.tolist()
     # Scratch: two temporaries with (B, M) views for the guard.
     h = np.tile(payoff.value(grid.spot_nodes()), (blocks, 1))
@@ -685,6 +688,7 @@ class LinearPriceResult:
     grid: GridSpec
 
     def quote(self, spot, regime: int = 0, t: float = 0.0):
+        regime = check_integer("regime", regime)
         if regime not in (0, 1):
             raise ValueError(f"regime must be 0 or 1, got {regime}")
         surf = self.surface_p if regime == 0 else self.surface_q
@@ -711,16 +715,13 @@ def _linear_step(params: ModelParams, grid: GridSpec,
     expansion step reuses; the step takes both as full rows
     (``_block_rows``).
     """
-    times = grid.times()
-    dt = grid.delta_t
     blocks, m = len(measures), grid.n_space
-    dt_k01 = np.empty((times.size, blocks, 1))
+    dt_k01 = np.empty((grid.n_time + 1, blocks, 1))
     w = np.empty_like(dt_k01)
     for b, measure in enumerate(measures):
-        curve = intensity_curve(params, measure)
-        dt_k01[:, b, 0] = dt * curve.nu01(times)
-        # math.exp, not np.exp: the weights must round as a scalar step's do.
-        w[:, b, 0] = [math.exp(-float(v) * dt) for v in curve.nu10(times)]
+        nu01_t, w_t = _switch_rates(params, measure, grid)
+        dt_k01[:, b, 0] = grid.delta_t * nu01_t
+        w[:, b, 0] = w_t
     k_rows, w_rows = _block_rows(dt_k01, m), _block_rows(w, m)
 
     def step(i: int, rows, out):

@@ -7,10 +7,12 @@ modules through small memoizing factories keyed by the request.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from liqshock import (
     GridSpec,
+    MertonFactors,
     ModelParams,
     Payoff,
     linear_price,
@@ -104,3 +106,18 @@ def single_shock_solved(params, grid_default):
         return cache[key]
 
     return get
+
+
+@pytest.fixture
+def factor_calls(monkeypatch) -> list[int]:
+    """The size of the time argument of every ``MertonFactors._factors``
+    call made while the test runs."""
+    sizes = []
+    real = MertonFactors._factors
+
+    def spy(self, t):
+        sizes.append(np.size(t))
+        return real(self, t)
+
+    monkeypatch.setattr(MertonFactors, "_factors", spy)
+    return sizes

@@ -9,12 +9,14 @@ This gives machine-accurate reference prices by one-dimensional adaptive
 quadrature — a route completely independent of both the lattice solver
 and the Monte Carlo sampler, used to pin down their shared limit.
 
-Only the liquid start is covered.  Under the unchanged (MMM) intensities
+A shock start convolves the first frozen spell into the liquid-start law
+(``shock_start_density``).  Under the unchanged (MMM) intensities
 the price is ``E[P_BS(occ, S)]`` over this law.  The MEMM tilt of the
 intensities is the Doob h-transform of killing the chain at rate d0 while
 it is liquid (F0(t) = E[e^{-d0 occ_t}], with occ_t the liquid time left),
 so the MEMM law is the same one reweighted:
-``E^MEMM[g(occ)] = E[g(occ) e^{-d0 occ}] / F0(0)``.
+``E^MEMM[g(occ)] = E[g(occ) e^{-d0 occ}] / F0(0)``, or F1(0) from a
+shock start.
 """
 
 from __future__ import annotations
@@ -44,6 +46,35 @@ def occupation_density(tau, nu01: float, nu10: float, horizon: float):
 def no_shock_atom(nu01: float, horizon: float) -> float:
     """Probability that no shock occurs, i.e. occupation equals horizon."""
     return float(np.exp(-nu01 * horizon))
+
+
+def shock_start_density(tau, nu01: float, nu10: float, horizon: float):
+    """Density of realized liquid time on (0, horizon), shock start.
+
+    The first frozen spell s is Exp(nu10); a path that recovers at
+    s < horizon then follows the liquid-start law over horizon - s.  Its
+    atom, no shock after the recovery, lands at tau = horizon - s; its
+    density at tau has the frozen time r = horizon - s - tau:
+
+        f(tau) = nu10 e^{-nu10 (horizon - tau)} e^{-nu01 tau}
+               + int_0^{horizon - tau} nu10 e^{-nu10 (horizon - tau - r)}
+                     occupation_density(tau; horizon = tau + r) dr.
+
+    The integrand is smooth in r (I1(2x) / x is finite at x = 0), so
+    8-point Gauss-Legendre on four equal panels integrates it.  The
+    paths that never recover form the atom e^{-nu10 horizon} at tau = 0.
+    """
+    tau = np.asarray(tau, dtype=float)
+    panels = 4
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    frac = ((np.arange(panels)[:, None] + 0.5 * (1.0 + nodes)) / panels).ravel()
+    span = horizon - tau
+    t, s = tau[..., None], span[..., None]
+    r = s * frac
+    spell = nu10 * np.exp(-nu10 * (s - r))
+    inner = (spell * occupation_density(t, nu01, nu10, t + r)) @ np.tile(
+        weights / (2 * panels), panels)
+    return nu10 * np.exp(-nu10 * span - nu01 * tau) + span * inner
 
 
 def occupation_mean(nu01: float, nu10: float, horizon: float) -> float:

@@ -191,6 +191,14 @@ class TestAdjustedTtm:
         with pytest.raises(ValueError, match=rf"horizon .*got {bad}$"):
             adjusted_ttm(self.make(), horizon, 1)
 
+    @pytest.mark.parametrize("regime", [True, 1.0, np.array([1])],
+                             ids=["bool", "float", "array"])
+    def test_regime_must_be_an_integer(self, regime):
+        """A bool, a float or an array regime is refused by name, not taken
+        for regime 1."""
+        with pytest.raises(ValueError, match="regime must be an integer"):
+            adjusted_ttm(self.make(), 1.0, regime)
+
     @settings(max_examples=60, deadline=None)
     @given(nu01=st.floats(0.05, 5.0), nu10=st.floats(0.5, 20.0),
            horizon=st.floats(0.05, 3.0))

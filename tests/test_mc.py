@@ -10,6 +10,8 @@ directly.
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from liqshock import (
     bs_price,
     intensity_curve,
     mc_linear_price,
+    merton_factors,
     sample_realized_ttm,
     single_shock_memm_price,
 )
@@ -36,6 +39,7 @@ from oracle_occupation import (
     no_shock_atom,
     occupation_density,
     occupation_mean,
+    shock_start_density,
 )
 
 
@@ -97,13 +101,29 @@ class TestSampleRealizedTtm:
         with pytest.raises(ValueError, match="n_paths"):
             sample_realized_ttm(curve, 1.0, 0, seed=1, n_paths=500.0)
 
+    @pytest.mark.parametrize("start_regime", [True, 0.0, np.array([0])],
+                             ids=["bool", "float", "array"])
+    def test_start_regime_must_be_an_integer(self, params, start_regime):
+        curve = intensity_curve(params, "MMM")
+        with pytest.raises(ValueError, match="start_regime must be an integer"):
+            sample_realized_ttm(curve, 1.0, start_regime, seed=1, n_paths=500)
+
+    @pytest.mark.parametrize("horizon", [np.array([1.0]), np.array([0.5, 1.0])],
+                             ids=["one-element", "two-element"])
+    def test_array_horizon_refused_by_name(self, params, horizon):
+        curve = intensity_curve(params, "MMM")
+        with pytest.raises(ValueError, match=re.escape(
+                f"horizon must be a scalar, got an array of shape {horizon.shape}")):
+            sample_realized_ttm(curve, horizon, 0, seed=1, n_paths=500)
+
     def test_lying_bound_detected(self, params):
         """A curve whose stated bound is not a true upper bound must be
         caught by the thinning sampler, not silently under-sample."""
-        liar = IntensityCurve("MMM", params,
-                              lambda t: 1.0 + 5.0 * np.asarray(t),
-                              lambda t: np.full_like(np.asarray(t, float), 12.0),
-                              constant=True)
+        liar = IntensityCurve(
+            "MMM", params,
+            lambda t: (1.0 + 5.0 * np.asarray(t),
+                       np.full_like(np.asarray(t, float), 12.0)),
+            constant=True)
         with pytest.raises(NumericalError, match="thinning bound"):
             sample_realized_ttm(liar, 1.0, 0, seed=2, n_paths=5000)
 
@@ -112,9 +132,13 @@ class TestSampleRealizedTtm:
     def test_unusable_bound_refused_by_name(self, params, regime, bad):
         """A hand-built curve whose bound is not finite and >= 0 is refused
         by the bound's name before any round runs."""
-        rates = [lambda t: np.full_like(np.asarray(t, float), 1.0)] * 2
-        rates[regime] = lambda t: np.full_like(np.asarray(t, float), bad)
-        curve = IntensityCurve("MMM", params, *rates, constant=True)
+        values = [1.0, 1.0]
+        values[regime] = bad
+        curve = IntensityCurve(
+            "MMM", params,
+            lambda t: tuple(np.full_like(np.asarray(t, float), v)
+                            for v in values),
+            constant=True)
         name = ("bound01", "bound10")[regime]
         with pytest.raises(NumericalError, match=f"{name} must be finite"):
             sample_realized_ttm(curve, 1.0, 0, seed=2, n_paths=500)
@@ -250,12 +274,56 @@ def clock_law(params: ModelParams, measure: str):
     return cdf, atom
 
 
+def shock_start_law(params: ModelParams, measure: str):
+    """The exact law of the shock-start clock under ``measure``: its CDF
+    on (0, T) and its no-recovery atom at 0.
+
+    The density convolves the first frozen spell into the liquid-start
+    law (``shock_start_density``).  MEMM reweights it by e^{-d0 tau} over
+    its own mass, which must be the shock-regime factor F1(0).  The CDF
+    integrates the density by 8-point Gauss-Legendre on 1,000 equal panels
+    and is linear between their edges: at nu10 = 2 that is within 2e-7 of
+    the exact CDF, four orders of magnitude below the KS bound."""
+    panels = 1000
+    edges = np.linspace(0.0, params.T, panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    t = edges[:-1, None] + half * (1.0 + _GL_NODES)
+    f = shock_start_density(t, params.nu01, params.nu10, params.T)
+    # No recovery before T: the no-shock atom of the swapped chain.
+    atom = no_shock_atom(params.nu10, params.T)
+    if measure == "MEMM":
+        f = f * np.exp(-params.d0 * t)
+    cum = np.concatenate(([0.0], np.cumsum(f @ (half * _GL_WEIGHTS))))
+    mass = cum[-1] + atom
+    if measure == "MMM":
+        assert mass == pytest.approx(1.0, abs=1e-12)
+    else:
+        assert mass == pytest.approx(float(merton_factors(params).F1(0.0)),
+                                     rel=1e-12)
+    return (lambda v: np.interp(v, edges, cum / mass)), atom / mass
+
+
 @pytest.fixture(scope="module", params=["MMM", "MEMM"])
 def clock_sample(request, params):
     """A measure and its liquid-start clocks over LAW_PATHS paths."""
     assert LAW_PATHS >= 2 * mc._CHUNK
     curve = intensity_curve(params, request.param)
     return request.param, sample_realized_ttm(curve, params.T, 0, 1,
+                                              LAW_PATHS)
+
+
+@pytest.fixture(scope="module")
+def slow_recovery(params) -> ModelParams:
+    """The canonical parameters with nu10 = 2: about 13% of the paths
+    started in a shock never recover, so their atom has a sizeable mass."""
+    return replace(params, nu10=2.0)
+
+
+@pytest.fixture(scope="module", params=["MMM", "MEMM"])
+def shock_start_sample(request, slow_recovery):
+    """A measure and its shock-start clocks over LAW_PATHS paths."""
+    curve = intensity_curve(slow_recovery, request.param)
+    return request.param, sample_realized_ttm(curve, slow_recovery.T, 1, 2,
                                               LAW_PATHS)
 
 
@@ -279,3 +347,35 @@ class TestClockLaw:
         assert np.all(below > 0.0)
         d = stats.kstest(below, lambda x: cdf(x) / (1.0 - atom)).statistic
         assert d <= stats.kstwo.isf(LAW_LEVEL, below.size)
+
+    def test_no_recovery_atom(self, slow_recovery, shock_start_sample):
+        """From the shock regime, the share of clocks equal to 0, the paths
+        that never recover, lies in the two-sided binomial interval of
+        level LAW_LEVEL."""
+        measure, clocks = shock_start_sample
+        _, atom = shock_start_law(slow_recovery, measure)
+        lo, hi = stats.binom.interval(1.0 - LAW_LEVEL, LAW_PATHS, atom)
+        assert lo <= np.count_nonzero(clocks == 0.0) <= hi
+
+    def test_shock_start_clocks_follow_the_convolved_density(
+            self, slow_recovery, shock_start_sample):
+        """From the shock regime, the clocks above 0 pass a
+        Kolmogorov-Smirnov test against the exact conditional CDF at level
+        LAW_LEVEL."""
+        measure, clocks = shock_start_sample
+        cdf, atom = shock_start_law(slow_recovery, measure)
+        above = clocks[clocks > 0.0]
+        assert np.all(above < slow_recovery.T)
+        d = stats.kstest(above, lambda x: cdf(x) / (1.0 - atom)).statistic
+        assert d <= stats.kstwo.isf(LAW_LEVEL, above.size)
+
+    @pytest.mark.parametrize("nu10", [2.0, 12.0])
+    def test_shock_start_density_is_the_swapped_chain(self, params, nu10):
+        """The convolved density equals the law of T minus the frozen time,
+        which from the shock regime is the liquid-start law with the two
+        intensities swapped."""
+        tau = np.linspace(0.001, params.T - 0.001, 999)
+        assert np.allclose(
+            shock_start_density(tau, params.nu01, nu10, params.T),
+            occupation_density(params.T - tau, nu10, params.nu01, params.T),
+            rtol=1e-12, atol=0.0)

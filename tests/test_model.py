@@ -20,7 +20,6 @@ from scipy.linalg import expm
 from liqshock import (
     MEASURES,
     PAYOFF_KINDS,
-    IntensityCurve,
     ModelParams,
     NumericalError,
     Payoff,
@@ -224,15 +223,15 @@ class TestMertonFactors:
         dict(nu01=0.0), dict(mu0=0.0), dict(nu01=0.0, mu0=0.0)],
         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
     def test_memm_curve_ratios_match_the_shared_tilt(self, kw):
-        """The MEMM curve's nu01(t) and nu10(t), each formed alone, equal
-        the tilt nu01 F1/F0, nu10 F0/F1 of one shared pair of exponentials
-        bit for bit."""
+        """The MEMM curve's rates (nu01(t), nu10(t)) equal the tilt
+        nu01 F1/F0, nu10 F0/F1 of one shared pair of exponentials bit for
+        bit."""
         p = make_params(**kw)
         t = np.linspace(0.0, p.T, 2001)
         f0, f1 = merton_factors(p)._factors(t)
-        curve = intensity_curve(p, "MEMM")
-        assert np.array_equal(curve.nu01(t), p.nu01 * f1 / f0)
-        assert np.array_equal(curve.nu10(t), p.nu10 * f0 / f1)
+        nu01, nu10 = intensity_curve(p, "MEMM").rates(t)
+        assert np.array_equal(nu01, p.nu01 * f1 / f0)
+        assert np.array_equal(nu10, p.nu10 * f0 / f1)
 
     @settings(max_examples=60, deadline=None)
     @given(param_strategy)
@@ -297,9 +296,9 @@ class TestIntensityCurves:
     def test_mmm_is_constant(self):
         p = make_params()
         c = intensity_curve(p, "MMM")
-        ts = np.linspace(0.0, p.T, 5)
-        assert np.allclose(c.nu01(ts), p.nu01)
-        assert np.allclose(c.nu10(ts), p.nu10)
+        nu01, nu10 = c.rates(np.linspace(0.0, p.T, 5))
+        assert np.allclose(nu01, p.nu01)
+        assert np.allclose(nu10, p.nu10)
 
     def test_memm_tilt_direction_and_terminal_value(self):
         """The tilted chain is more shock-prone: nu01 is scaled up by
@@ -307,23 +306,31 @@ class TestIntensityCurves:
         p = make_params()
         fac = merton_factors(p)
         c = intensity_curve(p, "MEMM")
-        ts = np.linspace(0.0, p.T, 9)
-        assert np.all(np.asarray(c.nu01(ts)) >= p.nu01 - 1e-12)
-        assert np.all(np.asarray(c.nu10(ts)) <= p.nu10 + 1e-10)
-        assert c.nu01(p.T) == pytest.approx(p.nu01, rel=1e-12)
-        assert c.nu01(0.3) == pytest.approx(
+        nu01, nu10 = c.rates(np.linspace(0.0, p.T, 9))
+        assert np.all(nu01 >= p.nu01 - 1e-12)
+        assert np.all(nu10 <= p.nu10 + 1e-10)
+        assert c.rates(p.T)[0] == pytest.approx(p.nu01, rel=1e-12)
+        nu01, nu10 = c.rates(0.3)
+        assert nu01 == pytest.approx(
             p.nu01 * fac.F1(0.3) / fac.F0(0.3), rel=1e-14)
         # detailed-balance of the tilt: the product of intensities is kept
-        assert c.nu01(0.3) * c.nu10(0.3) == pytest.approx(
-            p.nu01 * p.nu10, rel=1e-12)
+        assert nu01 * nu10 == pytest.approx(p.nu01 * p.nu10, rel=1e-12)
 
     def test_bounds_dominate_curves(self):
         p = make_params()
         for measure in MEASURES:
             c = intensity_curve(p, measure)
-            ts = np.linspace(0.0, p.T, 501)
-            assert np.max(np.asarray(c.nu01(ts))) <= c.bound01 + 1e-15
-            assert np.max(np.asarray(c.nu10(ts))) <= c.bound10 + 1e-15
+            nu01, nu10 = c.rates(np.linspace(0.0, p.T, 501))
+            assert np.max(nu01) <= c.bound01 + 1e-15
+            assert np.max(nu10) <= c.bound10 + 1e-15
+
+    def test_both_bounds_from_one_evaluation(self, factor_calls):
+        """Reading both bounds of a MEMM curve evaluates the discount
+        factors once, over the bound's 2001 samples."""
+        c = intensity_curve(make_params(), "MEMM")
+        factor_calls.clear()                # the build's check at 0 and T
+        assert c.bound01 > 0.0 and c.bound10 > 0.0
+        assert factor_calls == [2001]
 
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValueError, match="measure"):
@@ -335,13 +342,13 @@ class TestIntensityCurves:
         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
     def test_by_regime_is_each_curve_exactly(self, measure, kw):
         """One evaluation of both curves gives each entry the bits of its
-        regime's curve, as the default per-regime split does."""
+        regime's curve, each evaluated at that entry's time alone."""
         p = make_params(**kw)
         c = intensity_curve(p, measure)
         rng = np.random.default_rng(7)
         t = rng.uniform(0.0, p.T, 4001)
         regime = (rng.random(t.size) < 0.3).astype(np.int8)
-        expect = np.where(regime == 0, c.nu01(t), c.nu10(t))
-        split = IntensityCurve(measure, p, c.nu01, c.nu10, constant=False)
-        assert np.array_equal(c.by_regime(t, regime), expect)
-        assert np.array_equal(split.by_regime(t, regime), expect)
+        expect = [c.rates(t[regime == r])[r] for r in (0, 1)]
+        got = c.by_regime(t, regime)
+        for r in (0, 1):
+            assert np.array_equal(got[regime == r], expect[r])

@@ -124,6 +124,22 @@ class TestPriceSurface:
         with pytest.raises(ValueError, match="regime must be 0 or 1"):
             PriceSurface(rows, grid_default, 2)
 
+    @pytest.mark.parametrize("regime", [True, 1.0, np.array([1])],
+                             ids=["bool", "float", "array"])
+    def test_regime_must_be_an_integer(self, grid_default, regime):
+        rows = np.zeros((grid_default.n_time + 1, grid_default.n_space))
+        with pytest.raises(ValueError, match="regime must be an integer"):
+            PriceSurface(rows, grid_default, regime)
+
+    @pytest.mark.parametrize("regime", [True, 1.0, np.array([1])],
+                             ids=["bool", "float", "array"])
+    def test_linear_quote_regime_must_be_an_integer(self, linear_solved,
+                                                    regime):
+        """``LinearPriceResult.quote`` refuses a regime that is not an
+        integer instead of quoting the shock regime's surface."""
+        with pytest.raises(ValueError, match="regime must be an integer"):
+            linear_solved("MMM", "vanilla_call").quote(10.0, regime=regime)
+
     def test_row_requires_grid_time(self, indiff_solved):
         p, _ = indiff_solved("vanilla_call", 1.0)
         dt = p.grid.delta_t

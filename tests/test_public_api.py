@@ -97,10 +97,10 @@ def return_rule_cases():
                           lambda x, f=factory, n=name: getattr(f(PARAMS), n)(x),
                           0.3))
     for measure in liqshock.MEASURES:
-        for name in ("nu01", "nu10"):
-            cases.append((f"IntensityCurve.{name}-{measure}",
-                          lambda x, m=measure, n=name: getattr(
-                              intensity_curve(PARAMS, m), n)(x), 0.3))
+        for k, name in enumerate(("nu01", "nu10")):
+            cases.append((f"IntensityCurve.rates.{name}-{measure}",
+                          lambda x, m=measure, k=k: intensity_curve(
+                              PARAMS, m).rates(x)[k], 0.3))
     cases += [
         ("PriceSurface.quote", lambda x: coarse()[1].p0.quote(x), 9.0),
         ("PriceSurface.delta", lambda x: coarse()[1].p0.delta(x), 9.0),

@@ -72,8 +72,8 @@ def kinked_curve() -> tuple[IntensityCurve, dict]:
     spec = GOLDENS["curves"]["nu01_kinked_at_half"]
     params = ModelParams(**spec["params"])
     curve = IntensityCurve("kinked", params,
-                           lambda t: 1.5 - np.maximum(0.0, t - 0.5),
-                           lambda t: np.full_like(t, 12.0), constant=True)
+                           lambda t: (1.5 - np.maximum(0.0, t - 0.5),
+                                      np.full_like(t, 12.0)), constant=True)
     return curve, spec
 
 

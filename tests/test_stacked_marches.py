@@ -471,6 +471,23 @@ def test_marches_leave_the_sampler_bounds_uncomputed(params, grid, monkeypatch,
     assert not {"bound01", "bound10"} & set(vars(curves[0]))
 
 
+@pytest.mark.parametrize("march", [
+    lambda params, grid: linear_price(params, Payoff("vanilla_call", STRIKE),
+                                      "MEMM", grid),
+    lambda params, grid: mmm_and_expansion(
+        params, Payoff("vanilla_call", STRIKE), grid),
+    lambda params, grid: solve_indifference(
+        params, Payoff("vanilla_call", STRIKE), grid, [1.0, -1.0])],
+    ids=["linear_price", "mmm_and_expansion", "solve_indifference"])
+def test_a_march_evaluates_the_discount_factors_once(params, grid,
+                                                     factor_calls, march):
+    """A march takes both MEMM intensities on its N + 1 time rows from one
+    evaluation of the discount factors; ``merton_factors`` checks them at
+    t = 0 and T when it builds them."""
+    march(params, grid)
+    assert factor_calls == [2, grid.n_time + 1]
+
+
 class TestLinearPass:
     @pytest.mark.parametrize("kind", ["vanilla_call", "digital_call"])
     def test_bundle_p0_is_the_memm_price(self, params, kind):
