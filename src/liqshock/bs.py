@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import NumericalError, check_integer
+from .errors import NumericalError, check_regime
 from .model import ModelParams, Payoff
 
 __all__ = [
@@ -196,9 +196,7 @@ def adjusted_ttm(params: ModelParams, horizon, regime: int):
     horizon only when nu01 = 0 and regime = 0.  A negative or non-finite
     horizon raises ValueError naming the first such value.
     """
-    regime = check_integer("regime", regime)
-    if regime not in (0, 1):
-        raise ValueError(f"regime must be 0 or 1, got {regime}")
+    regime = check_regime("regime", regime)
     h = np.asarray(horizon, dtype=float)
     _first_bad(h.ravel(), (h >= 0.0) & (h < math.inf),
                "horizon must be finite and >= 0")

@@ -22,6 +22,15 @@ def check_integer(name: str, value) -> int:
     return operator.index(value)
 
 
+def check_regime(name: str, value) -> int:
+    """``value`` as an int; refuses (ValueError) a value that is not the
+    integer 0 or 1."""
+    regime = check_integer(name, value)
+    if regime not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {regime}")
+    return regime
+
+
 def check_scalar(name: str, value) -> None:
     """Refuse (ValueError) an array of one or more dimensions, by name and
     shape; a 0-d array passes."""

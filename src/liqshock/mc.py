@@ -16,11 +16,11 @@ regime, clock and liquid time as compact arrays, working through them in
 blocks of ``_BLOCK`` paths so its temporaries stay cache-sized.  A dense
 round fills the chunk's window of the round's vectors, with the Philox
 counter set to the chunk's first path (``_round_uniforms``).  Once at
-most ``_SPARSE_FRACTION`` of a chunk is live, it parks its live paths as
-a cohort tagged with the round; after the last chunk one sparse tail
-runs every parked path, merging each cohort at its round, and computes
-each round's draws at the live paths alone, straight from the counter
-(``_live_uniforms``, one call per round).  One thinning kernel,
+most ``_SPARSE_FRACTION`` of a chunk is live, it parks its live paths,
+each with its next round; after the last chunk one sparse tail runs
+every parked path together, each at its own round, and computes a tail
+round's draws at the live paths alone, straight from the counter
+(``_live_uniforms``, one call per tail round).  One thinning kernel,
 ``sample_realized_ttm``, serves all three measures: time-dependent
 intensities are sampled by thinning against a precomputed curve bound,
 constant intensities accept every candidate (plain exponential
@@ -52,7 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bs as _bs
-from .errors import NumericalError, check_count, check_integer, check_scalar
+from .errors import (NumericalError, check_count, check_integer,
+                     check_regime, check_scalar)
 from .model import IntensityCurve, ModelParams, Payoff, intensity_curve
 
 __all__ = [
@@ -133,8 +134,10 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (hl >> _U32) + (cross >> _U32) + x_hi * a_hi, x * a
 
 
-def _live_uniforms(seed: int, round_idx: int, idx: np.ndarray) -> np.ndarray:
-    """Entries ``idx`` of round ``round_idx``'s two uniform vectors.
+def _live_uniforms(seed: int, round_idx: int | np.ndarray,
+                   idx: np.ndarray) -> np.ndarray:
+    """Entries ``idx`` of the two uniform vectors of round ``round_idx``,
+    one round for every index or one round per index.
 
     Returns a (2, idx.size) array: row 0 holds the thinning draws
     (purpose 0), row 1 the acceptance draws (purpose 1), bit-identical to
@@ -147,23 +150,22 @@ def _live_uniforms(seed: int, round_idx: int, idx: np.ndarray) -> np.ndarray:
     ``_BLOCK`` indices at a time, so the uint64 temporaries stay the size
     of one block whatever ``idx.size`` is.
     """
-    # Key words of each Philox round: one per purpose, and the seed word.
-    keys = [(np.array([[(round_idx * 8 + purpose + r * _PHILOX_W[0]) & _MASK64]
-                       for purpose in (0, 1)], dtype=np.uint64),
-             np.full((1, 1), (seed + r * _PHILOX_W[1]) & _MASK64,
-                     dtype=np.uint64))
-            for r in range(_PHILOX_ROUNDS)]
+    rounds = np.broadcast_to(np.uint64(round_idx), idx.shape)
+    purposes = np.arange(2, dtype=np.uint64)[:, None]
     # Counter words 1..3 start at zero; shapes broadcast, so the first two
     # rounds run once for both purposes where their inputs agree.
     zero = np.zeros((1, 1), dtype=np.uint64)
     out = np.empty((2, idx.size))
     for start in range(0, idx.size, _BLOCK):
         pos = idx[start:start + _BLOCK].astype(np.uint64)[None, :]
+        key0 = rounds[start:start + _BLOCK] * np.uint64(8) + purposes
         x0, x1, x2, x3 = (pos >> np.uint64(2)) + np.uint64(1), zero, zero, zero
-        for key0, key1 in keys:
+        for r in range(_PHILOX_ROUNDS):
             hi0, lo0 = _mulhilo(0, x0)
             hi1, lo1 = _mulhilo(1, x2)
+            key1 = np.uint64((seed + r * _PHILOX_W[1]) & _MASK64)
             x0, x1, x2, x3 = hi1 ^ x1 ^ key0, lo1, hi0 ^ x3 ^ key1, lo0
+            key0 += np.uint64(_PHILOX_W[0])
         words = np.broadcast_arrays(x0, x1, x2, x3)
         word = np.choose((pos & np.uint64(3)).astype(np.intp), words)
         out[:, start:start + _BLOCK] = (
@@ -193,7 +195,7 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
     The paths run chunk-major, ``_CHUNK`` consecutive indices at a time,
     each chunk through its dense rounds; once at most ``_SPARSE_FRACTION``
     of a chunk is live, its live paths are parked, and after the last
-    chunk all parked paths run together, one round at a time.  Path i's
+    chunk all parked paths run together, each at its own round.  Path i's
     draws are Philox outputs at counter positions fixed by (seed, round,
     i), so the result is bit-identical whatever the chunk size.  One
     DEBUG record gives the whole call's acceptance ratio and candidate
@@ -201,9 +203,7 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
     """
     seed = _validate_seed(seed)
     check_count("n_paths", n_paths, _MIN_PATHS)
-    start_regime = check_integer("start_regime", start_regime)
-    if start_regime not in (0, 1):
-        raise ValueError(f"start_regime must be 0 or 1, got {start_regime}")
+    start_regime = check_regime("start_regime", start_regime)
     absorbing = curve.measure == "MEMM_single_shock"
     if absorbing and start_regime != 0:
         raise ValueError("the single-shock measure starts in regime 0")
@@ -313,7 +313,7 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
     # serve every chunk.  A dense round fills the chunk's window of the
     # thinning vector, and of the acceptance vector when thin_round needs
     # it.  A chunk with at most _SPARSE_FRACTION of its paths live parks
-    # them, with their absolute indices, as a cohort tagged with its round.
+    # them with their absolute indices and their next round.
     size = min(_CHUNK, n_paths)
     live = (np.empty(size, dtype=np.intp), np.empty(size, dtype=np.int8),
             np.empty(size), np.empty(size))
@@ -331,40 +331,28 @@ def sample_realized_ttm(curve: IntensityCurve, horizon: float,
                                 u_a[:m], c0)
             r += 1
         if n_live:
-            parked.append((r, live[0][:n_live] + c0,
+            parked.append((live[0][:n_live] + c0, np.full(n_live, r),
                            *(a[:n_live].copy() for a in live[1:])))
-    # The tail, after the chunk arrays are freed: the cohorts are
-    # concatenated in round order, and a path's slot there is its offset.
-    # One loop counts up from the smallest parked round and merges each
-    # cohort, moving it next to the live paths, when it reaches that
-    # cohort's round, so every tail path is at the loop's round.  A round
+    # The tail, after the chunk arrays are freed: the parked paths are
+    # concatenated, a path's slot there is its offset, and every parked
+    # path runs from the first tail round, each at its own round.  A round
     # computes both draws at its live paths alone into two slot-indexed
     # buffers; ``ids`` maps the slots to the paths for the draws and for
-    # the results.
+    # the results, and ``rounds`` holds each slot's next round.
     del live, u_s, u_a
     if parked:
-        parked.sort(key=lambda cohort: cohort[0])
-        rounds, *columns = zip(*parked)
-        sizes = [cohort.size for cohort in columns[0]]
-        ids, *rest = map(np.concatenate, columns)
-        del parked, columns
+        ids, rounds, *rest = map(np.concatenate, zip(*parked))
+        del parked
         live = (np.arange(ids.size), *rest)
         u_s, u_a, res = (np.empty(ids.size) for _ in range(3))
-        n_live = merged = k = 0
-        while k < len(rounds) or n_live:
-            if not n_live:
-                r = rounds[k]
-            while k < len(rounds) and rounds[k] == r:
-                n = sizes[k]
-                for a in live:
-                    a[n_live:n_live + n] = a[merged:merged + n]
-                n_live += n
-                merged += n
-                k += 1
+        n_live = ids.size
+        while n_live:
             here = live[0][:n_live]
+            r = rounds.take(here)
             u_s[here], u_a[here] = _live_uniforms(seed, r, ids.take(here))
-            n_live = thin_round(r, live, n_live, res, u_s, u_a, None)
-            r += 1
+            rounds[here] = r + 1
+            n_live = thin_round(int(r.max()), live, n_live, res, u_s, u_a,
+                                None)
         liquid[ids] = res
     if n_cand:
         logger.debug("thinning acceptance ratio %.4f over %d candidates "

@@ -94,7 +94,8 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 from . import bs as _bs
-from .errors import NumericalError, check_count, check_integer, check_scalar
+from .errors import (NumericalError, check_count, check_integer,
+                     check_regime, check_scalar)
 from .model import ModelParams, Payoff, intensity_curve, single_shock_factors
 # Unused here; stays bound because perfbench/spans.py patches it by name.
 from .model import merton_factors  # noqa: F401
@@ -383,9 +384,7 @@ class PriceSurface:
         expected = (len(keep), self.grid.n_space)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != {expected}")
-        check_integer("regime", self.regime)
-        if self.regime not in (0, 1):
-            raise ValueError(f"regime must be 0 or 1, got {self.regime}")
+        check_regime("regime", self.regime)
 
     def _row_index(self, t: float) -> int:
         check_scalar("t", t)
@@ -688,9 +687,7 @@ class LinearPriceResult:
     grid: GridSpec
 
     def quote(self, spot, regime: int = 0, t: float = 0.0):
-        regime = check_integer("regime", regime)
-        if regime not in (0, 1):
-            raise ValueError(f"regime must be 0 or 1, got {regime}")
+        regime = check_regime("regime", regime)
         surf = self.surface_p if regime == 0 else self.surface_q
         return surf.quote(spot, t)
 

@@ -17,6 +17,10 @@ it is liquid (F0(t) = E[e^{-d0 occ_t}], with occ_t the liquid time left),
 so the MEMM law is the same one reweighted:
 ``E^MEMM[g(occ)] = E[g(occ) e^{-d0 occ}] / F0(0)``, or F1(0) from a
 shock start.
+
+The single-shock measure's chain has at most one shock, so its physical
+law (``single_shock_density``) needs no Bessel series; its MEMM law is
+the same reweighting, divided by the single-shock F0(0).
 """
 
 from __future__ import annotations
@@ -75,6 +79,26 @@ def shock_start_density(tau, nu01: float, nu10: float, horizon: float):
     inner = (spell * occupation_density(t, nu01, nu10, t + r)) @ np.tile(
         weights / (2 * panels), panels)
     return nu10 * np.exp(-nu10 * span - nu01 * tau) + span * inner
+
+
+def single_shock_density(tau, nu01: float, nu10: float, horizon: float):
+    """Density of realized liquid time on (0, horizon) for a chain started
+    liquid that takes at most one shock and stays liquid once it recovers.
+
+    The shock time s is Exp(nu01) and the recovery wait r is Exp(nu10).
+    A path that does not recover before the horizon has tau = s; one that
+    does has tau = horizon - r, with s < tau:
+
+        f(tau) = e^{-nu10 (horizon - tau)}
+                 [nu01 e^{-nu01 tau} + nu10 (1 - e^{-nu01 tau})].
+
+    The paths with no shock form the atom ``no_shock_atom`` at tau =
+    horizon.
+    """
+    tau = np.asarray(tau, dtype=float)
+    no_shock = np.exp(-nu01 * tau)
+    return np.exp(-nu10 * (horizon - tau)) * (
+        nu01 * no_shock + nu10 * (1.0 - no_shock))
 
 
 def occupation_mean(nu01: float, nu10: float, horizon: float) -> float:

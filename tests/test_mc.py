@@ -29,6 +29,7 @@ from liqshock import (
     mc_linear_price,
     merton_factors,
     sample_realized_ttm,
+    single_shock_factors,
     single_shock_memm_price,
 )
 from conftest import STRIKE
@@ -40,6 +41,7 @@ from oracle_occupation import (
     occupation_density,
     occupation_mean,
     shock_start_density,
+    single_shock_density,
 )
 
 
@@ -241,14 +243,22 @@ def clock_law(params: ModelParams, measure: str):
     on (0, T) and its no-shock atom at T.
 
     MMM is the occupation law itself.  MEMM reweights it by
-    e^{-d0 tau} / E[e^{-d0 occ}] (see ``oracle_occupation``).  The CDF
-    integrates the density by 8-point Gauss-Legendre on 1,000 equal
+    e^{-d0 tau} / E[e^{-d0 occ}] (see ``oracle_occupation``).
+    MEMM_single_shock reweights the physical single-shock law
+    (``single_shock_density``) by e^{-d0 tau} / F0(0), F0 of the
+    single-shock factors, so the total mass of 1 checks that factor.  The
+    CDF integrates the density by 8-point Gauss-Legendre on 1,000 equal
     panels, and on the part of a panel below each point."""
+    density = occupation_density
     if measure == "MMM":
         def weight(t):
             return np.ones_like(t)
     else:
-        mass = killed_occupation_mass(params)
+        if measure == "MEMM":
+            mass = killed_occupation_mass(params)
+        else:
+            density = single_shock_density
+            mass = float(single_shock_factors(params).F0(0.0))
 
         def weight(t):
             return np.exp(-params.d0 * t) / mass
@@ -257,7 +267,7 @@ def clock_law(params: ModelParams, measure: str):
         a, b = a[:, None], b[:, None]
         half = 0.5 * (b - a)
         t = a + half * (1.0 + _GL_NODES)
-        f = occupation_density(t, params.nu01, params.nu10, params.T)
+        f = density(t, params.nu01, params.nu10, params.T)
         return (half * f * weight(t)) @ _GL_WEIGHTS
 
     panels = 1000
@@ -303,7 +313,7 @@ def shock_start_law(params: ModelParams, measure: str):
     return (lambda v: np.interp(v, edges, cum / mass)), atom / mass
 
 
-@pytest.fixture(scope="module", params=["MMM", "MEMM"])
+@pytest.fixture(scope="module", params=MEASURES)
 def clock_sample(request, params):
     """A measure and its liquid-start clocks over LAW_PATHS paths."""
     assert LAW_PATHS >= 2 * mc._CHUNK

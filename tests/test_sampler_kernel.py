@@ -137,25 +137,32 @@ def test_zero_draw_at_zero_rate_draws_no_candidate(monkeypatch, params,
     assert rounds[:zero_rate_round + 1] == list(range(zero_rate_round + 1))
 
 
-def test_goldens_reach_sparse_rounds_and_several_blocks(monkeypatch):
-    """The stored sets exercise what they are meant to: more than one
-    block in a dense round, and sparse rounds."""
-    rounds = []
+@pytest.fixture
+def live_gathers(monkeypatch) -> list[tuple[set[int], int]]:
+    """Record every ``_live_uniforms`` gather: its distinct rounds and its
+    index count."""
+    gathers = []
     real = mc._live_uniforms
 
     def spy(seed, round_idx, idx):
-        rounds.append(round_idx)
+        gathers.append((set(np.unique(round_idx).tolist()), idx.size))
         return real(seed, round_idx, idx)
 
     monkeypatch.setattr(mc, "_live_uniforms", spy)
+    return gathers
+
+
+def test_goldens_reach_sparse_rounds_and_several_blocks(live_gathers):
+    """The stored sets exercise what they are meant to: more than one
+    block in a dense round, and sparse rounds."""
     assert GOLDENS["n_paths"] > 4 * mc._BLOCK
     for name in SETS:
-        rounds.clear()
+        live_gathers.clear()
         spec = GOLDENS["sets"][name]
         params = ModelParams(**spec["params"])
         sample_realized_ttm(intensity_curve(params, "MEMM"), params.T, 0,
                             spec["seed"], GOLDENS["n_paths"])
-        assert len(set(rounds)) >= 3, name
+        assert len(set().union(*(r for r, _ in live_gathers))) >= 3, name
 
 
 @pytest.mark.parametrize("name", SETS)
@@ -241,6 +248,24 @@ def test_live_uniforms_match_the_filled_vectors(seed, round_idx, n_paths):
         assert np.array_equal(u[1], accept[idx])
 
 
+def test_live_uniforms_take_one_round_per_index():
+    """With one round per index, four rounds interleaved over more than
+    one block, each entry of both rows is its own round's fill."""
+    seed, n_paths = 20121, 40_000
+    rng = np.random.default_rng(n_paths)
+    idx = np.sort(rng.choice(n_paths, size=12_000, replace=False))
+    mixed = np.array([0, 7, CAP // 3, CAP - 1])
+    rounds = mixed[np.arange(idx.size) % mixed.size]
+    u = mc._live_uniforms(seed, rounds, idx)
+    assert u.shape == (2, idx.size)
+    for r in mixed:
+        at = rounds == r
+        for purpose in (0, 1):
+            fill = mc._round_uniforms(seed, int(r), purpose,
+                                      np.empty(n_paths))
+            assert np.array_equal(u[purpose, at], fill[idx[at]])
+
+
 # 50,000 paths in chunks of 12,004: five chunks, the last one short.
 SHORT_CHUNK = 12_004
 
@@ -301,23 +326,17 @@ def test_window_fill_refuses_unaligned_start(start):
         mc._round_uniforms(0, 0, 0, np.empty(8), start=start)
 
 
-def test_one_tail_gathers_once_per_round(monkeypatch, params):
+def test_one_tail_gathers_once_per_round(live_gathers, params):
     """The chunks' sparse tails run as one: a 400k-path call over four
     chunks gathers its draws at the live indices once per tail round, not
-    once per round of every chunk."""
-    rounds = []
-    real = mc._live_uniforms
-
-    def spy(seed, round_idx, idx):
-        rounds.append(round_idx)
-        return real(seed, round_idx, idx)
-
-    monkeypatch.setattr(mc, "_live_uniforms", spy)
+    once per round of every chunk, and every parked path is in the first
+    gather, so the gathers shrink."""
     sample_realized_ttm(intensity_curve(params, "MEMM"), params.T, 0, 3,
                         400_000)
     assert 400_000 > 3 * mc._CHUNK
-    assert 0 < len(rounds) <= 10
-    assert len(set(rounds)) == len(rounds)
+    assert 0 < len(live_gathers) <= 10
+    sizes = [n for _, n in live_gathers]
+    assert sizes == sorted(sizes, reverse=True)
 
 
 # 50,000 paths in chunks of 16,384: three full chunks and one of 848.
@@ -326,36 +345,15 @@ def test_one_tail_gathers_once_per_round(monkeypatch, params):
 PARKING_CHUNK = 16_384
 
 
-def test_cohorts_parked_at_different_rounds_keep_draws(monkeypatch):
-    """Chunks that park at different rounds join the one tail at their own
-    round: the draws match the digests, and the tail gathers once per
-    round, counting up from the first parking round."""
-    calls = []
-    real_fill, real_live = mc._round_uniforms, mc._live_uniforms
-
-    def fill(seed, round_idx, purpose, out, start=0):
-        if purpose == 0:
-            if start == 0 and round_idx == 0:
-                calls.append(({}, []))
-            # A chunk parks after its last dense round.
-            calls[-1][0][start] = round_idx + 1
-        return real_fill(seed, round_idx, purpose, out, start)
-
-    def live(seed, round_idx, idx):
-        calls[-1][1].append(round_idx)
-        return real_live(seed, round_idx, idx)
-
+def test_cohorts_parked_at_different_rounds_keep_draws(monkeypatch,
+                                                       live_gathers):
+    """Chunks that park at different rounds run in the one tail, each path
+    at its own round: a gather holds paths of two rounds or more, and the
+    draws match the digests."""
     monkeypatch.setattr(mc, "_CHUNK", PARKING_CHUNK)
-    monkeypatch.setattr(mc, "_round_uniforms", fill)
-    monkeypatch.setattr(mc, "_live_uniforms", live)
     name = SETS[0]
     assert draw_digests(name) == GOLDENS["sets"][name]["digests"]
-    assert len(calls) == 5
-    parking = [sorted(set(parked.values())) for parked, _ in calls]
-    assert max(len(p) for p in parking) >= 2
-    for p, (parked, rounds) in zip(parking, calls):
-        assert len(parked) == 4
-        assert rounds == list(range(p[0], p[0] + len(rounds)))
+    assert max(len(rounds) for rounds, _ in live_gathers) >= 2
 
 
 def test_one_acceptance_record_per_call(monkeypatch, params, caplog):
