@@ -39,8 +39,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # Bisection stops when the reproduced price is within this of the target.
 _IMPLIED_PRICE_TOL = 1e-10
 _IMPLIED_MAX_ITER = 200
-# Largest broadcast bs_price evaluates in one piece.
-_BS_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -116,32 +114,17 @@ def _bs_formula(payoff: Payoff, tau: np.ndarray, s: np.ndarray, sigma: float):
     return vol, d1, d2, price
 
 
-def _bs_fill(payoff: Payoff, tau: np.ndarray, s: np.ndarray, sigma: float,
-             out: np.ndarray) -> None:
-    """Write P_BS(tau, s) into ``out`` (all three of one shape)."""
-    expired = tau == 0.0
-    if not np.any(expired):
-        out[...] = _bs_formula(payoff, tau, s, sigma)[3]
-        return
-    out[expired] = payoff.value(s[expired])
-    live = ~expired
-    if np.any(live):
-        out[live] = _bs_formula(payoff, tau[live], s[live], sigma)[3]
-
-
 def bs_price(payoff: Payoff, ttm, spot, sigma: float):
     """Per-contract Black-Scholes price at zero rates.
 
     Vectorized over ``ttm`` and ``spot`` (numpy broadcasting).  ttm = 0
     returns the payoff itself, with the strict-inequality digital
-    convention.  The broadcast is evaluated in blocks of leading-axis rows
-    of at most ``_BS_BLOCK`` elements (a 0-d broadcast is one row of one),
-    written straight into the result, so the masks and intermediates stay
-    cache-sized instead of scaling with the whole table.  Every value is an
-    elementwise function of its own (ttm, spot), so the blocks are
-    bit-identical to one whole-array evaluation.  A ttm or spot that is not
-    finite, a negative ttm or a non-positive spot raises ValueError naming
-    the first such value.
+    convention.  The whole broadcast is evaluated in one pass, so its
+    temporaries scale with it: each caller sizes its own calls.  Every
+    value is an elementwise function of its own (ttm, spot), so a caller
+    may split a broadcast into calls of any size and get the same bits.
+    A ttm or spot that is not finite, a negative ttm or a non-positive
+    spot raises ValueError naming the first such value.
     """
     _validate_sigma(sigma)
     tau = np.asarray(ttm, dtype=float)
@@ -149,13 +132,14 @@ def bs_price(payoff: Payoff, ttm, spot, sigma: float):
     _first_bad(tau.ravel(), (tau >= 0.0) & (tau < math.inf),
                "ttm must be finite and >= 0")
     check_spot(s)
-    tau_b, s_b = np.broadcast_arrays(tau, s)
-    out = np.empty(tau_b.shape, dtype=float)
-    tau_r, s_r, out_r = np.atleast_1d(tau_b, s_b, out)
-    rows = max(1, _BS_BLOCK // (math.prod(out_r.shape[1:]) or 1))
-    for lo in range(0, out_r.shape[0], rows):
-        hi = lo + rows
-        _bs_fill(payoff, tau_r[lo:hi], s_r[lo:hi], sigma, out_r[lo:hi])
+    tau, s = np.broadcast_arrays(tau, s)
+    expired = tau == 0.0
+    if not np.any(expired):
+        return _bs_formula(payoff, tau, s, sigma)[3]
+    out = np.empty(tau.shape)
+    out[expired] = payoff.value(s[expired])
+    live = ~expired
+    out[live] = _bs_formula(payoff, tau[live], s[live], sigma)[3]
     return out
 
 

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from . import bs as _bs
-from .errors import NumericalError, check_scalar
+from .errors import NumericalError, check_scalar, check_valuation_time
 from .model import ModelParams, Payoff, single_shock_factors
 
 __all__ = ["single_shock_memm_price"]
@@ -24,9 +24,9 @@ __all__ = ["single_shock_memm_price"]
 _QUAD_START_PANELS = 400
 _QUAD_TOL = 1e-8
 _QUAD_MAX_DOUBLINGS = 12
-# Outer-axis chunk for the tensor quadrature; bounds peak memory at
-# chunk * (panels + 1) doubles.
-_QUAD_CHUNK = 256
+# Outer-axis chunk of the tensor quadrature: the one bound on its
+# temporaries, bs_price's included, each chunk * (panels + 1) doubles.
+_QUAD_CHUNK = 128
 
 
 def _simpson_weights(n: int) -> np.ndarray:
@@ -95,10 +95,8 @@ def single_shock_memm_price(params: ModelParams, payoff: Payoff, t: float,
     1e-8; more than 12 doublings raises NumericalError.  Requires
     0 <= t < T and a spot within the model's support.
     """
-    check_scalar("t", t)
+    check_valuation_time(t, params.T)
     check_scalar("spot", spot)
-    if not (0.0 <= t < params.T):
-        raise ValueError(f"need 0 <= t < T={params.T}, got t={t}")
     _bs.check_spot(spot)
     if params.nu01 == 0.0:
         # No shock can arrive; the price is plain Black-Scholes.

@@ -1,5 +1,5 @@
-"""Exception types and the integer and scalar rules shared across the
-package."""
+"""Exception types and the integer, scalar and valuation-time rules shared
+across the package."""
 
 from __future__ import annotations
 
@@ -37,6 +37,14 @@ def check_scalar(name: str, value) -> None:
     shape = np.shape(value)
     if shape:
         raise ValueError(f"{name} must be a scalar, got an array of shape {shape}")
+
+
+def check_valuation_time(t, T: float) -> None:
+    """Refuse (ValueError) a valuation time that is not a scalar with
+    0 <= t < T."""
+    check_scalar("t", t)
+    if not (0.0 <= t < T):
+        raise ValueError(f"need 0 <= t < T={T}, got t={t}")
 
 
 def check_count(name: str, value, least: int) -> None:

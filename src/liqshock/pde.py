@@ -95,7 +95,7 @@ from scipy.linalg.lapack import dgtsv
 
 from . import bs as _bs
 from .errors import (NumericalError, check_count, check_integer,
-                     check_regime, check_scalar)
+                     check_regime, check_scalar, check_valuation_time)
 from .model import ModelParams, Payoff, intensity_curve, single_shock_factors
 # Unused here; stays bound because perfbench/spans.py patches it by name.
 from .model import merton_factors  # noqa: F401
@@ -1150,9 +1150,7 @@ def hedge_report(params: ModelParams, payoff: Payoff, surface: PriceSurface,
     call per clock and one implied-clock inversion; each element of the
     report equals the one its spot gets alone.
     """
-    check_scalar("t", t)
-    if not (0.0 <= t < params.T):
-        raise ValueError(f"need 0 <= t < T={params.T}, got t={t}")
+    check_valuation_time(t, params.T)
     s = np.asarray(spot, dtype=float)
     if s.ndim > 1:
         raise ValueError(f"spot must be a scalar or a 1-D array, got shape {s.shape}")

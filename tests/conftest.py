@@ -7,6 +7,10 @@ modules through small memoizing factories keyed by the request.
 
 from __future__ import annotations
 
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,6 +29,35 @@ from liqshock import (
 
 SPOTS = (8.0, 10.0, 12.0)
 STRIKE = 10.0
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(*names: str) -> list[types.ModuleType]:
+    """The benchmark modules ``perfbench/<name>.py``, loaded in order.
+
+    compile() + exec rather than an import, so no bytecode cache is written
+    next to the benchmark's files.  Each module is registered in
+    ``sys.modules`` under its own name while the modules load (its
+    dataclasses look it up there, and ``checks`` imports ``workloads``), and
+    removed again afterwards."""
+    saved = {name: sys.modules.get(name) for name in names}
+    modules = []
+    try:
+        for name in names:
+            path = PERFBENCH / f"{name}.py"
+            module = types.ModuleType(name)
+            module.__file__ = str(path)
+            sys.modules[name] = module
+            exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"),
+                 module.__dict__)
+            modules.append(module)
+    finally:
+        for name, module in saved.items():
+            if module is None:
+                sys.modules.pop(name, None)
+            else:
+                sys.modules[name] = module
+    return modules
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,6 @@ from liqshock import (
     bs_price,
     implied_ttm,
 )
-from liqshock.bs import _BS_BLOCK
 from oracle_occupation import occupation_mean
 
 SIGMA = 0.3
@@ -71,12 +70,11 @@ class TestBsPrice:
         assert out[1, 2] == pytest.approx(float(bs_price(payoff, 1.0, 12.0, SIGMA)))
 
     def test_blocked_broadcast_equals_row_calls(self):
-        """A broadcast larger than one block is evaluated in row blocks,
-        bit for bit as each row alone."""
+        """A whole broadcast, ttm = 0 rows included, is bit for bit each
+        row priced alone."""
         payoff = Payoff("digital_call", 10.0)
         ttm = np.linspace(0.0, 1.0, 41)[:, None]
         spot = np.linspace(5.0, 15.0, 401)
-        assert ttm.size * spot.size > _BS_BLOCK
         out = bs_price(payoff, ttm, spot, SIGMA)
         rows = np.array([bs_price(payoff, t, spot, SIGMA) for t in ttm[:, 0]])
         assert np.array_equal(out, rows)

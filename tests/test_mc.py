@@ -15,6 +15,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from liqshock import (
@@ -32,11 +34,12 @@ from liqshock import (
     single_shock_factors,
     single_shock_memm_price,
 )
-from conftest import STRIKE
+from conftest import STRIKE, load_perfbench
 from liqshock import mc
 from oracle_occupation import (
     constant_intensity_price,
     killed_occupation_mass,
+    memm_price,
     no_shock_atom,
     occupation_density,
     occupation_mean,
@@ -177,6 +180,14 @@ class TestMcLinearPrice:
         ref = linear_solved("MEMM", "vanilla_call").quote(10.0)
         assert z_score(est, ref) < 4.0
 
+    @pytest.mark.parametrize("kind", ["vanilla_call", "digital_call"])
+    def test_memm_matches_exact_price(self, params, kind):
+        """The MEMM estimate against the exact MEMM price: the occupation
+        law reweighted by e^{-d0 tau}, an oracle independent of the march."""
+        payoff = Payoff(kind, STRIKE)
+        est = mc_linear_price(params, payoff, "MEMM", 10.0, 100_000, seed=37)
+        assert z_score(est, memm_price(params, payoff, 10.0)) < 4.0
+
     def test_single_shock_matches_quadrature(self, params):
         payoff = Payoff("digital_call", STRIKE)
         est = mc_linear_price(params, payoff, "MEMM_single_shock", 12.0,
@@ -236,6 +247,13 @@ class TestInPlaceEstimate:
 LAW_LEVEL = 1e-3
 LAW_PATHS = 200_000
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+# The sweep over the benchmark's parameter box: SWEEP_EXAMPLES draws of
+# SWEEP_PATHS paths each, every check at LAW_LEVEL / SWEEP_EXAMPLES, so a
+# check fails a correct sampler anywhere in the sweep with probability at
+# most LAW_LEVEL.
+BOX = load_perfbench("workloads")[0].BOX
+SWEEP_EXAMPLES = 5
+SWEEP_PATHS = 50_000
 
 
 def clock_law(params: ModelParams, measure: str):
@@ -378,6 +396,29 @@ class TestClockLaw:
         assert np.all(above < slow_recovery.T)
         d = stats.kstest(above, lambda x: cdf(x) / (1.0 - atom)).statistic
         assert d <= stats.kstwo.isf(LAW_LEVEL, above.size)
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @settings(max_examples=SWEEP_EXAMPLES, derandomize=True, deadline=None)
+    @given(sigma0=st.floats(*BOX["sigma0"]), nu01=st.floats(*BOX["nu01"]),
+           nu10=st.floats(*BOX["nu10"]), mu0=st.floats(*BOX["mu0"]))
+    def test_clock_law_holds_over_the_benchmark_box(self, measure, sigma0,
+                                                    nu01, nu10, mu0):
+        """Across the benchmark's box (T = 1; gamma does not enter the
+        clock), the liquid-start no-shock atom lies in its binomial
+        interval and the clocks below T pass the Kolmogorov-Smirnov test,
+        each at level LAW_LEVEL / SWEEP_EXAMPLES."""
+        params = ModelParams(mu0=mu0, sigma0=sigma0, nu01=nu01, nu10=nu10,
+                             gamma=1.0, T=1.0)
+        level = LAW_LEVEL / SWEEP_EXAMPLES
+        clocks = sample_realized_ttm(intensity_curve(params, measure),
+                                     params.T, 0, 5, SWEEP_PATHS)
+        cdf, atom = clock_law(params, measure)
+        lo, hi = stats.binom.interval(1.0 - level, SWEEP_PATHS, atom)
+        assert lo <= np.count_nonzero(clocks == params.T) <= hi
+        below = clocks[clocks < params.T]
+        assert np.all(below > 0.0)
+        d = stats.kstest(below, lambda x: cdf(x) / (1.0 - atom)).statistic
+        assert d <= stats.kstwo.isf(level, below.size)
 
     @pytest.mark.parametrize("nu10", [2.0, 12.0])
     def test_shock_start_density_is_the_swapped_chain(self, params, nu10):
