@@ -159,7 +159,31 @@ def _stable_roots(s: float, p: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class MertonFactors:
+class _Factors:
+    """Discount factors of one regime chain, evaluated in time to maturity.
+
+    A chain defines ``_factors(t)``, the tuple (F0(t), F1(t), ...) from one
+    set of exponentials, vectorized over t; ``F0`` and ``F1`` read it.
+    ``F2(t) = e^{-d0 (T-t)}`` is the no-switching factor of every chain.
+    """
+
+    d0: float
+    nu01: float
+    nu10: float
+    T: float
+
+    def F0(self, t: np.ndarray) -> np.ndarray:
+        return self._factors(t)[0]
+
+    def F1(self, t: np.ndarray) -> np.ndarray:
+        return self._factors(t)[1]
+
+    def F2(self, t: np.ndarray) -> np.ndarray:
+        return np.exp(-self.d0 * (self.T - np.asarray(t, dtype=float)))
+
+
+@dataclass(frozen=True)
+class MertonFactors(_Factors):
     """Closed-form discount factors of the two-regime valuation system.
 
     F0(t) = a1 e^{-l1 (T-t)} + a2 e^{-l2 (T-t)} with l1 >= l2 the roots of
@@ -173,47 +197,24 @@ class MertonFactors:
     overflow-free form above, in time to maturity T - t, throughout.
     """
 
-    d0: float
-    nu01: float
-    nu10: float
-    T: float
     lambda1: float
     lambda2: float
 
-    # The weights a_k of F0; only meaningful on the nu01 > 0 code paths.
-    @property
-    def _a1(self) -> float:
-        return (self.lambda2 - self.d0) / (self.lambda2 - self.lambda1)
-
-    @property
-    def _a2(self) -> float:
-        return (self.lambda1 - self.d0) / (self.lambda1 - self.lambda2)
-
-    def _tau(self, t: np.ndarray) -> np.ndarray:
-        return self.T - np.asarray(t, dtype=float)
-
     def _factors(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(F0(t), F1(t)), both from one pair of exponentials."""
-        tau = self._tau(t)
+        tau = self.T - np.asarray(t, dtype=float)
         if self.nu01 == 0.0:
             e = np.exp(-self.d0 * tau)
             return e, e * (1.0 + self.d0 * _one_minus_exp_over(self.nu10 - self.d0, tau))
         e1 = np.exp(-self.lambda1 * tau)
         e2 = np.exp(-self.lambda2 * tau)
-        a1, a2 = self._a1, self._a2
+        # The weights a_k of F0.
+        a1 = (self.lambda2 - self.d0) / (self.lambda2 - self.lambda1)
+        a2 = (self.lambda1 - self.d0) / (self.lambda1 - self.lambda2)
         k = self.d0 + self.nu01
         w1 = a1 * (k - self.lambda1) / self.nu01
         w2 = a2 * (k - self.lambda2) / self.nu01
         return a1 * e1 + a2 * e2, w1 * e1 + w2 * e2
-
-    def F0(self, t: np.ndarray) -> np.ndarray:
-        return self._factors(t)[0]
-
-    def F1(self, t: np.ndarray) -> np.ndarray:
-        return self._factors(t)[1]
-
-    def F2(self, t: np.ndarray) -> np.ndarray:
-        return np.exp(-self.d0 * self._tau(t))
 
 
 def _one_minus_exp_over(delta: float, tau: np.ndarray) -> np.ndarray:
@@ -248,7 +249,7 @@ def merton_factors(params: ModelParams) -> MertonFactors:
 
 
 @dataclass(frozen=True)
-class SingleShockFactors:
+class SingleShockFactors(_Factors):
     """Discount factors of the single-shock (first recovery absorbing) chain.
 
     States: 0 liquid pre-shock, 1 in shock, 2 liquid post-shock (absorbing).
@@ -260,32 +261,15 @@ class SingleShockFactors:
     displays resonant and are rejected at construction.
     """
 
-    d0: float
-    nu01: float
-    nu10: float
-    T: float
-
-    def _tau(self, t: np.ndarray) -> np.ndarray:
-        return self.T - np.asarray(t, dtype=float)
-
     def _factors(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(F0c(t), F1c(t), F2c(t)), sharing their exponentials."""
-        tau = self._tau(t)
+        tau = self.T - np.asarray(t, dtype=float)
         d0, nu01, nu10 = self.d0, self.nu01, self.nu10
         f2 = np.exp(-d0 * tau)
         e10 = np.exp(-nu10 * tau)
         f1 = (nu10 * f2 - d0 * e10) / (nu10 - d0)
         extra = d0 / (d0 + nu01 - nu10) * (np.exp(-(d0 + nu01) * tau) - e10)
         return f1 + extra, f1, f2
-
-    def F2(self, t: np.ndarray) -> np.ndarray:
-        return np.exp(-self.d0 * self._tau(t))
-
-    def F1(self, t: np.ndarray) -> np.ndarray:
-        return self._factors(t)[1]
-
-    def F0(self, t: np.ndarray) -> np.ndarray:
-        return self._factors(t)[0]
 
 
 def single_shock_factors(params: ModelParams) -> SingleShockFactors:
@@ -357,19 +341,15 @@ def intensity_curve(params: ModelParams, measure: str) -> IntensityCurve:
 
         return IntensityCurve(measure, params, rates, constant=True)
     if measure == "MEMM":
-        fac = merton_factors(params)
-
-        # Each market intensity times the discount factor of the regime it
-        # enters over that of the regime it leaves: nu01 F1/F0, nu10 F0/F1.
-        def rates(t):
-            f0, f1 = fac._factors(t)
-            return fac.nu01 * f1 / f0, fac.nu10 * f0 / f1
+        fac, entered = merton_factors(params), 0
     else:
-        fac = single_shock_factors(params)
+        fac, entered = single_shock_factors(params), 2
 
-        # The same tilt; recovery enters regime 2: nu01 F1/F0, nu10 F2/F1.
-        def rates(t):
-            f0, f1, f2 = fac._factors(t)
-            return fac.nu01 * f1 / f0, fac.nu10 * f2 / f1
+    # Each market intensity times the discount factor of the regime it
+    # enters over that of the regime it leaves: nu01 F1/F0, nu10 F0/F1, or
+    # nu10 F2/F1 on the single-shock chain, whose recovery enters regime 2.
+    def rates(t):
+        f = fac._factors(t)
+        return fac.nu01 * f[1] / f[0], fac.nu10 * f[entered] / f[1]
 
     return IntensityCurve(measure, params, rates, constant=params.d0 == 0.0)

@@ -7,6 +7,7 @@ modules through small memoizing factories keyed by the request.
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import types
 from pathlib import Path
@@ -58,6 +59,12 @@ def load_perfbench(*names: str) -> list[types.ModuleType]:
             else:
                 sys.modules[name] = module
     return modules
+
+
+def digest(a: np.ndarray) -> str:
+    """SHA-256 of ``a``'s float64 bytes in C order: the goldens' pin."""
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64)
+                          .tobytes()).hexdigest()
 
 
 @pytest.fixture(scope="session")

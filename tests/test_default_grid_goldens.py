@@ -21,7 +21,6 @@ that means to move the surfaces:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from dataclasses import replace
@@ -30,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import digest
 from liqshock import (GridSpec, ModelParams, Payoff, cli, linear_price,
                       mmm_and_expansion, solve_indifference, solve_single_shock)
 
@@ -55,11 +55,6 @@ CORNER = dict(sigma0=0.4, nu01=2.0, nu10=24.0)
 # `converge`'s ladder rungs but the default N = 2000, whose MEMM march the
 # `ttm` digests pin.
 LADDER = (500, 1000, 4000)
-
-
-def digest(a: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64)
-                          .tobytes()).hexdigest()
 
 
 def hedge_marches(kind: str) -> dict[str, np.ndarray]:

@@ -19,13 +19,13 @@ within 1e-12 times the surface's price scale.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import digest
 from liqshock import (
     GridSpec,
     ModelParams,
@@ -52,11 +52,6 @@ N_PATHS = 1000
 def make_params(nu01: float) -> ModelParams:
     return ModelParams(mu0=0.06, sigma0=0.3, nu01=nu01, nu10=12.0,
                        gamma=1.0, T=1.0)
-
-
-def digest(a: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64)
-                          .tobytes()).hexdigest()
 
 
 def linear_surfaces(params: ModelParams, kind: str) -> dict[str, np.ndarray]:

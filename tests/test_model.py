@@ -292,6 +292,16 @@ class TestSingleShockFactors:
             single_shock_factors(make_params(nu01=11.98))
 
 
+@pytest.mark.parametrize("build", [merton_factors, single_shock_factors])
+@pytest.mark.parametrize("kw", BOX_CORNERS + [dict(mu0=0.0)],
+                         ids=lambda kw: ",".join(f"{k}={v}" for k, v in kw.items()))
+def test_f2_is_the_no_switching_factor_exactly(build, kw):
+    """F2 of both chains is e^{-d0 (T - t)} bit for bit."""
+    p = make_params(**kw)
+    t = np.linspace(0.0, p.T, 2001)
+    assert np.array_equal(build(p).F2(t), np.exp(-p.d0 * (p.T - t)))
+
+
 class TestIntensityCurves:
     def test_mmm_is_constant(self):
         p = make_params()
@@ -331,6 +341,20 @@ class TestIntensityCurves:
         factor_calls.clear()                # the build's check at 0 and T
         assert c.bound01 > 0.0 and c.bound10 > 0.0
         assert factor_calls == [2001]
+
+    @pytest.mark.parametrize("kw", BOX_CORNERS + [dict(mu0=0.0)],
+                             ids=lambda kw: ",".join(f"{k}={v}"
+                                                     for k, v in kw.items()))
+    def test_single_shock_curve_ratios_match_the_shared_tilt(self, kw):
+        """The single-shock curve's rates equal the tilt nu01 F1c/F0c,
+        nu10 F2c/F1c of one evaluation of the single-shock factors bit for
+        bit."""
+        p = make_params(**kw)
+        t = np.linspace(0.0, p.T, 2001)
+        f0, f1, f2 = single_shock_factors(p)._factors(t)
+        nu01, nu10 = intensity_curve(p, "MEMM_single_shock").rates(t)
+        assert np.array_equal(nu01, p.nu01 * f1 / f0)
+        assert np.array_equal(nu10, p.nu10 * f2 / f1)
 
     def test_unknown_measure_rejected(self):
         with pytest.raises(ValueError, match="measure"):

@@ -8,15 +8,17 @@ re-exported through ``__all__``, or bound because the benchmark's span
 tracer (``perfbench/spans.py``) patches it in that module by name, and so
 is every module-level alias of a public name (``name = other_name``).
 Every module-level ``_``-prefixed function, class or constant is read by
-name in the module that defines it.  The project configures no linter, so
-these checks are tests."""
+name in the module that defines it.  No two functions or methods, nested
+ones included, share a body.  The project configures no linter, so these
+checks are tests."""
 
 from __future__ import annotations
 
 import ast
+from itertools import combinations
 from pathlib import Path
 
-from test_trace_targets import load_spans
+from conftest import load_perfbench
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "liqshock"
 
@@ -96,7 +98,7 @@ def unused_bindings(path: Path, patched: set[str], binder) -> list[str]:
 
 def unused(binder) -> dict[str, list[str]]:
     """Per module file, the names ``binder`` finds that are not kept."""
-    targets = load_spans().TARGETS
+    targets = load_perfbench("spans")[0].TARGETS
     found = {}
     for path in sorted(SRC.glob("*.py")):
         module = f"liqshock.{path.stem}"
@@ -152,3 +154,59 @@ def test_every_private_name_is_read_in_its_module():
     found = {path.name: names for path in sorted(SRC.glob("*.py"))
              if (names := dead_private_names(path))}
     assert found == {}
+
+
+def function_bodies(path: Path) -> list[tuple[str, str]]:
+    """(``file::qualified.name``, ``ast.dump`` of the body) for every
+    function and method of ``path``, nested ones included; a leading
+    docstring is not part of the body."""
+    found = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = prefix + child.name
+                if not isinstance(child, ast.ClassDef):
+                    body = child.body[ast.get_docstring(child) is not None:]
+                    found.append((f"{path.name}::{name}",
+                                  ast.dump(ast.Module(body, []))))
+                visit(child, name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(parse(path), "")
+    return found
+
+
+def shared_bodies(paths) -> list[tuple[str, str]]:
+    """Each pair of functions under ``paths`` whose bodies match."""
+    by_body: dict[str, list[str]] = {}
+    for path in paths:
+        for name, body in function_bodies(path):
+            by_body.setdefault(body, []).append(name)
+    return [pair for names in by_body.values() for pair in combinations(names, 2)]
+
+
+def test_no_two_functions_share_a_body():
+    assert shared_bodies(sorted(SRC.glob("*.py"))) == []
+
+
+def test_a_shared_body_is_found(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("def f(x):\n"
+                      "    \"Doubled.\"\n"
+                      "    return 2 * x\n"
+                      "class C:\n"
+                      "    def g(self, y):\n"
+                      "        return 2 * x\n"
+                      "    def h(self, x):\n"
+                      "        return 3 * x\n"
+                      "def outer():\n"
+                      "    def inner():\n"
+                      "        \"Also doubled.\"\n"
+                      "        return 2 * x\n"
+                      "    return inner\n", encoding="utf-8")
+    assert shared_bodies([module]) == [("mod.py::f", "mod.py::C.g"),
+                                       ("mod.py::f", "mod.py::outer.inner"),
+                                       ("mod.py::C.g", "mod.py::outer.inner")]

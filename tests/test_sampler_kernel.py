@@ -17,7 +17,6 @@ were stored with, when the sampler also had an antithetic mode.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import tracemalloc
@@ -28,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import digest
 from liqshock import (
     ModelParams,
     Payoff,
@@ -41,11 +41,6 @@ from liqshock.model import IntensityCurve
 GOLDENS = json.loads((Path(__file__).parent / "data" /
                       "sampler_digests_50k.json").read_text())
 SETS = sorted(GOLDENS["sets"])
-
-
-def digest(a: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64)
-                          .tobytes()).hexdigest()
 
 
 def draw_digests(name: str) -> dict[str, str]:

@@ -9,28 +9,16 @@ from __future__ import annotations
 
 import importlib
 import inspect
-import types
-from pathlib import Path
 
 import pytest
 
+from conftest import load_perfbench
+
 from liqshock.cli import main
-
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def load_spans() -> types.ModuleType:
-    # compile() + exec rather than an import, so no bytecode cache is
-    # written next to the benchmark's files.
-    module = types.ModuleType("perfbench_spans")
-    module.__file__ = str(SPANS)
-    code = compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec")
-    exec(code, module.__dict__)
-    return module
 
 
 def test_every_trace_target_resolves():
-    spans = load_spans()
+    spans = load_perfbench("spans")[0]
     assert spans.TARGETS
     missing = [(module_name, attr) for module_name, attr, _, _ in spans.TARGETS
                if not callable(getattr(importlib.import_module(module_name),
@@ -50,7 +38,8 @@ def test_clock_commands_call_traced_names(monkeypatch, capsys, command,
     attributes (the implied-clock and hedge spans, and the ``bs_price``
     calls counted inside an inversion).  A command that bound the function
     under another name would leave those spans silently at 0."""
-    assert (module_name, attr) in {(m, a) for m, a, _, _ in load_spans().TARGETS}
+    targets = load_perfbench("spans")[0].TARGETS
+    assert (module_name, attr) in {(m, a) for m, a, _, _ in targets}
     module = importlib.import_module(module_name)
     original = getattr(module, attr)
     calls = []
@@ -70,7 +59,7 @@ def test_work_indices_name_the_grid_or_path_count():
     or its path count from that positional argument.  A signature edit
     that shifted the parameter would leave the step or path counts
     silently at 0."""
-    spans = load_spans()
+    spans = load_perfbench("spans")[0]
     shifted = []
     for module_name, attr, span, work_index in spans.TARGETS:
         if work_index is None:
